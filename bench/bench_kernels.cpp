@@ -29,6 +29,7 @@
 #include "core/trainer.h"
 #include "hwsim/registry.h"
 #include "nn/activation.h"
+#include "nn/batchnorm.h"
 #include "nn/blocks.h"
 #include "nn/conv2d.h"
 #include "nn/fused_conv.h"
@@ -208,6 +209,22 @@ void BM_ReLUForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReLUForward)->Arg(0)->Arg(1);
+
+// BatchNorm forward with batch statistics at a proxy activation shape, in
+// train mode (keeps x-hat and 1/sigma for backward) and in score mode
+// (writes only the output) — the two ways a candidate forward can run.
+void BM_BatchNormForward(benchmark::State& state, nn::Mode mode) {
+  util::Rng rng(7);
+  const Tensor x = Tensor::normal({36, 16, 12, 12}, 0.5f, 1.0f, rng);
+  nn::BatchNorm2d bn(16);
+  bn.set_mode(mode);
+  for (auto _ : state) {
+    Tensor y = bn.forward(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_BatchNormForward, train, nn::Mode::kTrain);
+BENCHMARK_CAPTURE(BM_BatchNormForward, score, nn::Mode::kScore);
 
 void BM_ChoiceBlockForward(benchmark::State& state) {
   util::Rng rng(5);

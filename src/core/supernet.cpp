@@ -147,22 +147,18 @@ std::vector<nn::Parameter*> Supernet::path_parameters(const Arch& arch) {
   return params;
 }
 
-void Supernet::set_training(bool training) {
-  stem_->set_training(training);
-  for (auto& choices : layers_) {
-    for (auto& blk : choices) blk->set_training(training);
-  }
-  head_conv_->set_training(training);
-  gap_.set_training(training);
-  classifier_->set_training(training);
+void Supernet::set_mode(nn::Mode mode) {
+  nn::set_mode(
+      [this](const std::function<void(nn::Module&)>& fn) { visit(fn); },
+      mode);
 }
 
 double Supernet::evaluate(const data::SyntheticDataset& dataset,
                           const Arch& arch, std::size_t batch_size,
                           std::size_t max_batches) {
   check_arch(arch);
-  // Batch-statistics BN: keep training mode but never call backward.
-  set_training(true);
+  // Batch-statistics BN without backward state; back to train mode after.
+  set_mode(nn::Mode::kScore);
   data::DataLoader loader(dataset, batch_size, /*train=*/false, /*seed=*/0);
   const std::size_t batches =
       max_batches == 0 ? loader.num_batches()
@@ -175,6 +171,7 @@ double Supernet::evaluate(const data::SyntheticDataset& dataset,
     correct += res.correct_top1;
     total += batch.labels.size();
   }
+  set_mode(nn::Mode::kTrain);
   return total == 0 ? 0.0
                     : static_cast<double>(correct) /
                           static_cast<double>(total);
@@ -196,8 +193,8 @@ std::size_t Supernet::calibrate_quant(
     throw Error("Supernet::calibrate_quant: int8 calibration needs a "
                 "standalone (fixed-arch) network");
   }
-  const bool was_training = stem_->training();
-  set_training(false);
+  const nn::Mode was = mode();
+  set_mode(nn::Mode::kEval);
   std::size_t frozen = 0;
   try {
     frozen = nn::calibrate_with(
@@ -205,10 +202,10 @@ std::size_t Supernet::calibrate_quant(
         [this](const tensor::Tensor& batch) { forward(batch); },
         batches);
   } catch (...) {
-    set_training(was_training);
+    set_mode(was);
     throw;
   }
-  set_training(was_training);
+  set_mode(was);
   return frozen;
 }
 
@@ -223,7 +220,7 @@ void Supernet::calibrate_bn(const data::SyntheticDataset& dataset,
       bn->reset_running_stats();
     }
   });
-  set_training(true);  // BN accumulates batch statistics
+  set_mode(nn::Mode::kScore);  // BN accumulates batch statistics
   data::DataLoader loader(dataset, batch_size, /*train=*/true, seed ^ 0xB4);
   const std::size_t batches =
       std::min<std::size_t>(std::max<std::size_t>(calib_batches, 1),
@@ -232,6 +229,7 @@ void Supernet::calibrate_bn(const data::SyntheticDataset& dataset,
     const data::Batch batch = loader.batch(b);
     forward(batch.images, arch);  // forward only: statistics, no gradients
   }
+  set_mode(nn::Mode::kTrain);
 }
 
 double Supernet::evaluate_calibrated(const data::SyntheticDataset& dataset,
@@ -239,7 +237,7 @@ double Supernet::evaluate_calibrated(const data::SyntheticDataset& dataset,
                                      std::size_t batch_size,
                                      std::size_t max_batches) {
   check_arch(arch);
-  set_training(false);
+  set_mode(nn::Mode::kEval);
   data::DataLoader loader(dataset, batch_size, /*train=*/false, 0);
   const std::size_t batches =
       max_batches == 0 ? loader.num_batches()

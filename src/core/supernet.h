@@ -52,7 +52,9 @@ class Supernet {
   /// Parameters on the given arch's path only.
   std::vector<nn::Parameter*> path_parameters(const Arch& arch);
 
-  void set_training(bool training);
+  /// Put every module into `mode` (see nn::Mode), in one traversal.
+  void set_mode(nn::Mode mode);
+  nn::Mode mode() const { return stem_->mode(); }
 
   /// Post-training int8 calibration of a *standalone* network: stream
   /// `batches` through the fixed arch in fp32 eval mode with the quant
@@ -64,17 +66,20 @@ class Supernet {
   std::size_t calibrate_quant(const std::vector<tensor::Tensor>& batches);
 
   /// Top-1 accuracy of `arch` on (a prefix of) the validation split.
-  /// Runs with batch-statistics BN (standard one-shot practice: candidate
-  /// paths never saw calibrated running stats). max_batches == 0 means the
-  /// full split.
+  /// Runs in score mode: batch-statistics BN (standard one-shot practice:
+  /// candidate paths never saw calibrated running stats) with the same
+  /// running-stat updates and logits as a train-mode forward, but no state
+  /// kept for backward — a backward() after it throws. Leaves the network
+  /// in train mode. max_batches == 0 means the full split.
   double evaluate(const data::SyntheticDataset& dataset, const Arch& arch,
                   std::size_t batch_size, std::size_t max_batches = 0);
 
   /// Recalibrate BatchNorm running statistics for `arch`'s path: reset all
   /// BN running stats, then stream `calib_batches` *training* batches
-  /// through the path (forward only, no optimizer). Afterwards the path
-  /// can be evaluated in eval mode — the higher-fidelity protocol used
-  /// when a candidate is about to be reported or deployed.
+  /// through the path in score mode (forward only, no optimizer); leaves
+  /// the network in train mode. Afterwards the path can be evaluated in
+  /// eval mode — the higher-fidelity protocol used when a candidate is
+  /// about to be reported or deployed.
   void calibrate_bn(const data::SyntheticDataset& dataset, const Arch& arch,
                     std::size_t batch_size, std::size_t calib_batches,
                     std::uint64_t seed = 0);

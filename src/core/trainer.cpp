@@ -39,7 +39,7 @@ double SupernetTrainer::step(const data::Batch& batch, const Arch& arch,
                              double lr) {
   util::Timer timer;
   step_counter().add();
-  supernet_.set_training(true);
+  supernet_.set_mode(nn::Mode::kTrain);
   optimizer_.set_lr(lr);
   optimizer_.zero_grad();
   const tensor::Tensor logits = supernet_.forward(batch.images, arch);
@@ -76,7 +76,7 @@ double SupernetTrainer::step_fair(const data::Batch& batch, double lr,
     perms[static_cast<std::size_t>(l)] = std::move(perm);
   }
 
-  supernet_.set_training(true);
+  supernet_.set_mode(nn::Mode::kTrain);
   optimizer_.set_lr(lr);
   optimizer_.zero_grad();
   double loss_sum = 0.0;
@@ -146,7 +146,7 @@ std::vector<EpochStats> SupernetTrainer::run(int epochs, double lr,
                             : Arch::random(supernet_.space(), arch_rng_);
       util::Timer step_timer;
       step_counter().add();
-      supernet_.set_training(true);
+      supernet_.set_mode(nn::Mode::kTrain);
       optimizer_.set_lr(cur_lr);
       optimizer_.zero_grad();
       const tensor::Tensor logits = supernet_.forward(batch.images, arch);

@@ -148,7 +148,7 @@ ProfileReport run_profile(const ProfileConfig& config) {
       ap.arch_string = ap.arch.to_string(space);
       core::Supernet net(space, config.seed + static_cast<std::uint64_t>(a),
                          ap.arch);
-      net.set_training(config.backward);
+      net.set_mode(config.backward ? nn::Mode::kTrain : nn::Mode::kEval);
 
       Tensor images = Tensor::uniform(
           {config.batch, config.space.input_channels, config.space.input_size,

@@ -15,16 +15,24 @@ Tensor ReLU::forward(const Tensor& x) {
   obs::OpScope prof(
       [&] { return detail::elementwise_op_info("relu", "eltwise", x, 1.0); });
   Tensor y(x.shape());
-  mask_ = Tensor(x.shape());
   const long count = x.numel();
   const float* in = x.data();
   float* out = y.data();
-  float* m = mask_.data();
   // The trip count stays in a local: with numel() in the loop condition
   // the compiler cannot count the trips, leaves the loop scalar, and its
-  // branch mispredicts on mixed-sign input. relu(v) > 0 exactly when
-  // v > 0 (NaN and -0 map to +0), so the mask is a compare of the output:
-  // two selects per element, which vectorize.
+  // branch mispredicts on mixed-sign input.
+  if (!keeps_backward_state()) {
+    mask_ = Tensor();
+    for (long i = 0; i < count; ++i) {
+      out[i] = tensor::epilogue_apply(tensor::EpilogueAct::kReLU, in[i]);
+    }
+    return y;
+  }
+  mask_ = Tensor(x.shape());
+  note_backward_state(mask_);
+  float* m = mask_.data();
+  // relu(v) > 0 exactly when v > 0 (NaN and -0 map to +0), so the mask is
+  // a compare of the output: two selects per element, which vectorize.
   for (long i = 0; i < count; ++i) {
     const float r = tensor::epilogue_apply(tensor::EpilogueAct::kReLU, in[i]);
     out[i] = r;
@@ -48,7 +56,7 @@ Tensor HSwish::forward(const Tensor& x) {
   obs::OpScope prof([&] {
     return detail::elementwise_op_info("hswish", "eltwise", x, 4.0);
   });
-  cached_input_ = x;
+  keep_for_backward(cached_input_, x);
   Tensor y(x.shape());
   const float* in = x.data();
   float* out = y.data();

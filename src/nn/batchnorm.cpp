@@ -27,6 +27,39 @@ void BatchNorm2d::reset_running_stats() {
   running_var_.fill(1.0f);
 }
 
+namespace {
+
+// Batch mean and biased variance of channels [c0, c0 + L) of an NCHW
+// tensor. Each channel's double sums run in the serial per-channel (s, i)
+// order — so the bits equal a one-channel-at-a-time loop — while the L
+// channels' add chains are independent and overlap in the pipeline.
+template <long L>
+void batch_stats(const float* x, long n, long channels, long spatial, long c0,
+                 double* mean, double* var) {
+  const double count = static_cast<double>(n * spatial);
+  double sum[L] = {};
+  for (long s = 0; s < n; ++s) {
+    const float* base = x + (s * channels + c0) * spatial;
+    for (long i = 0; i < spatial; ++i) {
+      for (long l = 0; l < L; ++l) sum[l] += base[l * spatial + i];
+    }
+  }
+  for (long l = 0; l < L; ++l) mean[l] = sum[l] / count;
+  double sq[L] = {};
+  for (long s = 0; s < n; ++s) {
+    const float* base = x + (s * channels + c0) * spatial;
+    for (long i = 0; i < spatial; ++i) {
+      for (long l = 0; l < L; ++l) {
+        const double d = base[l * spatial + i] - mean[l];
+        sq[l] += d * d;
+      }
+    }
+  }
+  for (long l = 0; l < L; ++l) var[l] = sq[l] / count;
+}
+
+}  // namespace
+
 Tensor BatchNorm2d::forward(const Tensor& x) {
   // ~4 ops/element (subtract, scale, gamma, beta); stats passes push the
   // traffic above the plain read+write default.
@@ -39,55 +72,71 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   }
   const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const long spatial = h * w;
-  const double count = static_cast<double>(n * spatial);
+  const bool batch_statistics = mode() != Mode::kEval;
+  const bool keep = keeps_backward_state();
 
   Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
-  cached_inv_std_.assign(static_cast<std::size_t>(channels_), 0.0f);
-  cached_n_ = n;
-  cached_h_ = h;
-  cached_w_ = w;
+  if (keep) {
+    cached_xhat_ = Tensor(x.shape());
+    cached_inv_std_.assign(static_cast<std::size_t>(channels_), 0.0f);
+    note_backward_state(cached_xhat_);
+    note_backward_state(cached_inv_std_.size() * sizeof(float));
+    cached_n_ = n;
+    cached_h_ = h;
+    cached_w_ = w;
+  } else {
+    cached_xhat_ = Tensor();
+    cached_inv_std_.clear();
+  }
 
-  for (long c = 0; c < channels_; ++c) {
-    double mean = 0.0, var = 0.0;
-    if (training_) {
-      for (long s = 0; s < n; ++s) {
-        const float* chan = x.data() + ((s * channels_ + c) * spatial);
-        for (long i = 0; i < spatial; ++i) mean += chan[i];
+  // Statistics, then normalization, for one block of L channels; blocks
+  // of four, then a one-channel tail.
+  auto block = [&]<long L>(long c0) {
+    double mean[L], var[L];
+    if (batch_statistics) {
+      batch_stats<L>(x.data(), n, channels_, spatial, c0, mean, var);
+      for (long l = 0; l < L; ++l) {
+        const long c = c0 + l;
+        running_mean_.at(c) = static_cast<float>(
+            (1.0 - momentum_) * running_mean_.at(c) + momentum_ * mean[l]);
+        running_var_.at(c) = static_cast<float>(
+            (1.0 - momentum_) * running_var_.at(c) + momentum_ * var[l]);
       }
-      mean /= count;
+    } else {
+      for (long l = 0; l < L; ++l) {
+        mean[l] = running_mean_.at(c0 + l);
+        var[l] = running_var_.at(c0 + l);
+      }
+    }
+    for (long l = 0; l < L; ++l) {
+      const long c = c0 + l;
+      const float inv_std =
+          static_cast<float>(1.0 / std::sqrt(var[l] + eps_));
+      const float g = gamma_.value.at(c), b = beta_.value.at(c);
+      const float fm = static_cast<float>(mean[l]);
+      if (keep) cached_inv_std_[static_cast<std::size_t>(c)] = inv_std;
       for (long s = 0; s < n; ++s) {
-        const float* chan = x.data() + ((s * channels_ + c) * spatial);
-        for (long i = 0; i < spatial; ++i) {
-          const double d = chan[i] - mean;
-          var += d * d;
+        const long off = (s * channels_ + c) * spatial;
+        const float* chan = x.data() + off;
+        float* out = y.data() + off;
+        if (keep) {
+          float* xhat = cached_xhat_.data() + off;
+          for (long i = 0; i < spatial; ++i) {
+            const float xh = (chan[i] - fm) * inv_std;
+            xhat[i] = xh;
+            out[i] = g * xh + b;
+          }
+        } else {
+          for (long i = 0; i < spatial; ++i) {
+            out[i] = g * ((chan[i] - fm) * inv_std) + b;
+          }
         }
       }
-      var /= count;  // biased, as in standard BN forward
-      running_mean_.at(c) = static_cast<float>(
-          (1.0 - momentum_) * running_mean_.at(c) + momentum_ * mean);
-      running_var_.at(c) = static_cast<float>(
-          (1.0 - momentum_) * running_var_.at(c) + momentum_ * var);
-    } else {
-      mean = running_mean_.at(c);
-      var = running_var_.at(c);
     }
-
-    const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    cached_inv_std_[static_cast<std::size_t>(c)] = inv_std;
-    const float g = gamma_.value.at(c), b = beta_.value.at(c);
-    const float fm = static_cast<float>(mean);
-    for (long s = 0; s < n; ++s) {
-      const float* chan = x.data() + ((s * channels_ + c) * spatial);
-      float* xhat = cached_xhat_.data() + ((s * channels_ + c) * spatial);
-      float* out = y.data() + ((s * channels_ + c) * spatial);
-      for (long i = 0; i < spatial; ++i) {
-        const float xh = (chan[i] - fm) * inv_std;
-        xhat[i] = xh;
-        out[i] = g * xh + b;
-      }
-    }
-  }
+  };
+  long c = 0;
+  for (; c + 4 <= channels_; c += 4) block.template operator()<4>(c);
+  for (; c < channels_; ++c) block.template operator()<1>(c);
   return y;
 }
 
@@ -130,13 +179,8 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
       const float* xhat =
           cached_xhat_.data() + ((s * channels_ + c) * spatial);
       float* out = dx.data() + ((s * channels_ + c) * spatial);
-      if (training_) {
-        for (long i = 0; i < spatial; ++i) {
-          out[i] = g * inv_std *
-                   (grad[i] - mean_dy - xhat[i] * mean_dy_xhat);
-        }
-      } else {
-        for (long i = 0; i < spatial; ++i) out[i] = g * inv_std * grad[i];
+      for (long i = 0; i < spatial; ++i) {
+        out[i] = g * inv_std * (grad[i] - mean_dy - xhat[i] * mean_dy_xhat);
       }
     }
   }

@@ -6,9 +6,11 @@ namespace hsconas::nn {
 
 /// Per-channel batch normalization over NCHW activations.
 ///
-/// Training mode normalizes with batch statistics and updates running
-/// estimates with exponential momentum; eval mode uses the running
-/// estimates. gamma/beta are trainable and excluded from weight decay.
+/// Train and score modes normalize with batch statistics and update the
+/// running estimates with exponential momentum; eval mode uses the running
+/// estimates. Only train mode keeps x̂ and 1/σ for backward(), which
+/// therefore always differentiates through the batch statistics.
+/// gamma/beta are trainable and excluded from weight decay.
 ///
 /// Interaction with dynamic channel scaling: BN is strictly per-channel, so
 /// masking other channels never perturbs the statistics of active ones.
@@ -47,7 +49,7 @@ class BatchNorm2d : public Module {
   Parameter gamma_, beta_;
   tensor::Tensor running_mean_, running_var_;
 
-  // Forward cache for backward.
+  // Forward cache for backward (train mode only).
   tensor::Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;
   long cached_n_ = 0, cached_h_ = 0, cached_w_ = 0;

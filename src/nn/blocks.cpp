@@ -198,12 +198,6 @@ void ShuffleChoiceBlock::collect_params(std::vector<Parameter*>& out) {
   if (proj_) proj_->collect_params(out);
 }
 
-void ShuffleChoiceBlock::set_training(bool training) {
-  Module::set_training(training);
-  if (main_) main_->set_training(training);
-  if (proj_) proj_->set_training(training);
-}
-
 void ShuffleChoiceBlock::visit(const std::function<void(Module&)>& fn) {
   fn(*this);
   if (main_) main_->visit(fn);

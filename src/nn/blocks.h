@@ -55,7 +55,6 @@ class ShuffleChoiceBlock : public ChoiceBlock {
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   void collect_params(std::vector<Parameter*>& out) override;
-  void set_training(bool training) override;
   void visit(const std::function<void(Module&)>& fn) override;
   std::string name() const override { return display_name_; }
 

@@ -200,7 +200,7 @@ Tensor Conv2d::forward(const Tensor& x) {
   tensor::GemmEpilogue ep;
   if (has_bias_) ep.shift = bias_.value.data();
   Tensor y = forward_impl(x, has_bias_ ? &ep : nullptr);
-  cached_input_ = x;
+  keep_for_backward(cached_input_, x);
   return y;
 }
 
@@ -212,6 +212,7 @@ Tensor Conv2d::forward_fused(const Tensor& x, const float* scale,
   ep.scale = scale;
   ep.shift = shift;
   ep.act = act;
+  cached_input_ = Tensor();  // nothing to backpropagate through
   return forward_impl(x, &ep);
 }
 
@@ -230,7 +231,7 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
                           ": output collapses to zero size");
   }
 
-  if (!training_) {
+  if (mode() == Mode::kEval) {
     // The dtype seam. Calibration observes the fp32 input; the int8 path
     // takes over only for calibrated layers under the process-wide dtype
     // switch (and only at reduction depths the int32 accumulators cover —

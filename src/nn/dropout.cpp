@@ -11,11 +11,12 @@ Dropout::Dropout(double p, std::uint64_t seed) : p_(p), rng_(seed) {
 }
 
 Tensor Dropout::forward(const Tensor& x) {
-  if (!training_ || p_ == 0.0) {
+  if (mode() != Mode::kTrain || p_ == 0.0) {
     mask_ = Tensor();  // identity: no mask to apply in backward
     return x;
   }
   mask_ = Tensor(x.shape());
+  note_backward_state(mask_);
   const float scale = static_cast<float>(1.0 / (1.0 - p_));
   for (long i = 0; i < mask_.numel(); ++i) {
     mask_.flat()[static_cast<std::size_t>(i)] =

@@ -6,8 +6,8 @@
 namespace hsconas::nn {
 
 /// Inverted dropout: during training each activation is zeroed with
-/// probability p and survivors are scaled by 1/(1-p), so eval mode is the
-/// identity. MobileNet-style classifiers conventionally apply dropout
+/// probability p and survivors are scaled by 1/(1-p), so score and eval
+/// modes are the identity. MobileNet-style classifiers conventionally apply dropout
 /// before the final linear layer; the supernet head can enable it via
 /// SearchSpaceConfig-independent construction.
 class Dropout : public Module {

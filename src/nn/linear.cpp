@@ -59,7 +59,8 @@ Tensor Linear::forward(const Tensor& x) {
     throw InvalidArgument("Linear " + display_name_ + ": bad input shape " +
                           x.shape_str());
   }
-  if (!training_) {
+  keep_for_backward(cached_input_, x);
+  if (mode() == Mode::kEval) {
     if (calibration_mode()) {
       quant_.observer.observe(x.data(), static_cast<std::size_t>(x.numel()));
     }
@@ -68,7 +69,6 @@ Tensor Linear::forward(const Tensor& x) {
       return forward_quant(x);
     }
   }
-  cached_input_ = x;
   const long n = x.dim(0);
   Tensor y({n, out_features_});
   // Y = X · Wᵀ

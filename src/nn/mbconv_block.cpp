@@ -112,11 +112,6 @@ void MbConvChoiceBlock::collect_params(std::vector<Parameter*>& out) {
   if (body_) body_->collect_params(out);
 }
 
-void MbConvChoiceBlock::set_training(bool training) {
-  Module::set_training(training);
-  if (body_) body_->set_training(training);
-}
-
 void MbConvChoiceBlock::visit(const std::function<void(Module&)>& fn) {
   fn(*this);
   if (body_) body_->visit(fn);

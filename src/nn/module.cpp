@@ -4,10 +4,36 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/fused_conv.h"
+#include "obs/metrics.h"
 
 namespace hsconas::nn {
 
 void Module::collect_params(std::vector<Parameter*>& out) { (void)out; }
+
+void set_mode(const ModuleVisitor& visit, Mode mode) {
+  visit([mode](Module& m) { m.mode_ = mode; });
+}
+
+void Module::set_mode(Mode mode) {
+  nn::set_mode([this](const std::function<void(Module&)>& fn) { visit(fn); },
+               mode);
+}
+
+void Module::keep_for_backward(tensor::Tensor& slot,
+                               const tensor::Tensor& value) {
+  if (keeps_backward_state()) {
+    slot = value;
+    note_backward_state(slot);
+  } else {
+    slot = tensor::Tensor();
+  }
+}
+
+void note_backward_state(std::size_t bytes) {
+  static obs::Counter& stored =
+      obs::counter("hsconas.nn.backward_state_bytes");
+  stored.add(bytes);
+}
 
 long Module::param_count() {
   std::vector<Parameter*> ps;
@@ -19,12 +45,12 @@ long Module::param_count() {
 
 tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
   tensor::Tensor h = x;
-  const bool fuse = !training_ && inference_fusion_enabled();
+  const bool fuse = mode() == Mode::kEval && inference_fusion_enabled();
   for (std::size_t i = 0; i < children_.size(); ++i) {
     // Eval-mode peephole (opt-in via set_inference_fusion): a
     // Conv2d → BatchNorm2d [→ ReLU | HSwish] run collapses into one
-    // fused epilogue pass. Never taken in training mode — the fused path
-    // caches no activations for backward.
+    // fused epilogue pass. Only in eval mode: the fused path folds the
+    // running statistics, not batch statistics.
     if (fuse && i + 1 < children_.size()) {
       auto* conv = dynamic_cast<Conv2d*>(children_[i].get());
       auto* bn = conv != nullptr
@@ -63,11 +89,6 @@ tensor::Tensor Sequential::backward(const tensor::Tensor& dy) {
 
 void Sequential::collect_params(std::vector<Parameter*>& out) {
   for (auto& child : children_) child->collect_params(out);
-}
-
-void Sequential::set_training(bool training) {
-  Module::set_training(training);
-  for (auto& child : children_) child->set_training(training);
 }
 
 void Sequential::visit(const std::function<void(Module&)>& fn) {

@@ -34,10 +34,34 @@ struct Parameter {
   long numel() const { return value.numel(); }
 };
 
+/// Per-module execution mode.
+///   kTrain: batch-statistics BatchNorm (running stats updated); modules
+///           keep what backward() needs. The only mode backward() accepts.
+///   kScore: the same arithmetic as kTrain — bit-identical outputs and
+///           running-stat updates — but forward-only: nothing is kept for
+///           backward(), and state left by an earlier kTrain forward is
+///           dropped. What scoring a search candidate on shared weights
+///           needs (Supernet::evaluate).
+///   kEval:  running-statistics BatchNorm, dropout off, the int8 datapath
+///           and the fused conv epilogue when enabled; forward-only like
+///           kScore. Serving and int8 calibration run here.
+enum class Mode { kTrain, kScore, kEval };
+
+class Module;
+
+/// A traversal that applies its argument to every module of a network
+/// (Module::visit, or core::Supernet::visit for the supernet).
+using ModuleVisitor =
+    std::function<void(const std::function<void(Module&)>&)>;
+
+/// Put every module `visit` reaches into `mode`, in one traversal.
+void set_mode(const ModuleVisitor& visit, Mode mode);
+
 /// Base class for all layers and blocks.
 ///
-/// The autograd model is deliberately simple: modules cache whatever they
-/// need during forward() and consume it in the next backward() call.
+/// The autograd model is deliberately simple: in train mode, modules cache
+/// whatever they need during forward() and consume it in the next
+/// backward() call.
 /// A module instance therefore supports exactly one in-flight
 /// forward/backward pair — which matches how one-shot NAS training uses it
 /// (one sampled path per step).
@@ -49,7 +73,7 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Compute the output; caches activations needed by backward().
+  /// Compute the output; in train mode, caches what backward() needs.
   virtual tensor::Tensor forward(const tensor::Tensor& x) = 0;
 
   /// Propagate the loss gradient; accumulates into Parameter::grad and
@@ -60,9 +84,15 @@ class Module {
   /// of any children). Pointers stay valid for the module's lifetime.
   virtual void collect_params(std::vector<Parameter*>& out);
 
-  /// Toggle training/eval behaviour (BatchNorm statistics etc.).
-  virtual void set_training(bool training) { training_ = training; }
-  bool training() const { return training_; }
+  /// Set the execution mode of this module and every child (through
+  /// visit()), so a whole network switches in one traversal.
+  void set_mode(Mode mode);
+  Mode mode() const { return mode_; }
+
+  /// Shorthand for set_mode(kTrain) / set_mode(kEval).
+  void set_training(bool training) {
+    set_mode(training ? Mode::kTrain : Mode::kEval);
+  }
 
   /// Depth-first traversal over this module and all children; used for
   /// cross-cutting operations (BN-statistics recalibration, diagnostics).
@@ -80,8 +110,28 @@ class Module {
   long param_count();
 
  protected:
-  bool training_ = true;
+  /// True when forward() must keep state for backward(). Leaf modules
+  /// with backward state drop it whenever this is false, so backward()
+  /// after a score or eval forward fails its "before forward" check.
+  bool keeps_backward_state() const { return mode_ == Mode::kTrain; }
+
+  /// In train mode, copy `value` into `slot` for backward() (and count
+  /// it, see note_backward_state); otherwise empty `slot`.
+  void keep_for_backward(tensor::Tensor& slot, const tensor::Tensor& value);
+
+ private:
+  friend void set_mode(const ModuleVisitor& visit, Mode mode);
+  Mode mode_ = Mode::kTrain;
 };
+
+/// Count `bytes` of state a module just stored for backward() on the
+/// `hsconas.nn.backward_state_bytes` counter — which therefore stays flat
+/// across score and eval forwards.
+void note_backward_state(std::size_t bytes);
+inline void note_backward_state(const tensor::Tensor& stored) {
+  note_backward_state(static_cast<std::size_t>(stored.numel()) *
+                      sizeof(float));
+}
 
 /// Chains child modules in order. Owns them.
 class Sequential : public Module {
@@ -101,7 +151,6 @@ class Sequential : public Module {
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   void collect_params(std::vector<Parameter*>& out) override;
-  void set_training(bool training) override;
   void visit(const std::function<void(Module&)>& fn) override;
   std::string name() const override { return display_name_; }
 

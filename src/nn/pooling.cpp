@@ -74,7 +74,11 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
     throw InvalidArgument("GlobalAvgPool: expected NCHW, got " +
                           x.shape_str());
   }
-  cached_shape_ = x.shape();
+  if (keeps_backward_state()) {
+    cached_shape_ = x.shape();
+  } else {
+    cached_shape_.clear();
+  }
   const long n = x.dim(0), c = x.dim(1), spatial = x.dim(2) * x.dim(3);
   Tensor y({n, c});
   util::ThreadPool::global().parallel_for(
@@ -126,7 +130,12 @@ Tensor MaxPool2d::forward(const Tensor& x) {
   if (x.ndim() != 4) {
     throw InvalidArgument("MaxPool2d: expected NCHW, got " + x.shape_str());
   }
-  cached_in_shape_ = x.shape();
+  const bool keep = keeps_backward_state();
+  if (keep) {
+    cached_in_shape_ = x.shape();
+  } else {
+    cached_in_shape_.clear();
+  }
   const long n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const long oh = (h + 2 * pad_ - kernel_) / stride_ + 1;
   const long ow = (w + 2 * pad_ - kernel_) / stride_ + 1;
@@ -134,7 +143,12 @@ Tensor MaxPool2d::forward(const Tensor& x) {
     throw InvalidArgument("MaxPool2d: output collapses to zero size");
   }
   Tensor y({n, c, oh, ow});
-  argmax_.assign(static_cast<std::size_t>(n * c * oh * ow), -1);
+  if (keep) {
+    argmax_.assign(static_cast<std::size_t>(n * c * oh * ow), -1);
+    note_backward_state(argmax_.size() * sizeof(long));
+  } else {
+    argmax_.clear();
+  }
 
   util::ThreadPool::global().parallel_for(
       static_cast<std::size_t>(n * c),
@@ -144,8 +158,9 @@ Tensor MaxPool2d::forward(const Tensor& x) {
         const long ch = static_cast<long>(t) % c;
         const float* chan = x.data() + ((s * c + ch) * h * w);
         float* out = y.data() + ((s * c + ch) * oh * ow);
-        long* amax = argmax_.data() +
-                     static_cast<std::size_t>((s * c + ch) * oh * ow);
+        long* amax = keep ? argmax_.data() + static_cast<std::size_t>(
+                                                 (s * c + ch) * oh * ow)
+                          : nullptr;
         for (long oy = 0; oy < oh; ++oy) {
           for (long ox = 0; ox < ow; ++ox) {
             float best = -std::numeric_limits<float>::infinity();
@@ -164,7 +179,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
               }
             }
             out[oy * ow + ox] = best_idx >= 0 ? best : 0.0f;
-            amax[oy * ow + ox] = best_idx;
+            if (amax != nullptr) amax[oy * ow + ox] = best_idx;
           }
         }
       });

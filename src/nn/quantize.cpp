@@ -180,7 +180,7 @@ float dequantize_u8(std::uint8_t q, tensor::QuantParams p) {
 }
 
 std::size_t calibrate_with(
-    const std::function<void(const std::function<void(Module&)>&)>& visit,
+    const ModuleVisitor& visit,
     const std::function<void(const tensor::Tensor&)>& forward,
     const std::vector<tensor::Tensor>& batches) {
   if (batches.empty()) {
@@ -222,8 +222,8 @@ std::size_t calibrate_with(
 
 std::size_t calibrate(Module& root,
                       const std::vector<tensor::Tensor>& batches) {
-  const bool was_training = root.training();
-  root.set_training(false);
+  const Mode was = root.mode();
+  root.set_mode(Mode::kEval);
   std::size_t frozen = 0;
   try {
     frozen = calibrate_with(
@@ -231,10 +231,10 @@ std::size_t calibrate(Module& root,
         [&root](const tensor::Tensor& batch) { root.forward(batch); },
         batches);
   } catch (...) {
-    root.set_training(was_training);
+    root.set_mode(was);
     throw;
   }
-  root.set_training(was_training);
+  root.set_mode(was);
   return frozen;
 }
 

@@ -119,7 +119,7 @@ std::size_t calibrate(Module& root,
 /// calibration-mode state are saved/restored here exactly as calibrate()
 /// does. Returns the number of layers frozen.
 std::size_t calibrate_with(
-    const std::function<void(const std::function<void(Module&)>&)>& visit,
+    const ModuleVisitor& visit,
     const std::function<void(const tensor::Tensor&)>& forward,
     const std::vector<tensor::Tensor>& batches);
 

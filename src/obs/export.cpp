@@ -137,6 +137,22 @@ std::string render_metrics_report(const MetricsSnapshot& snap) {
           100.0 * static_cast<double>(inline_loops) /
               static_cast<double>(loops));
     }
+    // What train-mode forwards kept for backward, per backward that used
+    // it. Score and eval forwards keep nothing, so search scoring and
+    // serving leave this flat.
+    const std::uint64_t kept =
+        snap.counter_value("hsconas.nn.backward_state_bytes");
+    if (kept > 0) {
+      const std::uint64_t backwards =
+          snap.counter_value("hsconas.supernet.backwards");
+      out += util::format("backward state kept: %.1f MiB",
+                          static_cast<double>(kept) / (1024.0 * 1024.0));
+      out += backwards > 0
+                 ? util::format(" (%.1f KiB per supernet backward)\n",
+                                static_cast<double>(kept) / 1024.0 /
+                                    static_cast<double>(backwards))
+                 : std::string(" (no supernet backward)\n");
+    }
   }
 
   if (!snap.gauges.empty()) {

@@ -70,7 +70,7 @@ BatchServer::BatchServer(const core::SearchSpace& space,
     // which is what makes "batched == sequential" hold across lanes too.
     nets_.push_back(
         std::make_unique<core::Supernet>(space, config_.seed, arch));
-    nets_.back()->set_training(false);
+    nets_.back()->set_mode(nn::Mode::kEval);
   }
 
   if (config_.dtype == nn::InferenceDType::kI8) {

@@ -303,8 +303,8 @@ TEST(Checkpoint, LoadedNetworkReproducesOutputs) {
 
   tensor::Tensor x({1, 3, 8, 8});
   x.fill(0.3f);
-  a.set_training(false);
-  b.set_training(false);
+  a.set_mode(nn::Mode::kEval);
+  b.set_mode(nn::Mode::kEval);
   const tensor::Tensor ya = a.forward(x);
   const tensor::Tensor yb = b.forward(x);
   for (long i = 0; i < ya.numel(); ++i) {

@@ -36,8 +36,8 @@ TEST(WeightInheritance, SubnetReproducesSupernetForward) {
   util::Rng xrng(2);
   const tensor::Tensor x =
       tensor::Tensor::uniform({2, 3, 8, 8}, -1.0f, 1.0f, xrng);
-  supernet.set_training(true);
-  subnet->set_training(true);
+  supernet.set_mode(nn::Mode::kTrain);
+  subnet->set_mode(nn::Mode::kTrain);
   const tensor::Tensor ya = supernet.forward(x, arch);
   const tensor::Tensor yb = subnet->forward(x);
   for (long i = 0; i < ya.numel(); ++i) {

@@ -54,7 +54,7 @@ TEST(Supernet, WeightSharingByIdentity) {
 
   tensor::Tensor x({1, 3, 8, 8});
   x.fill(0.3f);
-  net.set_training(false);
+  net.set_mode(nn::Mode::kEval);
 
   // Evaluate b, then perturb a's layer-0 parameters via a training step on
   // a; b's output must change because layer 0 is shared.
@@ -183,7 +183,7 @@ TEST(Supernet, MaskedEvaluationDiffersByChannelFactor) {
   Supernet net(space, 13);
   tensor::Tensor x({1, 3, 8, 8});
   x.fill(0.4f);
-  net.set_training(false);
+  net.set_mode(nn::Mode::kEval);
   const Arch wide = uniform_arch(space, 0, 9);
   const Arch thin = uniform_arch(space, 0, 0);
   const tensor::Tensor yw = net.forward(x, wide);
@@ -194,6 +194,22 @@ TEST(Supernet, MaskedEvaluationDiffersByChannelFactor) {
                      yt.flat()[static_cast<std::size_t>(i)]);
   }
   EXPECT_GT(diff, 1e-6);
+}
+
+TEST(Supernet, BackwardAfterEvaluateThrows) {
+  // evaluate() scores forward-only: it drops the state an earlier train
+  // forward left, so a backward() that follows fails instead of reading
+  // stale caches, even though evaluate() leaves the net in train mode.
+  const SearchSpace space(tiny_config());
+  const data::SyntheticDataset dataset = tiny_dataset();
+  Supernet net(space, 17);
+  const Arch arch = uniform_arch(space, 0, 9);
+  tensor::Tensor x({2, 3, 8, 8});
+  x.fill(0.2f);
+  const tensor::Tensor logits = net.forward(x, arch);
+  net.evaluate(dataset, arch, 16, 1);
+  EXPECT_EQ(nn::Mode::kTrain, net.mode());
+  EXPECT_THROW(net.backward(logits), InternalError);
 }
 
 }  // namespace

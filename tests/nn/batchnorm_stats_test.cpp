@@ -1,0 +1,156 @@
+// Bit-exactness of BatchNorm2d's batch statistics. The forward sums four
+// channels side by side, then a one-channel tail; the contract is that
+// every channel's double sums still run in the serial (sample, pixel)
+// order, so outputs and running statistics equal, bit for bit, the
+// one-channel-at-a-time reference below. The first batch is plain normal
+// data, which pins the normalization arithmetic; the second carries a
+// ±2^40 pair per channel, which makes the mean's double sum
+// order-sensitive, so a reordered sum changes the bits. A tail that
+// reads the wrong channel fails on both. (The variance sums non-negative
+// terms: any order agrees to a few double ulps, below float resolution,
+// so no float output can pin its order.)
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "nn/batchnorm.h"
+#include "util/rng.h"
+
+namespace hsconas::nn {
+namespace {
+
+using tensor::Tensor;
+
+struct Reference {
+  Tensor y;
+  std::vector<float> running_mean, running_var;
+};
+
+/// The serial per-channel BN forward with batch statistics: mean and
+/// biased variance in double, summed over (s, i) in order.
+Reference serial_reference(const Tensor& x, const std::vector<float>& gamma,
+                           const std::vector<float>& beta,
+                           std::vector<float> running_mean,
+                           std::vector<float> running_var, double momentum,
+                           double eps) {
+  const long n = x.dim(0), ch = x.dim(1), spatial = x.dim(2) * x.dim(3);
+  const double count = static_cast<double>(n * spatial);
+  Tensor y(x.shape());
+  for (long c = 0; c < ch; ++c) {
+    double mean = 0.0, var = 0.0;
+    for (long s = 0; s < n; ++s) {
+      const float* chan = x.data() + (s * ch + c) * spatial;
+      for (long i = 0; i < spatial; ++i) mean += chan[i];
+    }
+    mean /= count;
+    for (long s = 0; s < n; ++s) {
+      const float* chan = x.data() + (s * ch + c) * spatial;
+      for (long i = 0; i < spatial; ++i) {
+        const double d = chan[i] - mean;
+        var += d * d;
+      }
+    }
+    var /= count;
+    const auto cu = static_cast<std::size_t>(c);
+    running_mean[cu] = static_cast<float>((1.0 - momentum) * running_mean[cu] +
+                                          momentum * mean);
+    running_var[cu] = static_cast<float>((1.0 - momentum) * running_var[cu] +
+                                         momentum * var);
+    const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps));
+    const float fm = static_cast<float>(mean);
+    for (long s = 0; s < n; ++s) {
+      const float* chan = x.data() + (s * ch + c) * spatial;
+      float* out = y.data() + (s * ch + c) * spatial;
+      for (long i = 0; i < spatial; ++i) {
+        const float xh = (chan[i] - fm) * inv_std;
+        out[i] = gamma[cu] * xh + beta[cu];
+      }
+    }
+  }
+  return {std::move(y), std::move(running_mean), std::move(running_var)};
+}
+
+/// N(0, 1) values plus, per channel, +2^40 in the first sample and -2^40
+/// in the last, at channel-dependent pixels.
+Tensor order_sensitive_input(long n, long ch, long h, long w,
+                             std::uint64_t seed) {
+  util::Rng rng(seed);
+  Tensor x = Tensor::normal({n, ch, h, w}, 0.0f, 1.0f, rng);
+  const long spatial = h * w;
+  for (long c = 0; c < ch; ++c) {
+    x.data()[c * spatial + (3 * c) % spatial] = 0x1p40f;
+    x.data()[((n - 1) * ch + c) * spatial + (5 * c + 1) % spatial] = -0x1p40f;
+  }
+  return x;
+}
+
+bool same_bits(const float* a, const float* b, std::size_t count) {
+  return std::memcmp(a, b, count * sizeof(float)) == 0;
+}
+
+class InterleavedStats : public ::testing::TestWithParam<long> {};
+
+TEST_P(InterleavedStats, MatchSerialPerChannelReference) {
+  const long ch = GetParam();
+  const long n = 3, h = 5, w = 7;
+  const double momentum = 0.1, eps = 1e-5;
+  util::Rng rng(static_cast<std::uint64_t>(100 + ch));
+  std::vector<float> gamma, beta;
+  for (long c = 0; c < ch; ++c) {
+    gamma.push_back(static_cast<float>(rng.uniform(0.5, 1.5)));
+    beta.push_back(static_cast<float>(rng.uniform(-0.5, 0.5)));
+  }
+  BatchNorm2d train(ch, momentum, eps), score(ch, momentum, eps);
+  score.set_mode(Mode::kScore);
+  for (BatchNorm2d* bn : {&train, &score}) {
+    std::copy(gamma.begin(), gamma.end(), bn->gamma().value.data());
+    std::copy(beta.begin(), beta.end(), bn->beta().value.data());
+  }
+
+  // Two batches, so the second starts from non-trivial running stats.
+  std::vector<float> rm(static_cast<std::size_t>(ch), 0.0f);
+  std::vector<float> rv(static_cast<std::size_t>(ch), 1.0f);
+  for (int batch = 0; batch < 2; ++batch) {
+    util::Rng data_rng(static_cast<std::uint64_t>(200 + ch));
+    const Tensor x = batch == 0
+                         ? Tensor::normal({n, ch, h, w}, 0.5f, 2.0f, data_rng)
+                         : order_sensitive_input(n, ch, h, w, 7);
+    const Reference ref =
+        serial_reference(x, gamma, beta, rm, rv, momentum, eps);
+    rm = ref.running_mean;
+    rv = ref.running_var;
+    const auto count = static_cast<std::size_t>(x.numel());
+    const auto chans = static_cast<std::size_t>(ch);
+    for (BatchNorm2d* bn : {&train, &score}) {
+      const char* mode = bn == &train ? "train" : "score";
+      const Tensor y = bn->forward(x);
+      EXPECT_TRUE(same_bits(y.data(), ref.y.data(), count))
+          << mode << " output, channels " << ch << ", batch " << batch;
+      EXPECT_TRUE(same_bits(bn->running_mean().data(), rm.data(), chans))
+          << mode << " running mean, channels " << ch << ", batch " << batch;
+      EXPECT_TRUE(same_bits(bn->running_var().data(), rv.data(), chans))
+          << mode << " running var, channels " << ch << ", batch " << batch;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ChannelCounts, InterleavedStats,
+                         ::testing::Values(1L, 3L, 4L, 5L, 16L, 17L));
+
+TEST(InterleavedStats, InputsAreOrderSensitive) {
+  // Guard for the fixture itself: summing the first channel in a
+  // different order changes its double mean, so a reordered kernel cannot
+  // pass MatchSerialPerChannelReference by accident.
+  const Tensor x = order_sensitive_input(3, 1, 5, 7, 7);
+  double forward = 0.0, backward = 0.0;
+  for (long i = 0; i < x.numel(); ++i) forward += x.data()[i];
+  for (long i = x.numel() - 1; i >= 0; --i) backward += x.data()[i];
+  EXPECT_NE(forward, backward);
+}
+
+}  // namespace
+}  // namespace hsconas::nn

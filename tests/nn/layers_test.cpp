@@ -269,6 +269,49 @@ TEST(MaxPool2d, GradCheck) {
   EXPECT_LT(result.max_input_rel_err, kTol);
 }
 
+// --------------------------------------------------------- Backward state --
+
+// Runs a train forward + backward (which must work), leaves a second train
+// forward's state behind, then forwards once in `mode`: that forward must
+// drop the state, so backward() fails its "before forward" check rather
+// than read stale caches.
+void expect_stale_state_dropped(Module& m, const Tensor& x, Mode mode) {
+  m.set_mode(Mode::kTrain);
+  const Tensor y = m.forward(x);
+  m.backward(y);
+  m.forward(x);
+  m.set_mode(mode);
+  m.forward(x);
+  EXPECT_THROW(m.backward(y), InternalError) << m.name();
+}
+
+class BackwardState : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(BackwardState, ForwardOutsideTrainModeDropsIt) {
+  const Mode mode = GetParam();
+  util::Rng rng(29);
+  const Tensor image = safe_input({2, 4, 6, 6}, 30);
+  Conv2d conv(4, 4, 3, 1, 1, 1, true, rng);
+  Conv2d depthwise(4, 4, 3, 1, 1, 4, false, rng);
+  BatchNorm2d bn(4);
+  ReLU relu;
+  HSwish hswish;
+  GlobalAvgPool gap;
+  MaxPool2d pool(2, 2, 0);
+  for (Module* m : std::initializer_list<Module*>{
+           &conv, &depthwise, &bn, &relu, &hswish, &gap, &pool}) {
+    expect_stale_state_dropped(*m, image, mode);
+  }
+  Linear lin(5, 3, rng);
+  expect_stale_state_dropped(lin, safe_input({2, 5}, 31), mode);
+}
+
+INSTANTIATE_TEST_SUITE_P(ScoreAndEval, BackwardState,
+                         ::testing::Values(Mode::kScore, Mode::kEval),
+                         [](const ::testing::TestParamInfo<Mode>& p) {
+                           return p.param == Mode::kScore ? "score" : "eval";
+                         });
+
 // ---------------------------------------------------------------- Shuffle --
 
 TEST(ChannelShuffle, PermutationAndInverse) {

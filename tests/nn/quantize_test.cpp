@@ -296,7 +296,7 @@ TEST(Calibration, RestoresModeAndDtypeSwitches) {
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({1, 4, 7, 7}, -1.0f, 1.0f, rng));
   calibrate(conv, batches);
-  EXPECT_TRUE(conv.training());
+  EXPECT_EQ(Mode::kTrain, conv.mode());
   EXPECT_FALSE(calibration_mode());
   EXPECT_EQ(InferenceDType::kI8, inference_dtype());
   EXPECT_THROW(calibrate(conv, {}), InvalidArgument);

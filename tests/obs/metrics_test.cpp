@@ -152,6 +152,23 @@ TEST(Metrics, JsonRoundTripPreservesSnapshot) {
   EXPECT_NE(report.find("test.roundtrip.lat"), std::string::npos);
 }
 
+TEST(Metrics, ReportShowsBackwardStatePerBackward) {
+  MetricsSnapshot snap;
+  snap.counters = {{"hsconas.nn.backward_state_bytes", 3u << 20},
+                   {"hsconas.supernet.backwards", 6}};
+  std::string report = render_metrics_report(snap);
+  EXPECT_NE(report.find("backward state kept: 3.0 MiB (512.0 KiB per "
+                        "supernet backward)"),
+            std::string::npos)
+      << report;
+  snap.counters = {{"hsconas.nn.backward_state_bytes", 1u << 20}};
+  report = render_metrics_report(snap);
+  EXPECT_NE(report.find("backward state kept: 1.0 MiB (no supernet "
+                        "backward)"),
+            std::string::npos)
+      << report;
+}
+
 TEST(Metrics, PercentileEstimateIsMonotone) {
   MetricsSnapshot::HistogramData data;
   data.name = "synthetic";

@@ -262,7 +262,7 @@ TEST(BatchServer, BatchedMatchesSequentialBitExact) {
   // Reference: same seed, same arch, same fused eval path, batch of 1.
   nn::set_inference_fusion(true);
   core::Supernet reference(space, cfg.seed, arch);
-  reference.set_training(false);
+  reference.set_mode(nn::Mode::kEval);
   const auto& sc = space.config();
   for (std::size_t i = 0; i < 4; ++i) {
     tensor::Tensor one({1, sc.input_channels, sc.input_size, sc.input_size});

@@ -118,7 +118,9 @@ stage "kernel determinism suites under TSan (ctest -L kernels)"
 # pass runs them serially so the multi-worker GEMM/conv interleavings are
 # not starved by concurrent test processes on small CI machines. The
 # depthwise suite runs the same shapes below the pool's work floor
-# (inline on the caller) and above it (fanned out), at 1 and 3 workers.
+# (inline on the caller) and above it (fanned out), at 1 and 3 workers;
+# the score-mode suite compares forward-only candidate scoring with a
+# train-mode forward at the same two pool sizes.
 (cd "$root/ci-build-tsan" && ctest --output-on-failure -L kernels)
 
 stage "tracer/profiler suites under TSan (ctest -L obs)"
