@@ -143,9 +143,9 @@ void BM_ConvBnReluUnfused(benchmark::State& state) {
   nn::Conv2d conv(16, 32, 3, 1, 1, 1, false, rng);
   nn::BatchNorm2d bn(32);
   nn::ReLU relu;
-  conv.set_training(false);
-  bn.set_training(false);
-  relu.set_training(false);
+  conv.set_mode(nn::Mode::kEval);
+  bn.set_mode(nn::Mode::kEval);
+  relu.set_mode(nn::Mode::kEval);
   const Tensor x = Tensor::uniform({4, 16, 16, 16}, -1, 1, rng);
   for (auto _ : state) {
     Tensor y = relu.forward(bn.forward(conv.forward(x)));
@@ -159,8 +159,8 @@ void BM_ConvBnReluFused(benchmark::State& state) {
   util::Rng rng(2);
   nn::Conv2d conv(16, 32, 3, 1, 1, 1, false, rng);
   nn::BatchNorm2d bn(32);
-  conv.set_training(false);
-  bn.set_training(false);
+  conv.set_mode(nn::Mode::kEval);
+  bn.set_mode(nn::Mode::kEval);
   const Tensor x = Tensor::uniform({4, 16, 16, 16}, -1, 1, rng);
   for (auto _ : state) {
     Tensor y = nn::fused_conv_bn_act(conv, bn, tensor::EpilogueAct::kReLU, x);

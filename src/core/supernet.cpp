@@ -193,66 +193,13 @@ std::size_t Supernet::calibrate_quant(
     throw Error("Supernet::calibrate_quant: int8 calibration needs a "
                 "standalone (fixed-arch) network");
   }
-  const nn::Mode was = mode();
-  set_mode(nn::Mode::kEval);
-  std::size_t frozen = 0;
-  try {
-    frozen = nn::calibrate_with(
-        [this](const std::function<void(nn::Module&)>& fn) { visit(fn); },
-        [this](const tensor::Tensor& batch) { forward(batch); },
-        batches);
-  } catch (...) {
-    set_mode(was);
-    throw;
+  if (!nn::is_eval(mode())) {
+    throw Error("Supernet::calibrate_quant: put the network in the eval "
+                "mode it will serve in (kEval or kEvalFused) first");
   }
-  set_mode(was);
-  return frozen;
-}
-
-void Supernet::calibrate_bn(const data::SyntheticDataset& dataset,
-                            const Arch& arch, std::size_t batch_size,
-                            std::size_t calib_batches, std::uint64_t seed) {
-  check_arch(arch);
-  // Reset every BN's running stats; only the active path's get refreshed,
-  // which is fine — evaluate_calibrated only routes through that path.
-  visit([](nn::Module& m) {
-    if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
-      bn->reset_running_stats();
-    }
-  });
-  set_mode(nn::Mode::kScore);  // BN accumulates batch statistics
-  data::DataLoader loader(dataset, batch_size, /*train=*/true, seed ^ 0xB4);
-  const std::size_t batches =
-      std::min<std::size_t>(std::max<std::size_t>(calib_batches, 1),
-                            loader.num_batches());
-  for (std::size_t b = 0; b < batches; ++b) {
-    const data::Batch batch = loader.batch(b);
-    forward(batch.images, arch);  // forward only: statistics, no gradients
-  }
-  set_mode(nn::Mode::kTrain);
-}
-
-double Supernet::evaluate_calibrated(const data::SyntheticDataset& dataset,
-                                     const Arch& arch,
-                                     std::size_t batch_size,
-                                     std::size_t max_batches) {
-  check_arch(arch);
-  set_mode(nn::Mode::kEval);
-  data::DataLoader loader(dataset, batch_size, /*train=*/false, 0);
-  const std::size_t batches =
-      max_batches == 0 ? loader.num_batches()
-                       : std::min(max_batches, loader.num_batches());
-  std::size_t correct = 0, total = 0;
-  for (std::size_t b = 0; b < batches; ++b) {
-    const data::Batch batch = loader.batch(b);
-    const Tensor logits = forward(batch.images, arch);
-    const nn::LossResult res = nn::cross_entropy(logits, batch.labels);
-    correct += res.correct_top1;
-    total += batch.labels.size();
-  }
-  return total == 0 ? 0.0
-                    : static_cast<double>(correct) /
-                          static_cast<double>(total);
+  return nn::calibrate_with(
+      [this](const std::function<void(nn::Module&)>& fn) { visit(fn); },
+      [this](const tensor::Tensor& batch) { forward(batch); }, batches);
 }
 
 std::unique_ptr<Supernet> Supernet::extract_subnet(const Arch& arch,

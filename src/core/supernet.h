@@ -57,12 +57,15 @@ class Supernet {
   nn::Mode mode() const { return stem_->mode(); }
 
   /// Post-training int8 calibration of a *standalone* network: stream
-  /// `batches` through the fixed arch in fp32 eval mode with the quant
-  /// observers armed, then freeze per-layer activation/weight quantizers
-  /// (nn::calibrate protocol). Afterwards eval-mode forwards route through
-  /// the int8 GEMM whenever nn::inference_dtype() is kI8. Returns the
-  /// number of layers frozen; throws Error on a supernet (shared blocks
-  /// would calibrate one path's observers against another path's traffic).
+  /// `batches` through the fixed arch in fp32 with the quant observers
+  /// armed, then freeze per-layer activation/weight quantizers
+  /// (nn::calibrate_with protocol). The batches run in the network's own
+  /// eval flavour — the one it will serve in, since kEval and kEvalFused
+  /// observe slightly different activations. Afterwards eval-mode
+  /// forwards of every frozen layer run the int8 GEMM. Returns the number
+  /// of layers frozen; throws Error outside an eval mode and on a
+  /// supernet (shared blocks would calibrate one path's observers against
+  /// another path's traffic).
   std::size_t calibrate_quant(const std::vector<tensor::Tensor>& batches);
 
   /// Top-1 accuracy of `arch` on (a prefix of) the validation split.
@@ -73,22 +76,6 @@ class Supernet {
   /// in train mode. max_batches == 0 means the full split.
   double evaluate(const data::SyntheticDataset& dataset, const Arch& arch,
                   std::size_t batch_size, std::size_t max_batches = 0);
-
-  /// Recalibrate BatchNorm running statistics for `arch`'s path: reset all
-  /// BN running stats, then stream `calib_batches` *training* batches
-  /// through the path in score mode (forward only, no optimizer); leaves
-  /// the network in train mode. Afterwards the path can be evaluated in
-  /// eval mode — the higher-fidelity protocol used when a candidate is
-  /// about to be reported or deployed.
-  void calibrate_bn(const data::SyntheticDataset& dataset, const Arch& arch,
-                    std::size_t batch_size, std::size_t calib_batches,
-                    std::uint64_t seed = 0);
-
-  /// Like evaluate(), but in eval mode using the (re)calibrated running
-  /// statistics. Call calibrate_bn first for meaningful numbers.
-  double evaluate_calibrated(const data::SyntheticDataset& dataset,
-                             const Arch& arch, std::size_t batch_size,
-                             std::size_t max_batches = 0);
 
   /// Apply `fn` to every module in the network (see nn::Module::visit).
   void visit(const std::function<void(nn::Module&)>& fn);

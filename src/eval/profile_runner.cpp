@@ -7,7 +7,6 @@
 #include "core/latency_model.h"
 #include "core/supernet.h"
 #include "hwsim/registry.h"
-#include "nn/fused_conv.h"
 #include "obs/profiler.h"
 #include "obs/timing.h"
 #include "tensor/tensor.h"
@@ -134,9 +133,9 @@ ProfileReport run_profile(const ProfileConfig& config) {
   core::LatencyModel model(space, device, model_cfg);
 
   util::Rng rng(config.seed);
-  const bool fusion_was_on = nn::inference_fusion_enabled();
-  const nn::InferenceDType dtype_was = nn::inference_dtype();
-  nn::set_inference_fusion(config.fused);
+  const nn::Mode mode = config.backward ? nn::Mode::kTrain
+                       : config.fused   ? nn::Mode::kEvalFused
+                                        : nn::Mode::kEval;
   obs::Profiler::disable();
 
   std::unordered_map<std::string, obs::OpStats> pooled;
@@ -148,7 +147,7 @@ ProfileReport run_profile(const ProfileConfig& config) {
       ap.arch_string = ap.arch.to_string(space);
       core::Supernet net(space, config.seed + static_cast<std::uint64_t>(a),
                          ap.arch);
-      net.set_mode(config.backward ? nn::Mode::kTrain : nn::Mode::kEval);
+      net.set_mode(mode);
 
       Tensor images = Tensor::uniform(
           {config.batch, config.space.input_channels, config.space.input_size,
@@ -161,7 +160,6 @@ ProfileReport run_profile(const ProfileConfig& config) {
         // PTQ against the very batch being profiled: the observers see
         // exactly the activation ranges the timed loop will produce.
         net.calibrate_quant({images});
-        nn::set_inference_dtype(nn::InferenceDType::kI8);
       }
 
       auto run_iteration = [&] {
@@ -200,12 +198,8 @@ ProfileReport run_profile(const ProfileConfig& config) {
     }
   } catch (...) {
     obs::Profiler::disable();
-    nn::set_inference_dtype(dtype_was);
-    nn::set_inference_fusion(fusion_was_on);
     throw;
   }
-  nn::set_inference_dtype(dtype_was);
-  nn::set_inference_fusion(fusion_was_on);
 
   std::vector<obs::OpStats> pooled_vec;
   pooled_vec.reserve(pooled.size());

@@ -72,7 +72,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   }
   const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const long spatial = h * w;
-  const bool batch_statistics = mode() != Mode::kEval;
+  const bool batch_statistics = !is_eval(mode());
   const bool keep = keeps_backward_state();
 
   Tensor y(x.shape());

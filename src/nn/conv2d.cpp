@@ -231,15 +231,15 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
                           ": output collapses to zero size");
   }
 
-  if (mode() == Mode::kEval) {
-    // The dtype seam. Calibration observes the fp32 input; the int8 path
-    // takes over only for calibrated layers under the process-wide dtype
-    // switch (and only at reduction depths the int32 accumulators cover —
-    // others keep computing fp32, so mixed-readiness models stay correct).
-    if (calibration_mode()) {
+  if (is_eval(mode())) {
+    // The dtype seam. An armed observer sees the fp32 input; the int8
+    // path takes over only for calibrated layers (and only at reduction
+    // depths the int32 accumulators cover — others keep computing fp32,
+    // so mixed-readiness models stay correct).
+    if (quant_.observing) {
       quant_.observer.observe(x.data(), static_cast<std::size_t>(x.numel()));
     }
-    if (inference_dtype() == InferenceDType::kI8 && quant_.ready &&
+    if (quant_.ready &&
         static_cast<std::size_t>(cin_g * kernel_ * kernel_) <=
             tensor::kGemmI8MaxK) {
       return forward_quant_impl(x, ep);

@@ -46,8 +46,8 @@ class Conv2d : public Module {
   Parameter& weight() { return weight_; }
   Parameter* bias() { return has_bias_ ? &bias_ : nullptr; }
 
-  /// Int8 PTQ state: observed during calibration mode, consumed by the
-  /// quantized eval forward when inference_dtype() == kI8 and ready.
+  /// Int8 PTQ state: observed while armed by calibration, consumed by
+  /// the quantized eval forward once ready.
   QuantState* quant_state() override { return &quant_; }
 
   /// Analytic multiply-accumulate count for one sample at the given input

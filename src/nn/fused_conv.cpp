@@ -1,24 +1,11 @@
 #include "nn/fused_conv.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "obs/metrics.h"
 #include "tensor/workspace.h"
 
 namespace hsconas::nn {
-
-namespace {
-std::atomic<bool> g_inference_fusion{false};
-}  // namespace
-
-void set_inference_fusion(bool on) {
-  g_inference_fusion.store(on, std::memory_order_relaxed);
-}
-
-bool inference_fusion_enabled() {
-  return g_inference_fusion.load(std::memory_order_relaxed);
-}
 
 tensor::Tensor fused_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,
                                  tensor::EpilogueAct act,

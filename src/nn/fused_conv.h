@@ -6,15 +6,6 @@
 
 namespace hsconas::nn {
 
-/// Process-wide opt-in switch for inference-time conv→bn→act epilogue
-/// fusion. Default off: training and every existing eval path are
-/// bit-for-bit untouched unless a caller (bench, lowering consumer,
-/// serving harness) explicitly enables fusion. When on, Sequential's
-/// eval-mode forward peepholes Conv2d → BatchNorm2d [→ ReLU | HSwish]
-/// runs into a single fused_conv_bn_act call.
-void set_inference_fusion(bool on);
-bool inference_fusion_enabled();
-
 /// One-pass y = act(bn(conv(x))) with eval-mode (running-statistic) BN:
 /// folds the conv bias and BN into a per-channel affine
 ///   scale[c] = gamma[c] / sqrt(running_var[c] + eps)
@@ -28,8 +19,9 @@ bool inference_fusion_enabled();
 /// is arithmetically identical to the composed modules (tolerance 0);
 /// otherwise it differs only by float rounding of the refactored affine.
 /// BN must be used in eval semantics: the caller is responsible for the
-/// module being out of training mode. Neither module caches activations,
-/// so backward() afterwards is a contract violation.
+/// modules being in an eval mode. Neither module caches activations, so
+/// backward() afterwards is a contract violation. Sequential calls this
+/// for its conv→BN[→act] runs in Mode::kEvalFused.
 tensor::Tensor fused_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,
                                  tensor::EpilogueAct act,
                                  const tensor::Tensor& x);

@@ -60,11 +60,11 @@ Tensor Linear::forward(const Tensor& x) {
                           x.shape_str());
   }
   keep_for_backward(cached_input_, x);
-  if (mode() == Mode::kEval) {
-    if (calibration_mode()) {
+  if (is_eval(mode())) {
+    if (quant_.observing) {
       quant_.observer.observe(x.data(), static_cast<std::size_t>(x.numel()));
     }
-    if (inference_dtype() == InferenceDType::kI8 && quant_.ready &&
+    if (quant_.ready &&
         static_cast<std::size_t>(in_features_) <= tensor::kGemmI8MaxK) {
       return forward_quant(x);
     }

@@ -21,8 +21,8 @@ class Linear : public Module {
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
 
-  /// Int8 PTQ state: observed during calibration mode, consumed by the
-  /// quantized eval forward when inference_dtype() == kI8 and ready.
+  /// Int8 PTQ state: observed while armed by calibration, consumed by
+  /// the quantized eval forward once ready.
   QuantState* quant_state() override { return &quant_; }
 
  private:

@@ -45,12 +45,11 @@ long Module::param_count() {
 
 tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
   tensor::Tensor h = x;
-  const bool fuse = mode() == Mode::kEval && inference_fusion_enabled();
+  const bool fuse = mode() == Mode::kEvalFused;
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    // Eval-mode peephole (opt-in via set_inference_fusion): a
-    // Conv2d → BatchNorm2d [→ ReLU | HSwish] run collapses into one
-    // fused epilogue pass. Only in eval mode: the fused path folds the
-    // running statistics, not batch statistics.
+    // Fused-eval peephole: a Conv2d → BatchNorm2d [→ ReLU | HSwish] run
+    // collapses into one fused epilogue pass. Only in an eval flavour:
+    // the fused path folds the running statistics, not batch statistics.
     if (fuse && i + 1 < children_.size()) {
       auto* conv = dynamic_cast<Conv2d*>(children_[i].get());
       auto* bn = conv != nullptr

@@ -42,10 +42,18 @@ struct Parameter {
 ///           backward(), and state left by an earlier kTrain forward is
 ///           dropped. What scoring a search candidate on shared weights
 ///           needs (Supernet::evaluate).
-///   kEval:  running-statistics BatchNorm, dropout off, the int8 datapath
-///           and the fused conv epilogue when enabled; forward-only like
-///           kScore. Serving and int8 calibration run here.
-enum class Mode { kTrain, kScore, kEval };
+///   kEval:  running-statistics BatchNorm, dropout off, forward-only like
+///           kScore. Conv2d/Linear layers whose QuantState is ready
+///           compute in int8, every other layer in fp32. Serving and int8
+///           calibration run here.
+///   kEvalFused: kEval, plus Sequential's conv→BN→act peephole runs each
+///           such chain as one fused epilogue pass (nn/fused_conv.h).
+enum class Mode { kTrain, kScore, kEval, kEvalFused };
+
+/// True for both eval flavours: what every layer but Sequential keys on.
+constexpr bool is_eval(Mode mode) {
+  return mode == Mode::kEval || mode == Mode::kEvalFused;
+}
 
 class Module;
 
@@ -89,13 +97,8 @@ class Module {
   void set_mode(Mode mode);
   Mode mode() const { return mode_; }
 
-  /// Shorthand for set_mode(kTrain) / set_mode(kEval).
-  void set_training(bool training) {
-    set_mode(training ? Mode::kTrain : Mode::kEval);
-  }
-
   /// Depth-first traversal over this module and all children; used for
-  /// cross-cutting operations (BN-statistics recalibration, diagnostics).
+  /// cross-cutting operations (mode changes, int8 calibration, diagnostics).
   virtual void visit(const std::function<void(Module&)>& fn) { fn(*this); }
 
   /// Post-training-quantization state, for modules that have an int8

@@ -1,7 +1,6 @@
 #include "nn/quantize.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -12,23 +11,9 @@ namespace hsconas::nn {
 
 namespace {
 
-// Relaxed is sufficient for both switches: they are configuration toggled
-// between inference/calibration phases, not synchronization. Mirrors
-// g_inference_fusion in fused_conv.cpp.
-std::atomic<InferenceDType> g_inference_dtype{InferenceDType::kF32};
-std::atomic<bool> g_calibration_mode{false};
-
 constexpr std::uint32_t kCalibrationFormatVersion = 1;
 
 }  // namespace
-
-void set_inference_dtype(InferenceDType dtype) {
-  g_inference_dtype.store(dtype, std::memory_order_relaxed);
-}
-
-InferenceDType inference_dtype() {
-  return g_inference_dtype.load(std::memory_order_relaxed);
-}
 
 const char* inference_dtype_name(InferenceDType dtype) {
   switch (dtype) {
@@ -47,14 +32,6 @@ InferenceDType parse_inference_dtype(const std::string& name) {
   if (name == "int8" || name == "i8") return InferenceDType::kI8;
   throw InvalidArgument("unknown inference dtype '" + name +
                         "' (expected f32 or int8)");
-}
-
-void set_calibration_mode(bool on) {
-  g_calibration_mode.store(on, std::memory_order_relaxed);
-}
-
-bool calibration_mode() {
-  return g_calibration_mode.load(std::memory_order_relaxed);
 }
 
 void MinMaxObserver::observe(const float* x, std::size_t n) {
@@ -156,6 +133,7 @@ void QuantState::freeze_from(const tensor::Tensor& weight, long rows,
 
 void QuantState::reset() {
   observer.reset();
+  observing = false;
   input = tensor::QuantParams{};
   qweight = tensor::Tensor();
   weight_scales.clear();
@@ -187,27 +165,27 @@ std::size_t calibrate_with(
     throw InvalidArgument("calibrate: no calibration batches");
   }
   static obs::Counter& runs = obs::counter("hsconas.quant.calibrations");
-  const bool was_calibrating = calibration_mode();
-  const InferenceDType was_dtype = inference_dtype();
-  set_inference_dtype(InferenceDType::kF32);  // observe fp32 activations
-  set_calibration_mode(true);
   visit([](Module& m) {
-    if (QuantState* q = m.quant_state()) q->reset();
+    if (QuantState* q = m.quant_state()) {
+      q->reset();
+      q->observing = true;
+    }
   });
   try {
     for (const tensor::Tensor& batch : batches) forward(batch);
   } catch (...) {
-    set_calibration_mode(was_calibrating);
-    set_inference_dtype(was_dtype);
+    visit([](Module& m) {
+      if (QuantState* q = m.quant_state()) q->observing = false;
+    });
     throw;
   }
-  set_calibration_mode(was_calibrating);
-  set_inference_dtype(was_dtype);
 
   std::size_t frozen = 0;
   visit([&](Module& m) {
     QuantState* q = m.quant_state();
-    if (q == nullptr || !q->observer.seen()) return;
+    if (q == nullptr) return;
+    q->observing = false;
+    if (!q->observer.seen()) return;
     std::vector<Parameter*> params;
     m.collect_params(params);
     HSCONAS_CHECK_MSG(!params.empty(), "quantizable layer has no weight");
@@ -223,7 +201,7 @@ std::size_t calibrate_with(
 std::size_t calibrate(Module& root,
                       const std::vector<tensor::Tensor>& batches) {
   const Mode was = root.mode();
-  root.set_mode(Mode::kEval);
+  if (!is_eval(was)) root.set_mode(Mode::kEval);
   std::size_t frozen = 0;
   try {
     frozen = calibrate_with(

@@ -16,30 +16,16 @@ class ByteReader;
 
 namespace hsconas::nn {
 
-/// Numeric type the eval-mode forward pass computes in. The seam is an
-/// enum (not a bool) so future datapaths (bf16, int4) slot in without
-/// another cross-layer refactor.
+/// Numeric type a served network computes in: the config/CLI/report
+/// value that decides whether a network is calibrated for int8. The
+/// forward itself derives its dtype per layer from QuantState::ready
+/// (see QuantState). An enum, not a bool, so future datapaths (bf16,
+/// int4) slot in without another cross-layer refactor.
 enum class InferenceDType : std::uint8_t { kF32 = 0, kI8 = 1 };
-
-/// Process-wide opt-in switch for the int8 inference datapath, the dtype
-/// analogue of set_inference_fusion(). Default kF32: training and every
-/// existing eval path are bit-for-bit untouched. When kI8, Conv2d and
-/// Linear eval-mode forwards route through the int8 GEMM for layers whose
-/// QuantState is ready (calibrated); uncalibrated layers fall back to
-/// fp32, so a partially calibrated model still computes correct results.
-void set_inference_dtype(InferenceDType dtype);
-InferenceDType inference_dtype();
 
 /// Parse/print helpers for CLI flags and bench JSON ("f32" / "int8").
 const char* inference_dtype_name(InferenceDType dtype);
 InferenceDType parse_inference_dtype(const std::string& name);
-
-/// Process-wide calibration-mode switch. While on, eval-mode Conv2d and
-/// Linear forwards feed their input activations to their MinMaxObserver
-/// (and still compute in fp32). Drive it via calibrate() rather than
-/// directly.
-void set_calibration_mode(bool on);
-bool calibration_mode();
 
 /// Running min/max over every batch fed through a layer during
 /// calibration; yields the asymmetric per-tensor uint8 activation
@@ -71,8 +57,15 @@ class MinMaxObserver {
 /// like any other), their scales, and the per-channel weight row sums
 /// that carry the activation zero-point correction into the GEMM
 /// epilogue's acc_bias slot.
+///
+/// This state is the layer's dtype: an eval-mode forward computes in
+/// int8 exactly when `ready` (and the reduction depth fits the int32
+/// accumulators), and feeds its fp32 input to the observer while
+/// `observing`. Both are per layer, so networks in one process never
+/// affect each other.
 struct QuantState {
   MinMaxObserver observer;
+  bool observing = false;  ///< armed by calibrate_with, disarmed on exit
   tensor::QuantParams input;              ///< activation quantizer (u8)
   tensor::Tensor qweight;                 ///< DType::kI8, weight's shape
   std::vector<float> weight_scales;       ///< per out-channel, length rows
@@ -103,21 +96,23 @@ void quantize_u8(const float* x, std::size_t n, tensor::QuantParams p,
 /// Inverse map for one code (tests, diagnostics).
 float dequantize_u8(std::uint8_t q, tensor::QuantParams p);
 
-/// Post-training calibration driver: arms the observers, feeds each batch
-/// through `root` in eval mode, then freezes every layer that saw data.
-/// Returns the number of layers frozen. Restores the previous
-/// training/calibration/dtype state on exit; the forward passes always
-/// run in fp32 regardless of the current inference dtype.
+/// Post-training calibration driver: resets every layer's QuantState,
+/// arms its observer, feeds each batch through `root`, then freezes (and
+/// disarms) every layer that saw data. Returns the number of layers
+/// frozen. The batches run in `root`'s own eval flavour (kEval or
+/// kEvalFused, which observe slightly different activations); a root in
+/// train or score mode runs in kEval and gets its mode back on exit.
+/// Reset layers are not ready, so the calibration forwards compute fp32.
 std::size_t calibrate(Module& root,
                       const std::vector<tensor::Tensor>& batches);
 
 /// Generalized calibration driver for roots that are not Modules
 /// themselves (core::Supernet wraps its modules behind its own visit):
 /// `visit` must apply its argument to every module of the network and
-/// `forward` must run one fp32 eval-mode batch through it. The caller is
-/// responsible for putting the network in eval mode first; dtype and
-/// calibration-mode state are saved/restored here exactly as calibrate()
-/// does. Returns the number of layers frozen.
+/// `forward` must run one eval-mode batch through it. The caller is
+/// responsible for putting the network in an eval mode first. If a
+/// forward throws, every observer is disarmed and no layer is ready.
+/// Returns the number of layers frozen.
 std::size_t calibrate_with(
     const ModuleVisitor& visit,
     const std::function<void(const tensor::Tensor&)>& forward,

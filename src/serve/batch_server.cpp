@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/supernet.h"
-#include "nn/fused_conv.h"
 #include "obs/metrics.h"
 #include "obs/timing.h"
 #include "tensor/pool_allocator.h"
@@ -60,23 +59,22 @@ BatchServer::BatchServer(const core::SearchSpace& space,
   input_size_ = static_cast<std::size_t>(channels_ * height_ * width_);
   output_size_ = static_cast<std::size_t>(sc.num_classes);
 
-  prev_fusion_ = nn::inference_fusion_enabled();
-  nn::set_inference_fusion(config_.fuse);
-  prev_dtype_ = nn::inference_dtype();
-
   nets_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     // Same seed for every replica: all lanes hold bit-identical weights,
     // which is what makes "batched == sequential" hold across lanes too.
     nets_.push_back(
         std::make_unique<core::Supernet>(space, config_.seed, arch));
-    nets_.back()->set_mode(nn::Mode::kEval);
+    nets_.back()->set_mode(config_.fuse ? nn::Mode::kEvalFused
+                                        : nn::Mode::kEval);
   }
 
   if (config_.dtype == nn::InferenceDType::kI8) {
     // Identical weights + identical synthetic batches => every replica
     // freezes bit-identical quantizers, preserving the cross-lane
-    // determinism contract of the fp32 path.
+    // determinism contract of the fp32 path. Calibration runs in the
+    // replica's own (fused or plain) eval mode, so the observers see the
+    // activations the served forward produces.
     if (config_.calibration_batches == 0) config_.calibration_batches = 1;
     util::Rng calib_rng(config_.seed ^ 0xCA11B);
     std::vector<tensor::Tensor> batches;
@@ -87,7 +85,6 @@ BatchServer::BatchServer(const core::SearchSpace& space,
           {n, channels_, height_, width_}, -1.0f, 1.0f, calib_rng));
     }
     for (auto& net : nets_) net->calibrate_quant(batches);
-    nn::set_inference_dtype(nn::InferenceDType::kI8);
   }
 
   ring_.assign(config_.queue_capacity, nullptr);
@@ -105,11 +102,7 @@ BatchServer::BatchServer(const core::SearchSpace& space,
   }
 }
 
-BatchServer::~BatchServer() {
-  shutdown();
-  nn::set_inference_dtype(prev_dtype_);
-  nn::set_inference_fusion(prev_fusion_);
-}
+BatchServer::~BatchServer() { shutdown(); }
 
 void BatchServer::shutdown() {
   {

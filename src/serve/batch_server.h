@@ -75,7 +75,8 @@ struct Receipt {
 class BatchServer {
  public:
   /// Builds `workers` standalone replicas of `arch` (same seed => same
-  /// weights), switches them to eval mode, and starts the lanes.
+  /// weights), puts them in kEvalFused (config.fuse) or kEval mode,
+  /// calibrates them when config.dtype is kI8, and starts the lanes.
   BatchServer(const core::SearchSpace& space, const core::Arch& arch,
               const ServerConfig& config);
   ~BatchServer();  ///< graceful: drains queued requests, then joins lanes
@@ -113,8 +114,6 @@ class BatchServer {
   std::size_t input_size_ = 0;
   std::size_t output_size_ = 0;
   long channels_ = 0, height_ = 0, width_ = 0;
-  bool prev_fusion_ = false;
-  nn::InferenceDType prev_dtype_ = nn::InferenceDType::kF32;
 
   std::vector<std::unique_ptr<core::Supernet>> nets_;
 

@@ -6,6 +6,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/error.h"
@@ -141,23 +142,25 @@ void run_loop_chunks(LoopState& s) {
         s.next.fetch_add(s.chunk, std::memory_order_relaxed);
     if (begin >= s.n) return;
     const std::size_t end = std::min(begin + s.chunk, s.n);
+    bool threw = false;
     try {
       for (std::size_t i = begin; i < end; ++i) s.fn(i);
     } catch (...) {
-      // Record the first exception, stop handing out new chunks, and
-      // account for both this chunk and the never-to-be-claimed tail so
-      // completed still sums to exactly n and the join below wakes up.
-      // Claimed-but-unfinished chunks on other threads finish and count
-      // themselves; a second thrower sees tail >= kAbort and contributes
-      // only its own chunk.
-      {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (!s.error) s.error = std::current_exception();
-      }
+      std::lock_guard<std::mutex> lock(s.mutex);
+      if (!s.error) s.error = std::current_exception();
+      threw = true;
+    }
+    if (threw) {
+      // Accounted only after the handler has exited: once completed
+      // reaches n the issuing thread may rethrow (and free) the exception,
+      // so this thread must no longer hold it. Stop handing out chunks and
+      // count both this chunk and the never-to-be-claimed tail, so
+      // completed still sums to exactly n. Claimed-but-unfinished chunks
+      // on other threads count themselves; a second thrower sees
+      // tail >= kAbort and contributes only its own chunk.
       const std::size_t tail = s.next.exchange(LoopState::kAbort,
                                                std::memory_order_acq_rel);
-      const std::size_t unclaimed =
-          tail < s.n ? s.n - tail : 0;
+      const std::size_t unclaimed = tail < s.n ? s.n - tail : 0;
       finish_iterations(s, (end - begin) + unclaimed);
       return;
     }
@@ -215,15 +218,20 @@ void ThreadPool::parallel_for(std::size_t n,
   // task that is still sitting in the queue — that is what makes nested
   // parallel_for calls from pool threads deadlock-free.
   run_loop_chunks(*state);
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->mutex);
     state->cv_done.wait(lock, [&] {
       return state->completed.load(std::memory_order_acquire) == state->n;
     });
+    // Take the exception out of the shared state: a helper task may still
+    // hold the state and destroy it later, and must not release the
+    // exception this thread is about to rethrow.
+    error = std::exchange(state->error, nullptr);
   }
   // The loop has fully quiesced: no thread holds a chunk, so rethrowing
   // here cannot leave an iteration running behind the caller's back.
-  if (state->error) std::rethrow_exception(state->error);
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::parallel_for(std::size_t n, std::size_t work_per_item,

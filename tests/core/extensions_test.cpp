@@ -1,6 +1,6 @@
 // Tests for the extension modules: energy model (§V future work),
 // energy-aware objective & EA, learned latency regressor, Pareto search,
-// checkpointing and BN recalibration.
+// checkpointing and supernet traversal.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/latency_regression.h"
 #include "core/pareto.h"
 #include "core/supernet.h"
-#include "core/trainer.h"
 #include "eval/latency_eval.h"
 #include "hwsim/registry.h"
 #include "util/error.h"
@@ -328,37 +327,7 @@ TEST(Checkpoint, MismatchesFailLoudly) {
   std::remove(path.c_str());
 }
 
-// -------------------------------------------------------- BN recalibration --
-
-TEST(Supernet, BnRecalibrationEnablesEvalMode) {
-  const SearchSpace space(SearchSpaceConfig::proxy(4, 8, 1));
-  data::SyntheticConfig dc;
-  dc.num_classes = 4;
-  dc.train_size = 96;
-  dc.val_size = 48;
-  dc.image_size = 8;
-  const data::SyntheticDataset dataset(dc);
-
-  Supernet net(space, 31);
-  TrainConfig tc;
-  tc.batch_size = 24;
-  tc.lr = 0.05;
-  SupernetTrainer trainer(net, dataset, tc);
-  trainer.run(4);
-
-  util::Rng rng(13);
-  const Arch arch = Arch::random(space, rng);
-
-  // Without calibration, eval-mode stats are a mixture over all sampled
-  // paths; after calibration on this arch's path, eval-mode accuracy must
-  // be close to batch-stats accuracy (the sanity bound is loose: tiny net).
-  net.calibrate_bn(dataset, arch, 24, 4, 17);
-  const double calibrated = net.evaluate_calibrated(dataset, arch, 24);
-  const double batch_stats = net.evaluate(dataset, arch, 24);
-  EXPECT_GE(calibrated, 0.0);
-  EXPECT_LE(calibrated, 1.0);
-  EXPECT_NEAR(calibrated, batch_stats, 0.35);
-}
+// ------------------------------------------------------------- visit --
 
 TEST(Supernet, VisitReachesBatchNorms) {
   const SearchSpace space(SearchSpaceConfig::proxy(4, 8, 1));

@@ -1,10 +1,12 @@
 // Search-core coverage of the int8 quantization axis: the Arch::quant gene,
 // dtype-aware hwsim pricing, the latency model's dual LUT, EA/Pareto gene
-// handling, and the calibration section of the v3 checkpoint container.
+// handling, the calibration section of the v3 checkpoint container, and
+// Supernet::calibrate_quant's eval-mode contract.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -14,6 +16,7 @@
 #include "core/latency_model.h"
 #include "core/lowering.h"
 #include "core/pareto.h"
+#include "core/supernet.h"
 #include "hwsim/registry.h"
 #include "nn/conv2d.h"
 #include "nn/quantize.h"
@@ -441,14 +444,12 @@ TEST(CheckpointQuant, CalibrationSectionRoundTripsThroughContainer) {
 
   util::Rng rng(7);
   nn::Conv2d conv(8, 12, 3, 1, 1, 1, true, rng, "conv");
-  conv.set_training(false);
+  conv.set_mode(nn::Mode::kEval);
   const tensor::Tensor batch = tensor::Tensor::normal({2, 8, 9, 9}, 0.0f,
                                                       1.0f, rng);
   ASSERT_EQ(nn::calibrate(conv, {batch}), 1u);
 
-  nn::set_inference_dtype(nn::InferenceDType::kI8);
   const tensor::Tensor y_ref = conv.forward(batch);
-  nn::set_inference_dtype(nn::InferenceDType::kF32);
 
   // Persist params + calibration as sections of one container.
   std::vector<nn::Parameter*> params;
@@ -462,7 +463,7 @@ TEST(CheckpointQuant, CalibrationSectionRoundTripsThroughContainer) {
   // outputs bit-exactly — weights are re-quantized from the stored scales.
   util::Rng rng2(1234);
   nn::Conv2d restored(8, 12, 3, 1, 1, 1, true, rng2, "conv");
-  restored.set_training(false);
+  restored.set_mode(nn::Mode::kEval);
   std::vector<nn::Parameter*> restored_params;
   restored.collect_params(restored_params);
   const CheckpointReader reader(path);
@@ -472,15 +473,38 @@ TEST(CheckpointQuant, CalibrationSectionRoundTripsThroughContainer) {
   pin.expect_done();
   read_calibration_payload(restored, reader.section(kCalibrationSection));
 
-  nn::set_inference_dtype(nn::InferenceDType::kI8);
   const tensor::Tensor y_restored = restored.forward(batch);
-  nn::set_inference_dtype(nn::InferenceDType::kF32);
 
   ASSERT_EQ(y_restored.numel(), y_ref.numel());
   for (long i = 0; i < y_ref.numel(); ++i) {
     ASSERT_EQ(y_restored.data()[i], y_ref.data()[i]) << "i=" << i;
   }
   std::filesystem::remove_all(dir);
+}
+
+// Calibration runs in the eval flavour the network serves in, so it is
+// refused outside an eval mode, keeps kEvalFused, and leaves the frozen
+// layers computing int8.
+TEST(SupernetQuant, CalibratesInTheEvalModeItServesIn) {
+  const SearchSpace space(SearchSpaceConfig::proxy());
+  util::Rng rng(5);
+  Supernet net(space, 9, Arch::random(space, rng));
+  const SearchSpaceConfig& sc = space.config();
+  const tensor::Tensor batch = tensor::Tensor::uniform(
+      {2, sc.input_channels, sc.input_size, sc.input_size}, -1.0f, 1.0f,
+      rng);
+  EXPECT_THROW(net.calibrate_quant({batch}), Error);  // still in kTrain
+
+  net.set_mode(nn::Mode::kEvalFused);
+  const tensor::Tensor fp32 = net.forward(batch);
+  EXPECT_GT(net.calibrate_quant({batch}), 0u);
+  EXPECT_EQ(nn::Mode::kEvalFused, net.mode());
+  const tensor::Tensor int8 = net.forward(batch);
+  ASSERT_EQ(fp32.numel(), int8.numel());
+  EXPECT_NE(0, std::memcmp(fp32.data(), int8.data(),
+                           static_cast<std::size_t>(fp32.numel()) *
+                               sizeof(float)))
+      << "calibrated layers should compute int8";
 }
 
 }  // namespace

@@ -204,7 +204,6 @@ Tensor depthwise_i8_reference(const Tensor& x, Conv2d& conv, long stride,
 }
 
 TEST(DepthwiseConv, Int8BitExactAgainstBorderSkippingReference) {
-  const InferenceDType prev = inference_dtype();
   std::uint64_t seed = 900;
   for (const DwCase& c : kDwCases) {
     for (const bool bias : {false, true}) {
@@ -217,16 +216,14 @@ TEST(DepthwiseConv, Int8BitExactAgainstBorderSkippingReference) {
               static_cast<float>(rng.uniform(-0.5, 0.5));
         }
       }
-      conv.set_training(false);
+      conv.set_mode(Mode::kEval);
       // A skewed range, so the zero-point sits well inside (0, 255).
       ASSERT_EQ(1u, calibrate(conv, {Tensor::uniform(
                                         {2, c.channels, c.h, c.w}, -0.5f,
                                         1.5f, rng)}));
       const Tensor x =
           Tensor::uniform({c.batch, c.channels, c.h, c.w}, -0.6f, 1.6f, rng);
-      set_inference_dtype(InferenceDType::kI8);
       const Tensor got = conv.forward(x);
-      set_inference_dtype(prev);
       EXPECT_TRUE(same_bits(got, depthwise_i8_reference(x, conv, c.stride,
                                                         c.pad)))
           << "n=" << c.batch << " c=" << c.channels << " in=" << c.h << "x"

@@ -12,7 +12,7 @@ using tensor::Tensor;
 
 TEST(Dropout, EvalModeIsIdentity) {
   Dropout drop(0.5);
-  drop.set_training(false);
+  drop.set_mode(Mode::kEval);
   util::Rng rng(1);
   const Tensor x = Tensor::uniform({4, 8}, -1, 1, rng);
   const Tensor y = drop.forward(x);
@@ -27,7 +27,7 @@ TEST(Dropout, EvalModeIsIdentity) {
 
 TEST(Dropout, ZeroProbabilityIsIdentityInTraining) {
   Dropout drop(0.0);
-  drop.set_training(true);
+  drop.set_mode(Mode::kTrain);
   const Tensor x = Tensor::full({3, 3}, 2.0f);
   const Tensor y = drop.forward(x);
   EXPECT_EQ(y.flat()[0], 2.0f);
@@ -35,7 +35,7 @@ TEST(Dropout, ZeroProbabilityIsIdentityInTraining) {
 
 TEST(Dropout, TrainingDropsAndRescales) {
   Dropout drop(0.5, 7);
-  drop.set_training(true);
+  drop.set_mode(Mode::kTrain);
   const Tensor x = Tensor::ones({1, 10000});
   const Tensor y = drop.forward(x);
   int zeros = 0;
@@ -53,7 +53,7 @@ TEST(Dropout, TrainingDropsAndRescales) {
 
 TEST(Dropout, BackwardUsesSameMask) {
   Dropout drop(0.3, 9);
-  drop.set_training(true);
+  drop.set_mode(Mode::kTrain);
   const Tensor x = Tensor::ones({1, 64});
   const Tensor y = drop.forward(x);
   const Tensor dx = drop.backward(Tensor::ones(x.shape()));
@@ -68,7 +68,7 @@ TEST(Dropout, GradCheckThroughFixedMask) {
   // generic harness re-runs forward (fresh masks), so check manually:
   // d(loss)/dx = mask elementwise.
   Dropout drop(0.4, 11);
-  drop.set_training(true);
+  drop.set_mode(Mode::kTrain);
   util::Rng rng(12);
   const Tensor x = Tensor::uniform({2, 16}, -1, 1, rng);
   const Tensor y = drop.forward(x);

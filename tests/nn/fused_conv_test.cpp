@@ -30,9 +30,9 @@ using tensor::Tensor;
 /// fold has non-trivial terms: one training-mode forward pushes data
 /// through the momentum update, then randomized affine params.
 void randomize_bn(BatchNorm2d& bn, const Tensor& warmup, util::Rng& rng) {
-  bn.set_training(true);
+  bn.set_mode(Mode::kTrain);
   (void)bn.forward(warmup);
-  bn.set_training(false);
+  bn.set_mode(Mode::kEval);
   for (long c = 0; c < bn.channels(); ++c) {
     bn.gamma().value.at(c) = static_cast<float>(rng.uniform(0.5, 1.5));
     bn.beta().value.at(c) = static_cast<float>(rng.uniform(-0.5, 0.5));
@@ -44,12 +44,12 @@ Tensor composed_forward(Conv2d& conv, BatchNorm2d& bn, EpilogueAct act,
   Tensor y = bn.forward(conv.forward(x));
   if (act == EpilogueAct::kReLU) {
     ReLU relu;
-    relu.set_training(false);
+    relu.set_mode(Mode::kEval);
     return relu.forward(y);
   }
   if (act == EpilogueAct::kHSwish) {
     HSwish hswish;
-    hswish.set_training(false);
+    hswish.set_mode(Mode::kEval);
     return hswish.forward(y);
   }
   return y;
@@ -84,7 +84,7 @@ TEST(FusedConv, MatchesComposedModulesAcrossGeometries) {
       }
     }
     BatchNorm2d bn(c.out_ch);
-    conv.set_training(false);
+    conv.set_mode(Mode::kEval);
     const Tensor x = Tensor::uniform({3, c.in_ch, 9, 9}, -1, 1, rng);
     randomize_bn(bn, conv.forward(x), rng);
 
@@ -108,9 +108,9 @@ TEST(FusedConv, ExactWhenFoldIsArithmeticallyNeutral) {
   // same float ops — the parity is bit-exact, tolerance 0.
   util::Rng rng(300);
   Conv2d conv(8, 12, 3, 1, 1, 1, /*bias=*/false, rng);
-  conv.set_training(false);
+  conv.set_mode(Mode::kEval);
   BatchNorm2d bn(12);
-  bn.set_training(false);
+  bn.set_mode(Mode::kEval);
   for (long c = 0; c < 12; ++c) {
     bn.beta().value.at(c) = static_cast<float>(rng.uniform(-0.5, 0.5));
   }
@@ -129,7 +129,7 @@ TEST(FusedConv, ExactWhenFoldIsArithmeticallyNeutral) {
 TEST(FusedConv, BitIdenticalAcrossThreadCounts) {
   util::Rng rng(400);
   Conv2d conv(16, 32, 3, 1, 1, 1, /*bias=*/true, rng);
-  conv.set_training(false);
+  conv.set_mode(Mode::kEval);
   BatchNorm2d bn(32);
   const Tensor x = Tensor::uniform({4, 16, 16, 16}, -1, 1, rng);
   randomize_bn(bn, conv.forward(x), rng);
@@ -148,19 +148,6 @@ TEST(FusedConv, BitIdenticalAcrossThreadCounts) {
   util::ThreadPool::configure_global(prev);
 }
 
-/// RAII toggle so a failing assertion cannot leak fusion-enabled state
-/// into unrelated tests.
-class FusionGuard {
- public:
-  explicit FusionGuard(bool on) : prev_(inference_fusion_enabled()) {
-    set_inference_fusion(on);
-  }
-  ~FusionGuard() { set_inference_fusion(prev_); }
-
- private:
-  bool prev_;
-};
-
 TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
   util::Rng rng(500);
   Sequential seq;
@@ -170,26 +157,26 @@ TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
   seq.add(std::make_unique<ReLU>());
   const Tensor x = Tensor::uniform({2, 8, 9, 9}, -1, 1, rng);
   seq.forward(x);  // training-mode pass gives BN real running stats
-  seq.set_training(false);
+  seq.set_mode(Mode::kEval);
 
   obs::Counter& fused_calls = obs::counter("hsconas.nn.fused_conv_calls");
 
   const Tensor plain = seq.forward(x);
-  FusionGuard guard(true);
+  seq.set_mode(Mode::kEvalFused);
 
   const std::uint64_t before = fused_calls.value();
   const Tensor fused = seq.forward(x);
   EXPECT_EQ(fused_calls.value(), before + 1)
-      << "eval-mode Sequential should route conv+bn+relu through the "
-         "fused path when fusion is enabled";
+      << "a kEvalFused Sequential should route conv+bn+relu through the "
+         "fused path";
   ASSERT_EQ(fused.shape(), plain.shape());
   for (long i = 0; i < fused.numel(); ++i) {
     EXPECT_NEAR(fused.data()[i], plain.data()[i], 2e-4f) << "at " << i;
   }
 
-  // Fusion off: the composed path runs, and it still matches.
+  // Plain eval: the composed path runs, and it still matches.
   {
-    FusionGuard off(false);
+    seq.set_mode(Mode::kEval);
     const std::uint64_t before_off = fused_calls.value();
     const Tensor y = seq.forward(x);
     EXPECT_EQ(fused_calls.value(), before_off);
@@ -201,7 +188,7 @@ TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
   // Training mode must never peephole (backward needs module caches).
   // Last, because a training-mode forward updates BN's running stats and
   // would invalidate the comparisons against `plain` above.
-  seq.set_training(true);
+  seq.set_mode(Mode::kTrain);
   const std::uint64_t before_train = fused_calls.value();
   seq.forward(x);
   EXPECT_EQ(fused_calls.value(), before_train);
@@ -211,9 +198,9 @@ TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
 TEST(FusedConv, ChannelMismatchThrows) {
   util::Rng rng(600);
   Conv2d conv(4, 6, 3, 1, 1, 1, false, rng);
-  conv.set_training(false);
+  conv.set_mode(Mode::kEval);
   BatchNorm2d bn(8);  // wrong width
-  bn.set_training(false);
+  bn.set_mode(Mode::kEval);
   const Tensor x = Tensor::uniform({1, 4, 5, 5}, -1, 1, rng);
   EXPECT_THROW(fused_conv_bn_act(conv, bn, EpilogueAct::kReLU, x),
                hsconas::Error);

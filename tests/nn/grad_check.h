@@ -46,7 +46,7 @@ inline GradCheckResult grad_check(nn::Module& module, tensor::Tensor x,
                                   std::uint64_t seed, int probes = 24,
                                   float eps = 1e-2f) {
   util::Rng rng(seed);
-  module.set_training(true);
+  module.set_mode(nn::Mode::kTrain);
 
   // Forward once to learn the output shape, then build the probe weights.
   const tensor::Tensor y0 = module.forward(x);

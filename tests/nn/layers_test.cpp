@@ -102,7 +102,7 @@ TEST(Conv2d, MacsCounter) {
 
 TEST(BatchNorm2d, NormalizesBatchStatistics) {
   BatchNorm2d bn(3);
-  bn.set_training(true);
+  bn.set_mode(Mode::kTrain);
   util::Rng rng(5);
   const Tensor x = Tensor::normal({4, 3, 5, 5}, 3.0f, 2.0f, rng);
   const Tensor y = bn.forward(x);
@@ -138,13 +138,13 @@ TEST(BatchNorm2d, GradCheckTraining) {
 
 TEST(BatchNorm2d, EvalUsesRunningStats) {
   BatchNorm2d bn(2);
-  bn.set_training(true);
+  bn.set_mode(Mode::kTrain);
   util::Rng rng(6);
   for (int i = 0; i < 50; ++i) {
     bn.forward(Tensor::normal({8, 2, 4, 4}, 5.0f, 1.0f, rng));
   }
   EXPECT_NEAR(bn.running_mean().at(0), 5.0f, 0.3f);
-  bn.set_training(false);
+  bn.set_mode(Mode::kEval);
   const Tensor y = bn.forward(Tensor::full({1, 2, 1, 1}, 5.0f));
   EXPECT_NEAR(y.at(0, 0, 0, 0), 0.0f, 0.3f);
 }
@@ -307,9 +307,17 @@ TEST_P(BackwardState, ForwardOutsideTrainModeDropsIt) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ScoreAndEval, BackwardState,
-                         ::testing::Values(Mode::kScore, Mode::kEval),
+                         ::testing::Values(Mode::kScore, Mode::kEval,
+                                           Mode::kEvalFused),
                          [](const ::testing::TestParamInfo<Mode>& p) {
-                           return p.param == Mode::kScore ? "score" : "eval";
+                           switch (p.param) {
+                             case Mode::kScore:
+                               return "score";
+                             case Mode::kEvalFused:
+                               return "eval_fused";
+                             default:
+                               return "eval";
+                           }
                          });
 
 // ---------------------------------------------------------------- Shuffle --

@@ -123,7 +123,7 @@ TEST(MbConvChoiceBlock, ResidualAddsInput) {
   std::vector<Parameter*> params;
   block.collect_params(params);
   for (Parameter* p : params) p->value.zero();
-  block.set_training(false);
+  block.set_mode(Mode::kEval);
   const Tensor x = block_input(4, 5, 8);
   const Tensor y = block.forward(x);
   for (long i = 0; i < x.numel(); ++i) {

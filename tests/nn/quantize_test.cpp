@@ -31,22 +31,6 @@ namespace {
 using tensor::QuantParams;
 using tensor::Tensor;
 
-/// Restore the process-wide dtype/calibration switches on scope exit so
-/// a failing assertion can't leak int8 mode into later tests.
-class QuantModeGuard {
- public:
-  QuantModeGuard()
-      : dtype_(inference_dtype()), calib_(calibration_mode()) {}
-  ~QuantModeGuard() {
-    set_inference_dtype(dtype_);
-    set_calibration_mode(calib_);
-  }
-
- private:
-  InferenceDType dtype_;
-  bool calib_;
-};
-
 class PoolGuard {
  public:
   explicit PoolGuard(std::size_t threads)
@@ -167,7 +151,6 @@ struct ConvCase {
 };
 
 TEST(QuantizedConv, AgreesWithFp32WithinScaleTolerance) {
-  QuantModeGuard guard;
   const ConvCase cases[] = {
       {8, 12, 3, 1, 1, 1, true},   // dense
       {8, 8, 3, 2, 1, 8, false},   // depthwise, strided
@@ -179,17 +162,14 @@ TEST(QuantizedConv, AgreesWithFp32WithinScaleTolerance) {
     util::Rng rng(40 + idx++);
     Conv2d conv(c.in_ch, c.out_ch, c.kernel, c.stride, c.pad, c.groups,
                 c.bias, rng);
-    conv.set_training(false);
+    conv.set_mode(Mode::kEval);
     std::vector<Tensor> batches;
     batches.push_back(Tensor::uniform({2, c.in_ch, 9, 9}, -1.5f, 1.5f, rng));
     batches.push_back(Tensor::uniform({2, c.in_ch, 9, 9}, -1.0f, 2.0f, rng));
-    ASSERT_EQ(1u, calibrate(conv, batches));
-
     const Tensor x = Tensor::uniform({3, c.in_ch, 9, 9}, -1.2f, 1.2f, rng);
-    const Tensor y32 = conv.forward(x);
-    set_inference_dtype(InferenceDType::kI8);
+    const Tensor y32 = conv.forward(x);  // fp32 reference: not yet ready
+    ASSERT_EQ(1u, calibrate(conv, batches));
     const Tensor y8 = conv.forward(x);
-    set_inference_dtype(InferenceDType::kF32);
     // Error budget: activation rounding (scale/2 per tap) plus weight
     // rounding, accumulated over the reduction. 2% of the output range
     // is far above what the 3x3/1x1 windows here can accumulate, and far
@@ -202,21 +182,28 @@ TEST(QuantizedConv, AgreesWithFp32WithinScaleTolerance) {
 }
 
 TEST(QuantizedConv, UncalibratedLayerFallsBackToFp32Exactly) {
-  QuantModeGuard guard;
   util::Rng rng(45);
   Conv2d conv(4, 6, 3, 1, 1, 1, true, rng);
-  conv.set_training(false);
+  conv.set_mode(Mode::kEval);
   const Tensor x = Tensor::uniform({2, 4, 7, 7}, -1.0f, 1.0f, rng);
   const Tensor y32 = conv.forward(x);
-  set_inference_dtype(InferenceDType::kI8);  // no calibration ran
-  const Tensor y8 = conv.forward(x);
-  ASSERT_EQ(0, std::memcmp(y32.data(), y8.data(),
-                           static_cast<std::size_t>(y32.numel()) *
-                               sizeof(float)));
+  auto same = [&](const Tensor& y) {
+    return std::memcmp(y32.data(), y.data(),
+                       static_cast<std::size_t>(y32.numel()) *
+                           sizeof(float)) == 0;
+  };
+  // An armed observer still computes fp32 until calibration freezes it.
+  conv.quant_state()->observing = true;
+  EXPECT_TRUE(same(conv.forward(x)));
+  conv.quant_state()->observing = false;
+  // Calibrated: int8. Reset: back to the exact fp32 bits.
+  ASSERT_EQ(1u, calibrate(conv, {x}));
+  EXPECT_FALSE(same(conv.forward(x)));
+  conv.quant_state()->reset();
+  EXPECT_TRUE(same(conv.forward(x)));
 }
 
 TEST(QuantizedConv, FusedPeepholeComposesWithInt8) {
-  QuantModeGuard guard;
   util::Rng rng(46);
   auto seq = std::make_unique<Sequential>("block");
   auto* conv = seq->add(std::make_unique<Conv2d>(6, 10, 3, 1, 1, 1, true,
@@ -225,56 +212,47 @@ TEST(QuantizedConv, FusedPeepholeComposesWithInt8) {
   seq->add(std::make_unique<ReLU>());
   (void)conv;
   // Push real statistics through BN, then freeze into eval mode.
-  seq->set_training(true);
+  seq->set_mode(Mode::kTrain);
   (void)seq->forward(Tensor::uniform({4, 6, 9, 9}, -1.0f, 1.0f, rng));
-  seq->set_training(false);
+  seq->set_mode(Mode::kEval);
   for (long c = 0; c < bn->channels(); ++c) {
     bn->gamma().value.at(c) = static_cast<float>(rng.uniform(0.5, 1.5));
     bn->beta().value.at(c) = static_cast<float>(rng.uniform(-0.5, 0.5));
   }
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({2, 6, 9, 9}, -1.0f, 1.0f, rng));
-  ASSERT_EQ(1u, calibrate(*seq, batches));
-
   const Tensor x = Tensor::uniform({2, 6, 9, 9}, -1.0f, 1.0f, rng);
-  const bool prev_fusion = inference_fusion_enabled();
-  set_inference_fusion(true);
+  seq->set_mode(Mode::kEvalFused);
   const Tensor y32 = seq->forward(x);
-  set_inference_dtype(InferenceDType::kI8);
+  ASSERT_EQ(1u, calibrate(*seq, batches));
+  EXPECT_EQ(Mode::kEvalFused, seq->mode());
   const Tensor y8 = seq->forward(x);
-  set_inference_dtype(InferenceDType::kF32);
-  set_inference_fusion(prev_fusion);
   const float tol = 0.02f * (max_abs(y32) + 1.0f);
   EXPECT_LT(max_abs_diff(y32, y8), tol)
       << "int8 under the conv/BN/act fusion peephole diverged";
 }
 
 TEST(QuantizedLinear, AgreesWithFp32WithinScaleTolerance) {
-  QuantModeGuard guard;
   util::Rng rng(47);
   Linear lin(32, 10, rng);
-  lin.set_training(false);
+  lin.set_mode(Mode::kEval);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({4, 32}, -2.0f, 2.0f, rng));
-  ASSERT_EQ(1u, calibrate(lin, batches));
   const Tensor x = Tensor::uniform({5, 32}, -1.5f, 1.5f, rng);
   const Tensor y32 = lin.forward(x);
-  set_inference_dtype(InferenceDType::kI8);
+  ASSERT_EQ(1u, calibrate(lin, batches));
   const Tensor y8 = lin.forward(x);
-  set_inference_dtype(InferenceDType::kF32);
   const float tol = 0.02f * (max_abs(y32) + 1.0f);
   EXPECT_LT(max_abs_diff(y32, y8), tol);
 }
 
 TEST(QuantizedLinear, BatchedEqualsSequentialBitExactly) {
-  QuantModeGuard guard;
   util::Rng rng(48);
   Linear lin(16, 6, rng);
-  lin.set_training(false);
+  lin.set_mode(Mode::kEval);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({3, 16}, -1.0f, 1.0f, rng));
   calibrate(lin, batches);
-  set_inference_dtype(InferenceDType::kI8);
   const Tensor x = Tensor::uniform({4, 16}, -1.0f, 1.0f, rng);
   const Tensor batched = lin.forward(x);
   for (long s = 0; s < 4; ++s) {
@@ -288,22 +266,57 @@ TEST(QuantizedLinear, BatchedEqualsSequentialBitExactly) {
 }
 
 TEST(Calibration, RestoresModeAndDtypeSwitches) {
-  QuantModeGuard guard;
   util::Rng rng(49);
   Conv2d conv(4, 4, 3, 1, 1, 1, false, rng);
-  conv.set_training(true);
-  set_inference_dtype(InferenceDType::kI8);
+  conv.set_mode(Mode::kTrain);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({1, 4, 7, 7}, -1.0f, 1.0f, rng));
   calibrate(conv, batches);
   EXPECT_EQ(Mode::kTrain, conv.mode());
-  EXPECT_FALSE(calibration_mode());
-  EXPECT_EQ(InferenceDType::kI8, inference_dtype());
   EXPECT_THROW(calibrate(conv, {}), InvalidArgument);
 }
 
+TEST(Calibration, ThrowingBatchLeavesNoObserverArmedAndNothingReady) {
+  auto build = [] {
+    util::Rng wrng(778);  // identical weights for both models
+    auto seq = std::make_unique<Sequential>("net");
+    seq->add(std::make_unique<Conv2d>(4, 8, 3, 1, 1, 1, true, wrng));
+    seq->add(std::make_unique<ReLU>());
+    seq->add(std::make_unique<Conv2d>(8, 8, 3, 1, 1, 8, false, wrng));
+    seq->set_mode(Mode::kEval);
+    return seq;
+  };
+  auto net = build();
+  auto twin = build();  // never calibrated
+  util::Rng rng(53);
+  const Tensor good = Tensor::uniform({2, 4, 9, 9}, -1.0f, 1.0f, rng);
+  // Ready from an earlier calibration, so the failed one must undo it.
+  ASSERT_EQ(2u, calibrate(*net, {good}));
+  // The first batch arms and feeds every observer; the second has 3
+  // input channels where the stem wants 4, so its forward throws.
+  const Tensor bad = Tensor::uniform({2, 3, 9, 9}, -1.0f, 1.0f, rng);
+  EXPECT_THROW(calibrate(*net, {good, bad}), InvalidArgument);
+  EXPECT_EQ(Mode::kEval, net->mode());
+  int layers = 0;
+  net->visit([&](Module& m) {
+    if (QuantState* q = m.quant_state()) {
+      ++layers;
+      EXPECT_FALSE(q->observing) << m.name();
+      EXPECT_FALSE(q->ready) << m.name();
+    }
+  });
+  EXPECT_EQ(2, layers);
+
+  const Tensor x = Tensor::uniform({3, 4, 9, 9}, -1.0f, 1.0f, rng);
+  const Tensor y = net->forward(x);
+  const Tensor y_twin = twin->forward(x);
+  ASSERT_EQ(0, std::memcmp(y.data(), y_twin.data(),
+                           static_cast<std::size_t>(y.numel()) *
+                               sizeof(float)))
+      << "a failed calibration changed the eval output";
+}
+
 TEST(Calibration, ExportImportRoundTripsBitExactly) {
-  QuantModeGuard guard;
   util::Rng rng(50);
   auto build = [] {
     util::Rng wrng(777);  // identical weights for both models
@@ -314,7 +327,7 @@ TEST(Calibration, ExportImportRoundTripsBitExactly) {
     return seq;
   };
   auto a = build();
-  a->set_training(false);
+  a->set_mode(Mode::kEval);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({2, 4, 9, 9}, -1.0f, 1.0f, rng));
   ASSERT_EQ(2u, calibrate(*a, batches));
@@ -322,12 +335,11 @@ TEST(Calibration, ExportImportRoundTripsBitExactly) {
   util::ByteWriter w;
   export_calibration(*a, w);
   auto b = build();
-  b->set_training(false);
+  b->set_mode(Mode::kEval);
   util::ByteReader r(w.data());
   import_calibration(*b, r);
   r.expect_done();
 
-  set_inference_dtype(InferenceDType::kI8);
   const Tensor x = Tensor::uniform({2, 4, 9, 9}, -1.0f, 1.0f, rng);
   const Tensor ya = a->forward(x);
   const Tensor yb = b->forward(x);
@@ -338,10 +350,9 @@ TEST(Calibration, ExportImportRoundTripsBitExactly) {
 }
 
 TEST(Calibration, ImportRejectsMismatchedModel) {
-  QuantModeGuard guard;
   util::Rng rng(51);
   Conv2d conv(4, 8, 3, 1, 1, 1, true, rng);
-  conv.set_training(false);
+  conv.set_mode(Mode::kEval);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({1, 4, 7, 7}, -1.0f, 1.0f, rng));
   calibrate(conv, batches);
@@ -362,14 +373,12 @@ TEST(Calibration, ImportRejectsMismatchedModel) {
 }
 
 TEST(QuantizedConv, BitIdenticalAcrossThreadCounts) {
-  QuantModeGuard guard;
   util::Rng rng(52);
   Conv2d conv(16, 24, 3, 1, 1, 2, true, rng);
-  conv.set_training(false);
+  conv.set_mode(Mode::kEval);
   std::vector<Tensor> batches;
   batches.push_back(Tensor::uniform({2, 16, 14, 14}, -1.0f, 1.0f, rng));
   calibrate(conv, batches);
-  set_inference_dtype(InferenceDType::kI8);
   const Tensor x = Tensor::uniform({4, 16, 14, 14}, -1.0f, 1.0f, rng);
   Tensor y1;
   {

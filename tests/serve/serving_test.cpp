@@ -1,8 +1,9 @@
 // Serving-layer contracts (ctest -L serving; the TSan CI stage re-runs
 // this label): dynamic-batching flush rules, FIFO scheduling, the
 // zero-allocation steady state, graceful shutdown, batched-vs-sequential
-// bit-identity, and the ThreadPool::configure_global mid-flight rejection
-// these lanes rely on. Each TEST runs as its own ctest process
+// bit-identity, two differently configured servers side by side, and the
+// ThreadPool::configure_global mid-flight rejection these lanes rely on.
+// Each TEST runs as its own ctest process
 // (gtest_discover_tests), so global-pool and metric state never leaks
 // between cases.
 
@@ -17,7 +18,6 @@
 #include "core/arch.h"
 #include "core/search_space.h"
 #include "core/supernet.h"
-#include "nn/fused_conv.h"
 #include "obs/metrics.h"
 #include "serve/batch_server.h"
 #include "serve/load_gen.h"
@@ -260,9 +260,8 @@ TEST(BatchServer, BatchedMatchesSequentialBitExact) {
   for (auto& t : clients) t.join();
 
   // Reference: same seed, same arch, same fused eval path, batch of 1.
-  nn::set_inference_fusion(true);
   core::Supernet reference(space, cfg.seed, arch);
-  reference.set_mode(nn::Mode::kEval);
+  reference.set_mode(nn::Mode::kEvalFused);
   const auto& sc = space.config();
   for (std::size_t i = 0; i < 4; ++i) {
     tensor::Tensor one({1, sc.input_channels, sc.input_size, sc.input_size});
@@ -275,6 +274,74 @@ TEST(BatchServer, BatchedMatchesSequentialBitExact) {
           << "sample " << i << " logit " << j
           << " differs between batched and sequential execution";
     }
+  }
+}
+
+// Two servers with different datapaths share one process: an int8 fused
+// server and an fp32 unfused one, alive together and fed by interleaved
+// clients. Each server's execution state lives in its own networks, so
+// every answer must be bit-identical to that server running alone.
+TEST(BatchServer, Int8FusedAndF32UnfusedServersRunSideBySide) {
+  const core::SearchSpace space = proxy_space();
+  const core::Arch arch = sample_arch(space);
+  serve::ServerConfig int8_cfg;
+  int8_cfg.workers = 2;
+  int8_cfg.batch_max = 4;
+  int8_cfg.deadline_us = 200;
+  int8_cfg.seed = 99;
+  int8_cfg.dtype = nn::InferenceDType::kI8;
+  int8_cfg.fuse = true;
+  serve::ServerConfig f32_cfg = int8_cfg;
+  f32_cfg.dtype = nn::InferenceDType::kF32;
+  f32_cfg.fuse = false;
+
+  const auto& sc = space.config();
+  const auto input_size =
+      static_cast<std::size_t>(sc.input_channels * sc.input_size *
+                               sc.input_size);
+  constexpr std::size_t kInputs = 8;
+  std::vector<std::vector<float>> inputs;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    inputs.push_back(sample_input(input_size, 300 + i));
+  }
+  auto alone = [&](const serve::ServerConfig& cfg) {
+    serve::BatchServer server(space, arch, cfg);
+    std::vector<std::vector<float>> out(
+        kInputs, std::vector<float>(server.output_size()));
+    for (std::size_t i = 0; i < kInputs; ++i) server.infer(inputs[i], out[i]);
+    return out;
+  };
+  const auto int8_alone = alone(int8_cfg);
+  const auto f32_alone = alone(f32_cfg);
+  ASSERT_NE(int8_alone, f32_alone) << "the two datapaths must differ";
+
+  serve::BatchServer int8_server(space, arch, int8_cfg);
+  serve::BatchServer f32_server(space, arch, f32_cfg);
+  const std::size_t classes = int8_server.output_size();
+  std::vector<std::vector<float>> int8_out(kInputs,
+                                           std::vector<float>(classes));
+  std::vector<std::vector<float>> f32_out(kInputs,
+                                          std::vector<float>(classes));
+  constexpr std::size_t kClients = 4;
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = c; i < kInputs; i += kClients) {
+        // Alternate which server each client hits first.
+        if (i % 2 == 0) {
+          int8_server.infer(inputs[i], int8_out[i]);
+          f32_server.infer(inputs[i], f32_out[i]);
+        } else {
+          f32_server.infer(inputs[i], f32_out[i]);
+          int8_server.infer(inputs[i], int8_out[i]);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    EXPECT_EQ(int8_out[i], int8_alone[i]) << "int8 fused answer " << i;
+    EXPECT_EQ(f32_out[i], f32_alone[i]) << "f32 unfused answer " << i;
   }
 }
 

@@ -32,7 +32,7 @@ hsconas::nn::Sequential& model() {
     seq->add(std::make_unique<hsconas::nn::ReLU>());
     seq->add(std::make_unique<hsconas::nn::Conv2d>(8, 8, 3, 1, 1, 8, false,
                                                    rng));
-    seq->set_training(false);
+    seq->set_mode(hsconas::nn::Mode::kEval);
     return seq;
   }();
   return *net;
