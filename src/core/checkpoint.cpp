@@ -11,9 +11,9 @@
 
 #include "nn/quantize.h"
 #include "obs/metrics.h"
+#include "obs/timing.h"
 #include "obs/trace.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace hsconas::core {
 
@@ -91,7 +91,7 @@ void CheckpointWriter::add_section(const std::string& name,
 
 void CheckpointWriter::save(const std::string& path) const {
   HSCONAS_TRACE_SCOPE("checkpoint.save");
-  util::Timer timer;
+  const std::uint64_t t0 = obs::monotonic_ns();
   if (sections_.size() > kMaxSections) {
     throw InvalidArgument("checkpoint: too many sections");
   }
@@ -139,7 +139,8 @@ void CheckpointWriter::save(const std::string& path) const {
   }
   save_counter().add();
   bytes_written_counter().add(image.size());
-  save_histogram().record(timer.millis());
+  save_histogram().record(
+      static_cast<double>(obs::monotonic_ns() - t0) / 1e6);
 }
 
 std::map<std::string, std::string> parse_checkpoint_image(
@@ -185,7 +186,7 @@ std::map<std::string, std::string> parse_checkpoint_image(
 
 CheckpointReader::CheckpointReader(const std::string& path) : path_(path) {
   HSCONAS_TRACE_SCOPE("checkpoint.load");
-  util::Timer timer;
+  const std::uint64_t t0 = obs::monotonic_ns();
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     load_failure_counter().add();
@@ -201,7 +202,8 @@ CheckpointReader::CheckpointReader(const std::string& path) : path_(path) {
     throw Error("checkpoint: " + std::string(e.what()) + " in " + path);
   }
   load_counter().add();
-  load_histogram().record(timer.millis());
+  load_histogram().record(
+      static_cast<double>(obs::monotonic_ns() - t0) / 1e6);
 }
 
 bool CheckpointReader::has(const std::string& name) const {

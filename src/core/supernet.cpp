@@ -32,10 +32,15 @@ Supernet::Supernet(const SearchSpace& space, std::uint64_t seed,
     const LayerInfo& info = space_.layer(l);
     auto& choices = layers_[static_cast<std::size_t>(l)];
     if (fixed_arch_) {
-      const int op = fixed_arch_->ops[static_cast<std::size_t>(l)];
+      // A standalone network's widths are part of its arch: set once
+      // here, so its forward writes no channel factor.
+      const auto i = static_cast<std::size_t>(l);
+      const int op = fixed_arch_->ops[i];
       choices.push_back(nn::make_family_block(
           cfg.family, op, info.in_channels, info.out_channels, info.stride,
           rng, util::format("layer%d.op%d", l, op)));
+      choices.back()->set_channel_factor(cfg.channel_factors.at(
+          static_cast<std::size_t>(fixed_arch_->factors[i])));
     } else {
       for (int op = 0; op < cfg.num_ops; ++op) {
         choices.push_back(nn::make_family_block(
@@ -86,24 +91,26 @@ Tensor Supernet::forward(const Tensor& images, const Arch& arch) {
   static obs::Counter& forwards = obs::counter("hsconas.supernet.forwards");
   forwards.add();
   check_arch(arch);
-  active_path_.clear();
-  active_path_.push_back(stem_.get());
-  Tensor h = stem_->forward(images);
-
+  // Only a train forward records the path backward() walks.
+  const bool record = mode() == nn::Mode::kTrain;
+  if (record) active_path_.clear();
+  auto run = [&](nn::Module& m, const Tensor& x) {
+    if (record) active_path_.push_back(&m);
+    return m.forward(x);
+  };
+  Tensor h = run(*stem_, images);
   for (int l = 0; l < space_.num_layers(); ++l) {
-    nn::ChoiceBlock& blk = block(l, arch.ops[static_cast<std::size_t>(l)]);
-    blk.set_channel_factor(space_.config().channel_factors.at(
-        static_cast<std::size_t>(arch.factors[static_cast<std::size_t>(l)])));
-    active_path_.push_back(&blk);
-    h = blk.forward(h);
+    const auto i = static_cast<std::size_t>(l);
+    nn::ChoiceBlock& blk = block(l, arch.ops[i]);
+    if (!fixed_arch_) {
+      blk.set_channel_factor(space_.config().channel_factors.at(
+          static_cast<std::size_t>(arch.factors[i])));
+    }
+    h = run(blk, h);
   }
-
-  active_path_.push_back(head_conv_.get());
-  h = head_conv_->forward(h);
-  active_path_.push_back(&gap_);
-  h = gap_.forward(h);
-  active_path_.push_back(classifier_.get());
-  return classifier_->forward(h);
+  h = run(*head_conv_, h);
+  h = run(gap_, h);
+  return run(*classifier_, h);
 }
 
 Tensor Supernet::forward(const Tensor& images) {
@@ -151,6 +158,7 @@ void Supernet::set_mode(nn::Mode mode) {
   nn::set_mode(
       [this](const std::function<void(nn::Module&)>& fn) { visit(fn); },
       mode);
+  if (mode != nn::Mode::kTrain) active_path_.clear();
 }
 
 double Supernet::evaluate(const data::SyntheticDataset& dataset,

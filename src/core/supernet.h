@@ -38,12 +38,16 @@ class Supernet {
 
   /// Forward the batch through the path selected by `arch` (must equal the
   /// fixed arch for standalone networks). Returns logits (N, classes).
+  /// A train forward records the path for backward(). On the full
+  /// supernet every call sets the path's channel factors; a standalone
+  /// network set them at construction, so its eval forward writes nothing
+  /// and any number of threads may run it concurrently.
   tensor::Tensor forward(const tensor::Tensor& images, const Arch& arch);
 
   /// Forward for standalone networks.
   tensor::Tensor forward(const tensor::Tensor& images);
 
-  /// Backward pass through the exact path of the last forward call.
+  /// Backward pass through the exact path of the last train forward.
   void backward(const tensor::Tensor& logits_grad);
 
   /// All trainable parameters (every candidate block's, for the supernet).
@@ -52,7 +56,8 @@ class Supernet {
   /// Parameters on the given arch's path only.
   std::vector<nn::Parameter*> path_parameters(const Arch& arch);
 
-  /// Put every module into `mode` (see nn::Mode), in one traversal.
+  /// Put every module into `mode` (see nn::Mode), in one traversal; a
+  /// non-train mode also drops the recorded backward path.
   void set_mode(nn::Mode mode);
   nn::Mode mode() const { return stem_->mode(); }
 
@@ -104,7 +109,7 @@ class Supernet {
   nn::GlobalAvgPool gap_;
   std::unique_ptr<nn::Linear> classifier_;
 
-  std::vector<nn::Module*> active_path_;  // set by forward, used by backward
+  std::vector<nn::Module*> active_path_;  // last train forward's path
 };
 
 }  // namespace hsconas::core

@@ -1,11 +1,11 @@
 #include "core/trainer.h"
 
 #include "obs/metrics.h"
+#include "obs/timing.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/serial.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace {
 hsconas::obs::Counter& step_counter() {
@@ -37,7 +37,7 @@ SupernetTrainer::SupernetTrainer(Supernet& supernet,
 
 double SupernetTrainer::step(const data::Batch& batch, const Arch& arch,
                              double lr) {
-  util::Timer timer;
+  const std::uint64_t t0 = obs::monotonic_ns();
   step_counter().add();
   supernet_.set_mode(nn::Mode::kTrain);
   optimizer_.set_lr(lr);
@@ -47,13 +47,14 @@ double SupernetTrainer::step(const data::Batch& batch, const Arch& arch,
       nn::cross_entropy(logits, batch.labels, config_.label_smoothing);
   supernet_.backward(res.grad);
   optimizer_.step();
-  step_histogram().record(timer.millis());
+  step_histogram().record(
+      static_cast<double>(obs::monotonic_ns() - t0) / 1e6);
   return res.loss;
 }
 
 double SupernetTrainer::step_fair(const data::Batch& batch, double lr,
                                   std::vector<Arch>* sampled) {
-  util::Timer timer;
+  const std::uint64_t t0 = obs::monotonic_ns();
   step_counter().add();
   HSCONAS_CHECK_MSG(!supernet_.is_standalone(),
                     "step_fair: standalone networks have a single path");
@@ -97,7 +98,8 @@ double SupernetTrainer::step_fair(const data::Batch& batch, double lr,
     loss_sum += res.loss;
   }
   optimizer_.step();
-  step_histogram().record(timer.millis());
+  step_histogram().record(
+      static_cast<double>(obs::monotonic_ns() - t0) / 1e6);
   return loss_sum / static_cast<double>(K);
 }
 
@@ -144,7 +146,7 @@ std::vector<EpochStats> SupernetTrainer::run(int epochs, double lr,
       const Arch arch = supernet_.is_standalone()
                             ? supernet_.fixed_arch()
                             : Arch::random(supernet_.space(), arch_rng_);
-      util::Timer step_timer;
+      const std::uint64_t step_t0 = obs::monotonic_ns();
       step_counter().add();
       supernet_.set_mode(nn::Mode::kTrain);
       optimizer_.set_lr(cur_lr);
@@ -154,7 +156,8 @@ std::vector<EpochStats> SupernetTrainer::run(int epochs, double lr,
           nn::cross_entropy(logits, batch.labels, config_.label_smoothing);
       supernet_.backward(res.grad);
       optimizer_.step();
-      step_histogram().record(step_timer.millis());
+      step_histogram().record(
+          static_cast<double>(obs::monotonic_ns() - step_t0) / 1e6);
 
       loss_sum += res.loss * static_cast<double>(batch.labels.size());
       correct += res.correct_top1;

@@ -22,7 +22,6 @@ Tensor ReLU::forward(const Tensor& x) {
   // the compiler cannot count the trips, leaves the loop scalar, and its
   // branch mispredicts on mixed-sign input.
   if (!keeps_backward_state()) {
-    mask_ = Tensor();
     for (long i = 0; i < count; ++i) {
       out[i] = tensor::epilogue_apply(tensor::EpilogueAct::kReLU, in[i]);
     }

@@ -11,6 +11,9 @@ class ReLU : public Module {
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   std::string name() const override { return "relu"; }
 
+ protected:
+  void release_backward_state() override { mask_ = tensor::Tensor(); }
+
  private:
   tensor::Tensor mask_;  // 1 where x > 0
 };
@@ -22,6 +25,9 @@ class HSwish : public Module {
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   std::string name() const override { return "hswish"; }
+
+ protected:
+  void release_backward_state() override { cached_input_ = tensor::Tensor(); }
 
  private:
   tensor::Tensor cached_input_;

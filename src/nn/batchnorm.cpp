@@ -84,9 +84,6 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
     cached_n_ = n;
     cached_h_ = h;
     cached_w_ = w;
-  } else {
-    cached_xhat_ = Tensor();
-    cached_inv_std_.clear();
   }
 
   // Statistics, then normalization, for one block of L channels; blocks

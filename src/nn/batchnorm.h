@@ -42,6 +42,12 @@ class BatchNorm2d : public Module {
   /// the search picks a subnet (standard one-shot NAS practice).
   void reset_running_stats();
 
+ protected:
+  void release_backward_state() override {
+    cached_xhat_ = tensor::Tensor();
+    cached_inv_std_.clear();
+  }
+
  private:
   long channels_;
   double momentum_, eps_;

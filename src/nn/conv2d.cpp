@@ -212,7 +212,6 @@ Tensor Conv2d::forward_fused(const Tensor& x, const float* scale,
   ep.scale = scale;
   ep.shift = shift;
   ep.act = act;
-  cached_input_ = Tensor();  // nothing to backpropagate through
   return forward_impl(x, &ep);
 }
 

@@ -31,8 +31,9 @@ class Conv2d : public Module {
   /// out_channels entries and must already fold the conv bias and any
   /// BatchNorm terms — this layer's own bias_ is intentionally ignored
   /// (see nn/fused_conv.h for the folding helper). Null scale means 1,
-  /// null shift means 0. Does not cache the input: backward() after a
-  /// fused forward is a contract violation.
+  /// null shift means 0. Keeps nothing for backward(): call it in an eval
+  /// mode, where set_mode() has released the layer's backward state, so
+  /// backward() after it fails its "before forward" check.
   tensor::Tensor forward_fused(const tensor::Tensor& x, const float* scale,
                                const float* shift, tensor::EpilogueAct act);
 
@@ -53,6 +54,9 @@ class Conv2d : public Module {
   /// Analytic multiply-accumulate count for one sample at the given input
   /// spatial size (used to cross-check the core library's FLOPs counters).
   long macs(long in_h, long in_w) const;
+
+ protected:
+  void release_backward_state() override { cached_input_ = tensor::Tensor(); }
 
  private:
   /// Shared forward body. `ep`, when non-null, spans all out_channels

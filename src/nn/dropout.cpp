@@ -11,10 +11,7 @@ Dropout::Dropout(double p, std::uint64_t seed) : p_(p), rng_(seed) {
 }
 
 Tensor Dropout::forward(const Tensor& x) {
-  if (mode() != Mode::kTrain || p_ == 0.0) {
-    mask_ = Tensor();  // identity: no mask to apply in backward
-    return x;
-  }
+  if (mode() != Mode::kTrain || p_ == 0.0) return x;  // identity
   mask_ = Tensor(x.shape());
   note_backward_state(mask_);
   const float scale = static_cast<float>(1.0 / (1.0 - p_));

@@ -21,6 +21,9 @@ class Dropout : public Module {
 
   double p() const { return p_; }
 
+ protected:
+  void release_backward_state() override { mask_ = tensor::Tensor(); }
+
  private:
   double p_;
   util::Rng rng_;

@@ -25,6 +25,9 @@ class Linear : public Module {
   /// the quantized eval forward once ready.
   QuantState* quant_state() override { return &quant_; }
 
+ protected:
+  void release_backward_state() override { cached_input_ = tensor::Tensor(); }
+
  private:
   /// Int8 eval body: W (int8, out×in) · Xᵀ (u8, in×N) with the bias and
   /// dequantization folded into the requant epilogue, transposed back to

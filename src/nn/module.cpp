@@ -11,7 +11,10 @@ namespace hsconas::nn {
 void Module::collect_params(std::vector<Parameter*>& out) { (void)out; }
 
 void set_mode(const ModuleVisitor& visit, Mode mode) {
-  visit([mode](Module& m) { m.mode_ = mode; });
+  visit([mode](Module& m) {
+    m.mode_ = mode;
+    if (mode != Mode::kTrain) m.release_backward_state();
+  });
 }
 
 void Module::set_mode(Mode mode) {
@@ -21,12 +24,9 @@ void Module::set_mode(Mode mode) {
 
 void Module::keep_for_backward(tensor::Tensor& slot,
                                const tensor::Tensor& value) {
-  if (keeps_backward_state()) {
-    slot = value;
-    note_backward_state(slot);
-  } else {
-    slot = tensor::Tensor();
-  }
+  if (!keeps_backward_state()) return;
+  slot = value;
+  note_backward_state(slot);
 }
 
 void note_backward_state(std::size_t bytes) {

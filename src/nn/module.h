@@ -40,8 +40,8 @@ struct Parameter {
 ///   kScore: the same arithmetic as kTrain — bit-identical outputs and
 ///           running-stat updates — but forward-only: nothing is kept for
 ///           backward(), and state left by an earlier kTrain forward is
-///           dropped. What scoring a search candidate on shared weights
-///           needs (Supernet::evaluate).
+///           dropped when the mode is set. What scoring a search candidate
+///           on shared weights needs (Supernet::evaluate).
 ///   kEval:  running-statistics BatchNorm, dropout off, forward-only like
 ///           kScore. Conv2d/Linear layers whose QuantState is ready
 ///           compute in int8, every other layer in fp32. Serving and int8
@@ -62,17 +62,21 @@ class Module;
 using ModuleVisitor =
     std::function<void(const std::function<void(Module&)>&)>;
 
-/// Put every module `visit` reaches into `mode`, in one traversal.
+/// Put every module `visit` reaches into `mode`, in one traversal. A
+/// module put in a non-train mode releases its backward state.
 void set_mode(const ModuleVisitor& visit, Mode mode);
 
 /// Base class for all layers and blocks.
 ///
 /// The autograd model is deliberately simple: in train mode, modules cache
 /// whatever they need during forward() and consume it in the next
-/// backward() call.
-/// A module instance therefore supports exactly one in-flight
+/// backward() call, so a module supports exactly one in-flight train
 /// forward/backward pair — which matches how one-shot NAS training uses it
-/// (one sampled path per step).
+/// (one sampled path per step). set_mode() releases that state when a
+/// module leaves train mode, and an eval forward writes no member, so any
+/// number of threads may run eval forwards through one module at once
+/// (serving lanes share one network this way) while nothing changes its
+/// mode, weights or quantization state.
 class Module {
  public:
   virtual ~Module() = default;
@@ -113,14 +117,19 @@ class Module {
   long param_count();
 
  protected:
-  /// True when forward() must keep state for backward(). Leaf modules
-  /// with backward state drop it whenever this is false, so backward()
-  /// after a score or eval forward fails its "before forward" check.
+  /// True when forward() must keep state for backward(). Outside train
+  /// mode a forward leaves the module untouched.
   bool keeps_backward_state() const { return mode_ == Mode::kTrain; }
 
   /// In train mode, copy `value` into `slot` for backward() (and count
-  /// it, see note_backward_state); otherwise empty `slot`.
+  /// it, see note_backward_state); otherwise do nothing.
   void keep_for_backward(tensor::Tensor& slot, const tensor::Tensor& value);
+
+  /// Drop everything forward() kept for backward(). nn::set_mode calls it
+  /// on each module it puts in a non-train mode, so backward() after a
+  /// score or eval forward fails its "before forward" check. Leaf modules
+  /// with backward state override it.
+  virtual void release_backward_state() {}
 
  private:
   friend void set_mode(const ModuleVisitor& visit, Mode mode);

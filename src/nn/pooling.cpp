@@ -74,11 +74,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
     throw InvalidArgument("GlobalAvgPool: expected NCHW, got " +
                           x.shape_str());
   }
-  if (keeps_backward_state()) {
-    cached_shape_ = x.shape();
-  } else {
-    cached_shape_.clear();
-  }
+  if (keeps_backward_state()) cached_shape_ = x.shape();
   const long n = x.dim(0), c = x.dim(1), spatial = x.dim(2) * x.dim(3);
   Tensor y({n, c});
   util::ThreadPool::global().parallel_for(
@@ -131,11 +127,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
     throw InvalidArgument("MaxPool2d: expected NCHW, got " + x.shape_str());
   }
   const bool keep = keeps_backward_state();
-  if (keep) {
-    cached_in_shape_ = x.shape();
-  } else {
-    cached_in_shape_.clear();
-  }
+  if (keep) cached_in_shape_ = x.shape();
   const long n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const long oh = (h + 2 * pad_ - kernel_) / stride_ + 1;
   const long ow = (w + 2 * pad_ - kernel_) / stride_ + 1;
@@ -146,8 +138,6 @@ Tensor MaxPool2d::forward(const Tensor& x) {
   if (keep) {
     argmax_.assign(static_cast<std::size_t>(n * c * oh * ow), -1);
     note_backward_state(argmax_.size() * sizeof(long));
-  } else {
-    argmax_.clear();
   }
 
   util::ThreadPool::global().parallel_for(

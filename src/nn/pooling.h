@@ -11,6 +11,9 @@ class GlobalAvgPool : public Module {
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   std::string name() const override { return "gap"; }
 
+ protected:
+  void release_backward_state() override { cached_shape_.clear(); }
+
  private:
   tensor::ShapeVec cached_shape_;
 };
@@ -24,6 +27,12 @@ class MaxPool2d : public Module {
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   std::string name() const override { return "maxpool"; }
+
+ protected:
+  void release_backward_state() override {
+    cached_in_shape_.clear();
+    argmax_.clear();
+  }
 
  private:
   long kernel_, stride_, pad_;

@@ -59,22 +59,12 @@ BatchServer::BatchServer(const core::SearchSpace& space,
   input_size_ = static_cast<std::size_t>(channels_ * height_ * width_);
   output_size_ = static_cast<std::size_t>(sc.num_classes);
 
-  nets_.reserve(config_.workers);
-  for (std::size_t i = 0; i < config_.workers; ++i) {
-    // Same seed for every replica: all lanes hold bit-identical weights,
-    // which is what makes "batched == sequential" hold across lanes too.
-    nets_.push_back(
-        std::make_unique<core::Supernet>(space, config_.seed, arch));
-    nets_.back()->set_mode(config_.fuse ? nn::Mode::kEvalFused
-                                        : nn::Mode::kEval);
-  }
+  net_ = std::make_unique<core::Supernet>(space, config_.seed, arch);
+  net_->set_mode(config_.fuse ? nn::Mode::kEvalFused : nn::Mode::kEval);
 
   if (config_.dtype == nn::InferenceDType::kI8) {
-    // Identical weights + identical synthetic batches => every replica
-    // freezes bit-identical quantizers, preserving the cross-lane
-    // determinism contract of the fp32 path. Calibration runs in the
-    // replica's own (fused or plain) eval mode, so the observers see the
-    // activations the served forward produces.
+    // Calibration runs in the network's own (fused or plain) eval mode,
+    // so the observers see the activations the served forward produces.
     if (config_.calibration_batches == 0) config_.calibration_batches = 1;
     util::Rng calib_rng(config_.seed ^ 0xCA11B);
     std::vector<tensor::Tensor> batches;
@@ -84,7 +74,7 @@ BatchServer::BatchServer(const core::SearchSpace& space,
       batches.push_back(tensor::Tensor::uniform(
           {n, channels_, height_, width_}, -1.0f, 1.0f, calib_rng));
     }
-    for (auto& net : nets_) net->calibrate_quant(batches);
+    net_->calibrate_quant(batches);
   }
 
   ring_.assign(config_.queue_capacity, nullptr);
@@ -98,7 +88,7 @@ BatchServer::BatchServer(const core::SearchSpace& space,
       << " dtype=" << nn::inference_dtype_name(config_.dtype);
 
   for (std::size_t i = 0; i < config_.workers; ++i) {
-    lanes_.submit([this, i] { lane(i); });
+    lanes_.submit([this] { lane(); });
   }
 }
 
@@ -180,12 +170,11 @@ Receipt BatchServer::infer(std::span<const float> input,
   return receipt;
 }
 
-void BatchServer::lane(std::size_t lane_id) {
+void BatchServer::lane() {
   // Lane-thread opt-in to the recycling tensor pool: every batch/
   // activation tensor constructed below is pooled, which is what makes
   // steady-state serving heap-allocation-free.
   tensor::ScopedTensorPool pool_scope;
-  core::Supernet& net = *nets_[lane_id];
 
   std::vector<Request*> claimed;
   claimed.reserve(config_.batch_max);
@@ -226,7 +215,7 @@ void BatchServer::lane(std::size_t lane_id) {
     }
     cv_space_.notify_all();
 
-    run_batch(net, claimed, batch_id);
+    run_batch(claimed, batch_id);
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -236,8 +225,7 @@ void BatchServer::lane(std::size_t lane_id) {
   }
 }
 
-void BatchServer::run_batch(core::Supernet& net,
-                            std::span<Request* const> batch,
+void BatchServer::run_batch(std::span<Request* const> batch,
                             std::uint64_t batch_id) {
   static obs::Counter& batches = obs::counter("hsconas.serve.batches");
   static obs::Histogram& occupancy =
@@ -255,7 +243,7 @@ void BatchServer::run_batch(core::Supernet& net,
     }
 
     const std::uint64_t t0 = obs::monotonic_ns();
-    const tensor::Tensor logits = net.forward(images);
+    const tensor::Tensor logits = net_->forward(images);
     forward_ms.record(static_cast<double>(obs::monotonic_ns() - t0) / 1e6);
 
     if (logits.numel() !=

@@ -27,21 +27,19 @@ struct ServerConfig {
   std::size_t batch_max = 8;
   /// ... or when the oldest queued request has waited this long.
   std::uint64_t deadline_us = 2000;
-  /// Concurrent worker lanes, each with its own network replica.
+  /// Concurrent worker lanes; all of them run the server's one network.
   std::size_t workers = 2;
   /// Bounded request queue; submitters block (backpressure) when full.
   std::size_t queue_capacity = 256;
   /// Run lane forwards with the fused conv/BN/activation inference path.
   bool fuse = true;
-  /// Weight-init seed; every lane replica uses the same seed, so all
-  /// lanes hold bit-identical weights.
+  /// Weight-init seed of the served network.
   std::uint64_t seed = 42;
-  /// Numeric type lane forwards compute in. kI8 calibrates every replica
-  /// at construction (synthetic batches, seed-derived, identical across
-  /// lanes) and serves through the int8 GEMM; kF32 is the bit-for-bit
-  /// status quo.
+  /// Numeric type lane forwards compute in. kI8 calibrates the network
+  /// once at construction (synthetic, seed-derived batches) and serves
+  /// through the int8 GEMM; kF32 is the bit-for-bit status quo.
   nn::InferenceDType dtype = nn::InferenceDType::kF32;
-  /// Calibration batches fed to each replica when dtype == kI8.
+  /// Calibration batches fed to the network when dtype == kI8.
   std::size_t calibration_batches = 2;
 };
 
@@ -60,8 +58,10 @@ struct Receipt {
 /// Batch-scheduled inference server over a standalone (fixed-arch)
 /// Supernet: requests from any number of client threads are collected
 /// into batches — flushed at `batch_max` occupancy or when the oldest
-/// request has waited `deadline_us` — and executed by `workers` lanes,
-/// each owning a private network replica so forwards run concurrently.
+/// request has waited `deadline_us` — and executed by `workers` lanes.
+/// The lanes share one network: its eval forward writes nothing into it
+/// (see nn::Module), so forwards run concurrently and every lane computes
+/// the same bits by construction.
 ///
 /// Memory discipline: each lane runs under a tensor::ScopedTensorPool, so
 /// after the first few batches every activation/batch tensor comes from
@@ -74,9 +74,9 @@ struct Receipt {
 /// forward_ms, batch_occupancy, queue_depth(+_peak).
 class BatchServer {
  public:
-  /// Builds `workers` standalone replicas of `arch` (same seed => same
-  /// weights), puts them in kEvalFused (config.fuse) or kEval mode,
-  /// calibrates them when config.dtype is kI8, and starts the lanes.
+  /// Builds one standalone network of `arch`, puts it in kEvalFused
+  /// (config.fuse) or kEval mode, calibrates it when config.dtype is kI8,
+  /// and starts the `workers` lanes.
   BatchServer(const core::SearchSpace& space, const core::Arch& arch,
               const ServerConfig& config);
   ~BatchServer();  ///< graceful: drains queued requests, then joins lanes
@@ -105,9 +105,8 @@ class BatchServer {
  private:
   struct Request;
 
-  void lane(std::size_t lane_id);
-  void run_batch(core::Supernet& net, std::span<Request* const> batch,
-                 std::uint64_t batch_id);
+  void lane();
+  void run_batch(std::span<Request* const> batch, std::uint64_t batch_id);
   Request* pop_front_locked();
 
   ServerConfig config_;
@@ -115,7 +114,8 @@ class BatchServer {
   std::size_t output_size_ = 0;
   long channels_ = 0, height_ = 0, width_ = 0;
 
-  std::vector<std::unique_ptr<core::Supernet>> nets_;
+  /// Frozen after construction; every lane forwards through it.
+  std::unique_ptr<core::Supernet> net_;
 
   std::mutex mutex_;
   std::condition_variable cv_work_;   ///< lanes: work available / stopping

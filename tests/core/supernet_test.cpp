@@ -212,5 +212,20 @@ TEST(Supernet, BackwardAfterEvaluateThrows) {
   EXPECT_THROW(net.backward(logits), InternalError);
 }
 
+TEST(Supernet, BackwardAfterStandaloneEvalForwardThrows) {
+  // An eval forward records no path and keeps no layer state, so the
+  // train forward before it cannot be backpropagated through afterwards.
+  const SearchSpace space(tiny_config());
+  Supernet net(space, 19, uniform_arch(space, 1, 5));
+  tensor::Tensor x({2, 3, 8, 8});
+  x.fill(0.3f);
+  const tensor::Tensor logits = net.forward(x);
+  net.backward(logits);
+  net.forward(x);
+  net.set_mode(nn::Mode::kEval);
+  net.forward(x);
+  EXPECT_THROW(net.backward(logits), InternalError);
+}
+
 }  // namespace
 }  // namespace hsconas::core

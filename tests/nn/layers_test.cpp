@@ -272,13 +272,17 @@ TEST(MaxPool2d, GradCheck) {
 // --------------------------------------------------------- Backward state --
 
 // Runs a train forward + backward (which must work), leaves a second train
-// forward's state behind, then forwards once in `mode`: that forward must
+// forward's state behind, then switches to `mode`: the switch alone must
 // drop the state, so backward() fails its "before forward" check rather
-// than read stale caches.
+// than read stale caches. A forward in `mode` must not bring it back.
 void expect_stale_state_dropped(Module& m, const Tensor& x, Mode mode) {
   m.set_mode(Mode::kTrain);
   const Tensor y = m.forward(x);
   m.backward(y);
+  m.forward(x);
+  m.set_mode(mode);
+  EXPECT_THROW(m.backward(y), InternalError) << m.name() << " after set_mode";
+  m.set_mode(Mode::kTrain);
   m.forward(x);
   m.set_mode(mode);
   m.forward(x);

@@ -1,7 +1,8 @@
 // Serving-layer contracts (ctest -L serving; the TSan CI stage re-runs
 // this label): dynamic-batching flush rules, FIFO scheduling, the
 // zero-allocation steady state, graceful shutdown, batched-vs-sequential
-// bit-identity, two differently configured servers side by side, and the
+// bit-identity, two differently configured servers side by side, one
+// calibration shared by every int8 lane, and the
 // ThreadPool::configure_global mid-flight rejection these lanes rely on.
 // Each TEST runs as its own ctest process
 // (gtest_discover_tests), so global-pool and metric state never leaks
@@ -279,7 +280,7 @@ TEST(BatchServer, BatchedMatchesSequentialBitExact) {
 
 // Two servers with different datapaths share one process: an int8 fused
 // server and an fp32 unfused one, alive together and fed by interleaved
-// clients. Each server's execution state lives in its own networks, so
+// clients. Each server's execution state lives in its own network, so
 // every answer must be bit-identical to that server running alone.
 TEST(BatchServer, Int8FusedAndF32UnfusedServersRunSideBySide) {
   const core::SearchSpace space = proxy_space();
@@ -342,6 +343,49 @@ TEST(BatchServer, Int8FusedAndF32UnfusedServersRunSideBySide) {
   for (std::size_t i = 0; i < kInputs; ++i) {
     EXPECT_EQ(int8_out[i], int8_alone[i]) << "int8 fused answer " << i;
     EXPECT_EQ(f32_out[i], f32_alone[i]) << "f32 unfused answer " << i;
+  }
+}
+
+// Every lane of an int8 server runs the one network the server calibrated
+// at construction: one calibration however many lanes there are, and
+// answers computed concurrently by four lanes equal a one-lane server's.
+TEST(BatchServer, Int8LanesShareOneCalibratedNetwork) {
+  const core::SearchSpace space = proxy_space();
+  const core::Arch arch = sample_arch(space);
+  serve::ServerConfig cfg;
+  cfg.workers = 4;
+  cfg.batch_max = 1;
+  cfg.seed = 99;
+  cfg.dtype = nn::InferenceDType::kI8;
+  obs::Counter& calibrations = obs::counter("hsconas.quant.calibrations");
+  const std::uint64_t before = calibrations.value();
+  serve::BatchServer server(space, arch, cfg);
+  EXPECT_EQ(calibrations.value(), before + 1);
+
+  constexpr std::size_t kInputs = 12;
+  constexpr std::size_t kClients = 4;
+  std::vector<std::vector<float>> inputs, outputs;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    inputs.push_back(sample_input(server.input_size(), 500 + i));
+    outputs.emplace_back(server.output_size());
+  }
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t i = c; i < kInputs; i += kClients) {
+        server.infer(inputs[i], outputs[i]);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  serve::ServerConfig one_lane = cfg;
+  one_lane.workers = 1;
+  serve::BatchServer reference(space, arch, one_lane);
+  std::vector<float> expected(reference.output_size());
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    reference.infer(inputs[i], expected);
+    EXPECT_EQ(outputs[i], expected) << "answer " << i;
   }
 }
 

@@ -10,19 +10,9 @@
 #include "util/error.h"
 #include "util/json.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace hsconas::util {
 namespace {
-
-TEST(Timer, MeasuresElapsedTime) {
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_GE(timer.millis(), 15.0);
-  EXPECT_LT(timer.seconds(), 5.0);
-  timer.reset();
-  EXPECT_LT(timer.millis(), 15.0);
-}
 
 TEST(Logging, LevelThresholdFilters) {
   const LogLevel saved = log_level();
@@ -43,18 +33,6 @@ TEST(Logging, StreamMacroBuildsMessage) {
   HSCONAS_LOG_INFO << "x = " << 42 << ", y = " << 1.5;
   set_log_level(saved);
   SUCCEED();
-}
-
-TEST(Timer, LapReturnsElapsedAndRestarts) {
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  const double lap1 = timer.reset_and_lap();
-  EXPECT_GE(lap1, 0.015);
-  // The lap restarted the clock: immediately after, almost nothing elapsed.
-  EXPECT_LT(timer.millis(), 15.0);
-  const double lap2_ms = timer.lap_millis();
-  EXPECT_GE(lap2_ms, 0.0);
-  EXPECT_LT(lap2_ms, 15.0);
 }
 
 TEST(Logging, ParseLogLevel) {

@@ -353,10 +353,11 @@ int cmd_serve(int argc, char** argv) {
   cli.add_option("seed", "42", "weight-init / sampling seed");
   cli.add_option("out", "", "write the hsconas.serving.v1 report JSON here");
   cli.add_option("dtype", "f32",
-                 "lane datapath: f32 | int8 (int8 calibrates every replica "
-                 "at startup and serves through the quantized GEMM)");
+                 "lane datapath: f32 | int8 (int8 calibrates the shared "
+                 "network once at startup and serves through the quantized "
+                 "GEMM)");
   cli.add_option("calib-batches", "2",
-                 "synthetic calibration batches per replica (int8 only)");
+                 "synthetic calibration batches (int8 only)");
   cli.add_flag("no-fuse", "disable the fused conv/BN/act inference path");
   if (!cli.parse(argc, argv)) return 0;
 
