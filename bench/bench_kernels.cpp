@@ -33,6 +33,7 @@
 #include "nn/blocks.h"
 #include "nn/conv2d.h"
 #include "nn/fused_conv.h"
+#include "nn/quantize.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
@@ -122,6 +123,47 @@ void BM_ConvForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvForward);
+
+// The served network's small convs (perfbench's fixed arch, docs/
+// PERFORMANCE.md) at the serving batch of 8, as eval-mode forwards in
+// each dtype; the int8 layer is calibrated on its own input. Registered
+// from main() as BM_ConvForward/<shape>/<dtype>, so the ledger prices the
+// fp32 -> int8 step per shape.
+struct ServedConv {
+  const char* name;
+  long in_ch, out_ch, kernel, pad, groups;
+};
+constexpr ServedConv kServedConvs[] = {
+    {"dw8_k3_16x16_b8", 8, 8, 3, 1, 8},
+    {"pw8_8_16x16_b8", 8, 8, 1, 0, 1},
+    {"stem3_16_k3_16x16_b8", 3, 16, 3, 1, 1},
+};
+
+void BM_ServedConvForward(benchmark::State& state, ServedConv shape,
+                          nn::InferenceDType dtype) {
+  util::Rng rng(2);
+  nn::Conv2d conv(shape.in_ch, shape.out_ch, shape.kernel, 1, shape.pad,
+                  shape.groups, true, rng);
+  const Tensor x = Tensor::uniform({8, shape.in_ch, 16, 16}, -1, 1, rng);
+  conv.set_mode(nn::Mode::kEval);
+  if (dtype == nn::InferenceDType::kI8) nn::calibrate(conv, {x});
+  for (auto _ : state) {
+    Tensor y = conv.forward(x);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+
+void register_served_convs() {
+  for (const ServedConv& shape : kServedConvs) {
+    for (nn::InferenceDType dtype :
+         {nn::InferenceDType::kF32, nn::InferenceDType::kI8}) {
+      const std::string name = std::string("BM_ConvForward/") + shape.name +
+                               "/" + nn::inference_dtype_name(dtype);
+      benchmark::RegisterBenchmark(name.c_str(), BM_ServedConvForward, shape,
+                                   dtype);
+    }
+  }
+}
 
 void BM_ConvBackward(benchmark::State& state) {
   util::Rng rng(3);
@@ -311,12 +353,23 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
       hsconas::util::Json rec = hsconas::util::Json::object();
       const std::string op =
           slash == std::string::npos ? name : name.substr(0, slash);
-      rec["op"] = op;
-      rec["shape"] = slash == std::string::npos ? "" : name.substr(slash + 1);
+      std::string shape =
+          slash == std::string::npos ? "" : name.substr(slash + 1);
       // Benchmarks of quantized kernels carry the dtype axis of their key
-      // (bench_compare matches on (op, shape, dtype); absent means f32).
-      rec["dtype"] = std::string(
-          op.find("Int8") != std::string::npos ? "int8" : "f32");
+      // (bench_compare matches on (op, shape, dtype); absent means f32):
+      // an "Int8" op, or a "/f32" / "/int8" suffix on the shape.
+      std::string dtype = op.find("Int8") != std::string::npos ? "int8" : "f32";
+      for (const std::string suffix : {"/f32", "/int8"}) {
+        if (shape.size() > suffix.size() &&
+            shape.compare(shape.size() - suffix.size(), suffix.size(),
+                          suffix) == 0) {
+          dtype = suffix.substr(1);
+          shape.resize(shape.size() - suffix.size());
+        }
+      }
+      rec["op"] = op;
+      rec["shape"] = shape;
+      rec["dtype"] = dtype;
       rec["ns_per_iter"] = run.GetAdjustedRealTime();  // ns: the unit set below
       const auto items = run.counters.find("items_per_second");
       rec["gflops"] =
@@ -365,6 +418,7 @@ int main(int argc, char** argv) {
     hsconas::util::ThreadPool::configure_global(
         static_cast<std::size_t>(threads));
   }
+  register_served_convs();
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {

@@ -7,6 +7,7 @@
 #include "nn/op_profile.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_i8.h"
+#include "tensor/quantize_i8.h"
 #include "tensor/workspace.h"
 #include "util/thread_pool.h"
 
@@ -128,32 +129,6 @@ void depthwise_plane(const float* img, long h, long w, const float* wk,
       for (long ox = ox_begin; ox < ox_end; ++ox) single(ox);
     }
     for (long ox = ox_end; ox < ow; ++ox) single(ox);
-  }
-}
-
-/// One int8 depthwise plane over a quantized input already padded on
-/// every side (row pitch `wp`): acc[oy, ox] = bias + the sum of
-/// w[ky, kx] * q[oy*stride + ky, ox*stride + kx] over the full k × k
-/// window. Integer sums do not depend on order, so each tap runs as one
-/// pass across the output row, which the compiler vectorizes.
-template <long kStride>
-void depthwise_plane_i8(const std::uint8_t* qpad, long wp,
-                        const std::int8_t* wk, long k, long stride,
-                        std::int32_t bias, std::int32_t* acc, long oh,
-                        long ow) {
-  if constexpr (kStride > 0) stride = kStride;
-  for (long oy = 0; oy < oh; ++oy) {
-    std::int32_t* arow = acc + oy * ow;
-    std::fill(arow, arow + ow, bias);
-    for (long ky = 0; ky < k; ++ky) {
-      for (long kx = 0; kx < k; ++kx) {
-        const std::int32_t wv = wk[ky * k + kx];
-        const std::uint8_t* src = qpad + (oy * stride + ky) * wp + kx;
-        for (long ox = 0; ox < ow; ++ox) {
-          arow[ox] += wv * static_cast<std::int32_t>(src[ox * stride]);
-        }
-      }
-    }
   }
 }
 
@@ -354,11 +329,10 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
   const long oh = geom.out_h(), ow = geom.out_w();
   Tensor y({n, out_channels_, oh, ow});
   const long col_rows = cin_g * kernel_ * kernel_;
-  const long ohw = oh * ow;
+  const long hw = h * w, ohw = oh * ow;
   auto& pool = util::ThreadPool::global();
 
   const tensor::QuantParams aq = quant_.input;
-  const std::int32_t za = aq.zero_point;
   const std::int8_t* qw = quant_.qweight.i8_data();
 
   // Compose the caller's per-channel affine with the dequantization:
@@ -366,7 +340,10 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
   // so  act(scale[c] * real_acc + shift[c])
   //   = act((scale[c] * s_a * s_w[c]) * (int_acc + acc_bias[c]) + shift[c])
   // with acc_bias[c] = -z_a * wsum[c] — exactly the QuantEpilogue form,
-  // applied in the int8 GEMM's C-writeback.
+  // applied by the requantizing writeback. Every input element is
+  // quantized exactly once; padding enters as z_a, the code of a real 0
+  // (the observer range always includes 0), so a padded tap adds w·z_a,
+  // which the full-row acc_bias cancels exactly.
   tensor::Workspace& ws = tensor::Workspace::tls();
   tensor::Scratch qscale = ws.take(static_cast<std::size_t>(out_channels_));
   tensor::ByteScratch qbias = ws.take_bytes(
@@ -379,74 +356,69 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
         (ep != nullptr && ep->scale != nullptr) ? ep->scale[c] : 1.0f;
     qscale[static_cast<std::size_t>(c)] =
         es * aq.scale * quant_.weight_scales[static_cast<std::size_t>(c)];
-    acc_bias[c] = -za * quant_.weight_row_sums[static_cast<std::size_t>(c)];
+    acc_bias[c] = -aq.zero_point *
+                  quant_.weight_row_sums[static_cast<std::size_t>(c)];
+  }
+  tensor::QuantEpilogue qep;
+  qep.scale = qscale.data();
+  qep.shift = ep != nullptr ? ep->shift : nullptr;
+  qep.acc_bias = acc_bias;
+  qep.act = ep != nullptr ? ep->act : tensor::EpilogueAct::kNone;
+
+  // Every path but the direct 1×1 one starts from the u8 codes of the
+  // whole batch, quantized once.
+  const bool depthwise = cin_g == 1 && cout_g == 1;
+  const bool pointwise =
+      !depthwise && kernel_ == 1 && stride_ == 1 && pad_ == 0;
+  const auto za = static_cast<std::uint8_t>(aq.zero_point);
+  tensor::ByteScratch codes;
+  if (!pointwise) {
+    const long chw = in_channels_ * hw;
+    codes = ws.take_bytes(static_cast<std::size_t>(n * chw));
+    pool.parallel_for(static_cast<std::size_t>(n),
+                      static_cast<std::size_t>(chw), [&](std::size_t si) {
+      const long s = static_cast<long>(si);
+      tensor::quantize_u8(x.data() + s * chw, static_cast<std::size_t>(chw),
+                          aq, codes.u8() + s * chw);
+    });
   }
 
-  if (cin_g == 1 && cout_g == 1) {
-    // Depthwise: quantize each input plane once, into a buffer whose pad
-    // border holds z_a (the code of a real 0; the observer range always
-    // includes 0), and accumulate in int32 over the full k×k window. A
-    // padded tap adds w·z_a, which the full-row acc_bias (−z_a·Σw)
-    // cancels exactly: every output gets the same int32 as summing only
-    // its in-image taps and correcting by their weight sum, with no
-    // border case.
+  if (depthwise) {
+    // Depthwise: per channel, accumulate the full k×k windows of that
+    // channel of every sample in one int32 pass, then requantize each
+    // sample's plane as one writeback row (row c of the epilogue).
     const long k = kernel_;
-    const long hp = h + 2 * pad_, wp = w + 2 * pad_;
-    pool.parallel_for(static_cast<std::size_t>(n * out_channels_),
-                      static_cast<std::size_t>(ohw * k * k),
-                      [&](std::size_t t) {
-      const long s = static_cast<long>(t) / out_channels_;
-      const long c = static_cast<long>(t) % out_channels_;
-      tensor::Workspace& local = tensor::Workspace::tls();
-      tensor::ByteScratch qplane =
-          local.take_bytes(static_cast<std::size_t>(hp * wp));
-      tensor::ByteScratch accs = local.take_bytes(
-          static_cast<std::size_t>(ohw) * sizeof(std::int32_t));
-      std::uint8_t* qpad = qplane.u8();
-      std::fill(qpad, qpad + hp * wp, static_cast<std::uint8_t>(za));
-      const float* img = x.data() + ((s * in_channels_ + c) * h * w);
-      for (long iy = 0; iy < h; ++iy) {
-        quantize_u8(img + iy * w, static_cast<std::size_t>(w), aq,
-                    qpad + (iy + pad_) * wp + pad_);
-      }
+    pool.parallel_for(static_cast<std::size_t>(out_channels_),
+                      static_cast<std::size_t>(n * ohw * k * k),
+                      [&](std::size_t ci) {
+      const long c = static_cast<long>(ci);
+      tensor::ByteScratch accs = tensor::Workspace::tls().take_bytes(
+          static_cast<std::size_t>(n * ohw) * sizeof(std::int32_t));
       // int32 view of 64B-aligned pooled scratch, not wire decoding.
       // hsconas-lint-allow(serial-pointer-cast)
       std::int32_t* acc = reinterpret_cast<std::int32_t*>(accs.u8());
-      const std::int8_t* wk = qw + c * k * k;
-      if (stride_ == 1) {
-        depthwise_plane_i8<1>(qpad, wp, wk, k, stride_, acc_bias[c], acc,
-                              oh, ow);
-      } else if (stride_ == 2) {
-        depthwise_plane_i8<2>(qpad, wp, wk, k, stride_, acc_bias[c], acc,
-                              oh, ow);
-      } else {
-        depthwise_plane_i8<0>(qpad, wp, wk, k, stride_, acc_bias[c], acc,
-                              oh, ow);
-      }
-      float* out = y.data() + ((s * out_channels_ + c) * ohw);
-      const float qs = qscale[static_cast<std::size_t>(c)];
-      const float et = (ep != nullptr && ep->shift != nullptr)
-                           ? ep->shift[c] : 0.0f;
-      const tensor::EpilogueAct act =
-          ep != nullptr ? ep->act : tensor::EpilogueAct::kNone;
-      for (long i = 0; i < ohw; ++i) {
-        // hsconas-lint-allow(quant-dtype-discipline): sanctioned
-        // int32→float dequantization site (depthwise writeback).
-        const float deq = static_cast<float>(acc[i]);
-        out[i] = tensor::epilogue_apply(
-            act, tensor::epilogue_affine(qs, deq, et));
+      tensor::depthwise_i8(codes.u8() + c * hw,
+                           static_cast<std::size_t>(in_channels_ * hw), n,
+                           geom, za, qw + c * k * k, acc);
+      const auto row = static_cast<std::size_t>(ohw);
+      for (long s = 0; s < n; ++s) {
+        tensor::requant_rows(qep, ci, 1, row, acc + s * ohw, row,
+                             y.data() + (s * out_channels_ + c) * ohw, row);
       }
     });
     return y;
   }
 
-  // Grouped path: same sample-batched im2col as fp32, but the scattered
-  // column matrix is quantized to u8 per sample (each sample's stripe is
-  // quantized independently, which keeps batched == sequential results
-  // bit-identical), then one int8 GEMM per group dequantizes in its
-  // writeback epilogue.
+  // Grouped path: one int8 GEMM per group over a u8 column matrix that
+  // concatenates every sample's panel (sample s owns columns
+  // [s*ohw, (s+1)*ohw)), dequantizing in its writeback. A 1×1 stride-1
+  // unpadded conv's panel is its input planes, quantized straight into
+  // the column matrix; any other geometry gathers u8 windows from the
+  // batch's codes. Each code depends only on its input element, so
+  // batched == sequential bit-identically.
+  const auto cols_ld = static_cast<std::size_t>(n * ohw);
   tensor::ByteScratch qcols =
-      ws.take_bytes(static_cast<std::size_t>(col_rows * n * ohw));
+      ws.take_bytes(static_cast<std::size_t>(col_rows) * cols_ld);
   tensor::Scratch out_panel =
       ws.take(static_cast<std::size_t>(cout_g * n * ohw));
 
@@ -454,30 +426,26 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
     pool.parallel_for(static_cast<std::size_t>(n),
                       static_cast<std::size_t>(col_rows * ohw),
                       [&](std::size_t si) {
-      const long s = static_cast<long>(si);
-      tensor::Scratch panel = tensor::Workspace::tls().take(
-          static_cast<std::size_t>(col_rows * ohw));
-      const float* img = x.data() + ((s * in_channels_ + g * cin_g) * h * w);
-      tensor::im2col(img, geom, panel.data());
-      // im2col zero-padding quantizes to exactly z_a (the observer range
-      // always includes 0), so padded taps contribute 0 after the
-      // acc_bias correction — the full-row wsum stays valid.
-      for (long r = 0; r < col_rows; ++r) {
-        quantize_u8(panel.data() + r * ohw, static_cast<std::size_t>(ohw),
-                    aq, qcols.u8() + r * n * ohw + s * ohw);
+      const long first = static_cast<long>(si) * in_channels_ + g * cin_g;
+      std::uint8_t* dst = qcols.u8() + static_cast<long>(si) * ohw;
+      if (!pointwise) {
+        tensor::im2col_u8(codes.u8() + first * hw, geom, za, dst, cols_ld);
+        return;
+      }
+      for (long r = 0; r < cin_g; ++r) {
+        tensor::quantize_u8(x.data() + (first + r) * hw,
+                            static_cast<std::size_t>(hw), aq,
+                            dst + r * static_cast<long>(cols_ld));
       }
     });
-    const std::int8_t* wgt = qw + g * cout_g * col_rows;
-    tensor::QuantEpilogue qep;
-    qep.scale = qscale.data() + g * cout_g;
-    qep.shift = (ep != nullptr && ep->shift != nullptr)
-                    ? ep->shift + g * cout_g : nullptr;
-    qep.acc_bias = acc_bias + g * cout_g;
-    qep.act = ep != nullptr ? ep->act : tensor::EpilogueAct::kNone;
-    tensor::gemm_i8_requant(static_cast<std::size_t>(cout_g),
-                            static_cast<std::size_t>(n * ohw),
-                            static_cast<std::size_t>(col_rows), wgt,
-                            qcols.u8(), out_panel.data(), qep);
+    tensor::QuantEpilogue gep = qep;
+    gep.scale += g * cout_g;
+    if (gep.shift != nullptr) gep.shift += g * cout_g;
+    gep.acc_bias += g * cout_g;
+    tensor::gemm_i8_requant(static_cast<std::size_t>(cout_g), cols_ld,
+                            static_cast<std::size_t>(col_rows),
+                            qw + g * cout_g * col_rows, qcols.u8(),
+                            out_panel.data(), gep);
     pool.parallel_for(static_cast<std::size_t>(cout_g),
                       static_cast<std::size_t>(n * ohw),
                       [&](std::size_t ci) {

@@ -5,6 +5,7 @@
 #include "nn/op_profile.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_i8.h"
+#include "tensor/quantize_i8.h"
 #include "tensor/workspace.h"
 
 namespace hsconas::nn {
@@ -88,16 +89,18 @@ Tensor Linear::forward_quant(const Tensor& x) {
   const long n = x.dim(0);
   // The int8 GEMM wants the signed operand as A rows, so compute
   // C = W_q (out×in) · X_qᵀ (in×N) and transpose the (out, N) result
-  // back to (N, out). Each input element is quantized independently and
-  // integer accumulation is exact, so batched == sequential bit-exactly.
+  // back to (N, out). The batch is quantized in one pass and its codes
+  // transposed; each element is quantized independently and integer
+  // accumulation is exact, so batched == sequential bit-exactly.
   tensor::Workspace& ws = tensor::Workspace::tls();
   const tensor::QuantParams aq = quant_.input;
-  tensor::ByteScratch qx =
-      ws.take_bytes(static_cast<std::size_t>(in_features_ * n));
+  const auto numel = static_cast<std::size_t>(n * in_features_);
+  tensor::ByteScratch qrows = ws.take_bytes(numel);
+  tensor::quantize_u8(x.data(), numel, aq, qrows.u8());
+  tensor::ByteScratch qx = ws.take_bytes(numel);
   for (long s = 0; s < n; ++s) {
     for (long t = 0; t < in_features_; ++t) {
-      quantize_u8(x.data() + s * in_features_ + t, 1, aq,
-                  qx.u8() + t * n + s);
+      qx.u8()[t * n + s] = qrows.u8()[s * in_features_ + t];
     }
   }
   tensor::Scratch qscale = ws.take(static_cast<std::size_t>(out_features_));

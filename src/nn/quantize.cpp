@@ -141,17 +141,6 @@ void QuantState::reset() {
   ready = false;
 }
 
-void quantize_u8(const float* x, std::size_t n, tensor::QuantParams p,
-                 std::uint8_t* out) {
-  const float inv = 1.0f / p.scale;
-  const float z = static_cast<float>(p.zero_point);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = std::nearbyintf(x[i] * inv) + z;
-    out[i] = static_cast<std::uint8_t>(
-        std::clamp(v, 0.0f, 255.0f));
-  }
-}
-
 float dequantize_u8(std::uint8_t q, tensor::QuantParams p) {
   return p.scale *
          static_cast<float>(static_cast<std::int32_t>(q) - p.zero_point);

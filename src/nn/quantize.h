@@ -88,12 +88,9 @@ struct QuantState {
   void reset();
 };
 
-/// Quantize n floats with the asymmetric u8 quantizer:
-/// out[i] = clamp(round(x[i] / p.scale) + p.zero_point, 0, 255).
-void quantize_u8(const float* x, std::size_t n, tensor::QuantParams p,
-                 std::uint8_t* out);
-
-/// Inverse map for one code (tests, diagnostics).
+/// Inverse map for one code (tests, diagnostics). The forward's own
+/// crossings — tensor::quantize_u8 and the requantizing writeback — live
+/// with the int8 kernels in tensor/quantize_i8.h.
 float dequantize_u8(std::uint8_t q, tensor::QuantParams p);
 
 /// Post-training calibration driver: resets every layer's QuantState,

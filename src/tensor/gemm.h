@@ -33,7 +33,10 @@ inline float epilogue_apply(EpilogueAct act, float v) {
 /// one FMA; module code (batchnorm, activation) built with baseline flags
 /// rounds the multiply and the add separately. The barrier pins the
 /// two-rounding form everywhere so fused-vs-composed parity is exact, and
-/// costs nothing measurable on a memory-bound writeback.
+/// costs nothing measurable on a memory-bound writeback. The int8
+/// writeback (tensor/quantize_i8.cpp) rounds the same two steps without
+/// the barrier, which would keep its rows from vectorizing: its TU is
+/// built with -ffp-contract=off instead.
 inline float epilogue_affine(float scale, float v, float shift) {
   float scaled = scale * v;
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))

@@ -66,20 +66,6 @@ void count_entry(obs::Counter& calls, std::size_t m, std::size_t n,
   macs.add(static_cast<std::uint64_t>(m) * n * k);
 }
 
-/// The sanctioned int32 → float conversion site of the requantize path
-/// (quant-dtype-discipline lint rule): every instruction upstream stays in
-/// integer arithmetic; dequantization happens exactly here, with the same
-/// epilogue_affine / epilogue_apply scalar math as the fp32 epilogue.
-inline float requant_value(const QuantEpilogue& ep, std::size_t row,
-                           std::int32_t raw) {
-  const std::int32_t adj =
-      raw + (ep.acc_bias != nullptr ? ep.acc_bias[row] : 0);
-  const float s = ep.scale != nullptr ? ep.scale[row] : 1.0f;
-  const float t = ep.shift != nullptr ? ep.shift[row] : 0.0f;
-  // hsconas-lint-allow(quant-dtype-discipline)
-  return epilogue_apply(ep.act, epilogue_affine(s, static_cast<float>(adj), t));
-}
-
 struct GemmI8Args {
   std::size_t m, n, k;
   const std::int8_t* a;   // m×k, lda == k
@@ -188,18 +174,14 @@ void micro_kernel(std::size_t kq, const std::int8_t* HSCONAS_RESTRICT ap,
 #endif
 
 /// Write the finished mr×nr accumulator tile at C rows [i0+ip, ...) and
-/// columns [jc+jp, ...): raw int32 store, or the fused requantize
-/// writeback. Each element is written exactly once.
+/// columns [jc+jp, ...): raw int32 store, or the requantizing writeback.
+/// Each element is written exactly once.
 void write_tile(const GemmI8Args& g, std::size_t row0, std::size_t col0,
                 std::size_t mr, std::size_t nr,
                 const std::int32_t* HSCONAS_RESTRICT acc) {
   if (g.ep != nullptr) {
-    for (std::size_t i = 0; i < mr; ++i) {
-      float* HSCONAS_RESTRICT crow = g.cf + (row0 + i) * g.n + col0;
-      for (std::size_t j = 0; j < nr; ++j) {
-        crow[j] = requant_value(*g.ep, row0 + i, acc[i * kNR + j]);
-      }
-    }
+    requant_rows(*g.ep, row0, mr, nr, acc, kNR, g.cf + row0 * g.n + col0,
+                 g.n);
     return;
   }
   for (std::size_t i = 0; i < mr; ++i) {
@@ -231,21 +213,25 @@ void run_m_chunk(const GemmI8Args& g, std::size_t i0, std::size_t jc,
   }
 }
 
-/// Unpacked fallback for problems too small to amortize panel copies.
+/// Unpacked fallback for problems too small to amortize panel copies (and
+/// for k == 0, where every accumulator is 0 and the epilogue still
+/// applies). Accumulates up to kNR columns of a row at a time and writes
+/// them through the same tile writeback as the blocked path.
 void gemm_i8_small(const GemmI8Args& g) {
+  std::int32_t acc[kNR];
   for (std::size_t i = 0; i < g.m; ++i) {
     const std::int8_t* HSCONAS_RESTRICT arow = g.a + i * g.k;
-    for (std::size_t j = 0; j < g.n; ++j) {
-      std::int32_t acc = 0;
-      for (std::size_t p = 0; p < g.k; ++p) {
-        acc += static_cast<std::int32_t>(arow[p]) *
-               static_cast<std::int32_t>(g.b[p * g.n + j]);
+    for (std::size_t j0 = 0; j0 < g.n; j0 += kNR) {
+      const std::size_t nr = std::min(kNR, g.n - j0);
+      for (std::size_t j = 0; j < nr; ++j) {
+        std::int32_t sum = 0;
+        for (std::size_t p = 0; p < g.k; ++p) {
+          sum += static_cast<std::int32_t>(arow[p]) *
+                 static_cast<std::int32_t>(g.b[p * g.n + j0 + j]);
+        }
+        acc[j] = sum;
       }
-      if (g.ep != nullptr) {
-        g.cf[i * g.n + j] = requant_value(*g.ep, i, acc);
-      } else {
-        g.ci[i * g.n + j] = acc;
-      }
+      write_tile(g, i, j0, 1, nr, acc);
     }
   }
 }
@@ -286,22 +272,8 @@ void gemm_i8_dispatch(const GemmI8Args& g) {
     throw InvalidArgument("gemm_i8: k exceeds the int32 accumulator bound");
   }
   if (g.m == 0 || g.n == 0) return;
-  if (g.k == 0) {
-    // Zero product; the requantize epilogue still applies (C = act(shift)
-    // after the zero-point correction), mirroring the fp32 dispatch.
-    for (std::size_t i = 0; i < g.m; ++i) {
-      for (std::size_t j = 0; j < g.n; ++j) {
-        if (g.ep != nullptr) {
-          g.cf[i * g.n + j] = requant_value(*g.ep, i, 0);
-        } else {
-          g.ci[i * g.n + j] = 0;
-        }
-      }
-    }
-    return;
-  }
   const std::size_t flops = 2 * g.m * g.n * g.k;
-  if (flops < kPackThresholdFlops || g.m < kMR / 2) {
+  if (flops < kPackThresholdFlops || g.m < kMR / 2) {  // includes k == 0
     gemm_i8_small(g);
     return;
   }

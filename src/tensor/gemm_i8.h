@@ -3,28 +3,9 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "tensor/gemm.h"
+#include "tensor/quantize_i8.h"
 
 namespace hsconas::tensor {
-
-/// Requantization epilogue for the int8 GEMM writeback. Applied per output
-/// row i (the out-channel axis for a lowered conv) once the int32
-/// accumulation for a tile is complete:
-///
-///   C[i, j] = act(scale[i] * float(acc[i, j] + acc_bias[i]) + shift[i])
-///
-/// This is the same writeback slot as the fp32 GemmEpilogue — scale/shift
-/// carry the combined dequantization affine (s_act * s_weight[i], times any
-/// folded BatchNorm scale) plus bias/BN shift, and acc_bias carries the
-/// integer zero-point correction (-z_act * Σ_k qweight[i][k]), so
-/// dequantize + bias + BN + activation is one register-hot pass over C.
-/// Null scale means 1, null shift / acc_bias mean 0.
-struct QuantEpilogue {
-  const float* scale = nullptr;            ///< length m, or null for 1
-  const float* shift = nullptr;            ///< length m, or null for 0
-  const std::int32_t* acc_bias = nullptr;  ///< length m, or null for 0
-  EpilogueAct act = EpilogueAct::kNone;
-};
 
 /// Largest supported reduction depth. |q_w * q_act| <= 127 * 255, so any
 /// k below this bound cannot overflow the int32 accumulators; both entry
@@ -42,8 +23,8 @@ void gemm_i8(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
              const std::uint8_t* b, std::int32_t* c);
 
 /// C (m×n, float) = ep(A (m×k, int8) · B (k×n, uint8)): the int32 product
-/// with the requantize epilogue applied during the C-writeback while the
-/// accumulator tile is still in registers — one memory pass for matmul +
+/// with the requantize epilogue (requant_rows) applied to each finished
+/// accumulator tile as it is written back — one memory pass for matmul +
 /// dequantize + bias/BN + activation. The integer accumulation is exact,
 /// so this too is bit-deterministic at any thread count.
 void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,

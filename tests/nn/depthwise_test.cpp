@@ -20,6 +20,7 @@
 #include "nn/conv2d.h"
 #include "nn/quantize.h"
 #include "tensor/gemm.h"
+#include "tensor/quantize_i8.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -173,8 +174,8 @@ Tensor depthwise_i8_reference(const Tensor& x, Conv2d& conv, long stride,
   std::vector<std::uint8_t> plane(static_cast<std::size_t>(h * w));
   for (long s = 0; s < n; ++s) {
     for (long c = 0; c < ch; ++c) {
-      quantize_u8(x.data() + (s * ch + c) * h * w, plane.size(), q.input,
-                  plane.data());
+      tensor::quantize_u8(x.data() + (s * ch + c) * h * w, plane.size(),
+                          q.input, plane.data());
       const std::int8_t* wk = q.qweight.i8_data() + c * k * k;
       const float qs = 1.0f * q.input.scale *
                        q.weight_scales[static_cast<std::size_t>(c)];

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/activation.h"
@@ -20,6 +22,7 @@
 #include "nn/conv2d.h"
 #include "nn/fused_conv.h"
 #include "nn/linear.h"
+#include "tensor/quantize_i8.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -69,7 +72,7 @@ TEST(Quantize, RoundTripWithinHalfScale) {
   const QuantParams p = obs.params();
   ASSERT_GT(p.scale, 0.0f);
   std::vector<std::uint8_t> q(x.size());
-  quantize_u8(x.data(), x.size(), p, q.data());
+  tensor::quantize_u8(x.data(), x.size(), p, q.data());
   for (std::size_t i = 0; i < x.size(); ++i) {
     // In-range values round-trip within half a quantization step.
     EXPECT_NEAR(x[i], dequantize_u8(q[i], p), 0.5f * p.scale + 1e-6f);
@@ -86,7 +89,7 @@ TEST(Quantize, ObserverRangeAlwaysIncludesZero) {
   EXPECT_EQ(0, p.zero_point);
   std::uint8_t q = 255;
   const float zero = 0.0f;
-  quantize_u8(&zero, 1, p, &q);
+  tensor::quantize_u8(&zero, 1, p, &q);
   EXPECT_EQ(0.0f, dequantize_u8(q, p));
 }
 
@@ -104,9 +107,9 @@ TEST(Quantize, SaturatesAtU8Extremes) {
   QuantParams p{0.1f, 128};
   const float lo = -1e6f, hi = 1e6f;
   std::uint8_t q = 7;
-  quantize_u8(&lo, 1, p, &q);
+  tensor::quantize_u8(&lo, 1, p, &q);
   EXPECT_EQ(0, q);
-  quantize_u8(&hi, 1, p, &q);
+  tensor::quantize_u8(&hi, 1, p, &q);
   EXPECT_EQ(255, q);
 }
 
@@ -392,6 +395,163 @@ TEST(QuantizedConv, BitIdenticalAcrossThreadCounts) {
                              static_cast<std::size_t>(y1.numel()) *
                                  sizeof(float)))
         << "thread count " << threads << " changed the quantized result";
+  }
+}
+
+/// The u8 code of one input element, straight from the quantizer formula.
+std::int32_t code_reference(float x, QuantParams p) {
+  const float v = std::nearbyintf(x * (1.0f / p.scale)) +
+                  static_cast<float>(p.zero_point);
+  return static_cast<std::int32_t>(std::clamp(v, 0.0f, 255.0f));
+}
+
+/// Naive integer reference of a calibrated int8 Conv2d: quantize each tap
+/// from the formula (padding is the code of a real 0, z_a), accumulate the
+/// window in int32, correct by z_a times the channel's weight sum, and
+/// dequantize with the layer's composed affine
+///   act((scale[c] * s_a * s_w[c]) * acc + shift[c]).
+Tensor int8_conv_reference(Conv2d& conv, const Tensor& x, const float* scale,
+                           const float* shift, tensor::EpilogueAct act) {
+  const QuantState& q = *conv.quant_state();
+  const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const long k = conv.kernel(), stride = conv.stride(), pad = conv.pad();
+  const long cin_g = conv.in_channels() / conv.groups();
+  const long cout_g = conv.out_channels() / conv.groups();
+  const long oh = (h + 2 * pad - k) / stride + 1;
+  const long ow = (w + 2 * pad - k) / stride + 1;
+  const std::int32_t za = q.input.zero_point;
+  Tensor y({n, conv.out_channels(), oh, ow});
+  for (long c = 0; c < conv.out_channels(); ++c) {
+    const std::int8_t* wc = q.qweight.i8_data() + c * cin_g * k * k;
+    std::int32_t wsum = 0;
+    for (long t = 0; t < cin_g * k * k; ++t) wsum += wc[t];
+    const float es = scale != nullptr ? scale[c] : 1.0f;
+    const float qs =
+        es * q.input.scale * q.weight_scales[static_cast<std::size_t>(c)];
+    const float t = shift != nullptr ? shift[c] : 0.0f;
+    const long first_in = c / cout_g * cin_g;
+    for (long s = 0; s < n; ++s) {
+      for (long oy = 0; oy < oh; ++oy) {
+        for (long ox = 0; ox < ow; ++ox) {
+          std::int32_t acc = 0;
+          for (long ci = 0; ci < cin_g; ++ci) {
+            for (long ky = 0; ky < k; ++ky) {
+              for (long kx = 0; kx < k; ++kx) {
+                const long iy = oy * stride - pad + ky;
+                const long ix = ox * stride - pad + kx;
+                const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+                const std::int32_t code =
+                    inside ? code_reference(x.at(s, first_in + ci, iy, ix),
+                                            q.input)
+                           : za;
+                acc += wc[(ci * k + ky) * k + kx] * code;
+              }
+            }
+          }
+          y.at(s, c, oy, ox) = tensor::epilogue_apply(
+              act, tensor::epilogue_affine(
+                       qs, static_cast<float>(acc - za * wsum), t));
+        }
+      }
+    }
+  }
+  return y;
+}
+
+/// Index of the first element whose bits differ, or -1.
+long first_bit_difference(const Tensor& a, const Tensor& b) {
+  EXPECT_EQ(a.shape(), b.shape());
+  for (long i = 0; i < a.numel(); ++i) {
+    if (std::memcmp(a.data() + i, b.data() + i, sizeof(float)) != 0) return i;
+  }
+  return -1;
+}
+
+TEST(QuantizedConv, BitExactAgainstIntegerReference) {
+  // Every int8 conv path (depthwise planes, the direct 1×1 pointwise
+  // quantize, the z_a-padded u8 window gather) against the naive integer
+  // reference, in kEval (bias epilogue) and kEvalFused (a folded per-channel
+  // affine plus activation). Spatial sizes leave partial vector tails in
+  // every row, plane and column block.
+  constexpr long kChannels = 4;
+  int seed = 70;
+  for (const long k : {1L, 3L, 7L}) {
+    for (const long stride : {1L, 2L}) {
+      for (const long groups : {1L, 2L, kChannels}) {
+        const long out_ch = groups == kChannels ? kChannels : 6;
+        const long pad = k / 2;
+        util::Rng rng(static_cast<std::uint64_t>(seed++));
+        Conv2d conv(kChannels, out_ch, k, stride, pad, groups, true, rng);
+        for (long c = 0; c < out_ch; ++c) {
+          conv.bias()->value.at(c) = static_cast<float>(rng.uniform(-0.5, 0.5));
+        }
+        conv.set_mode(Mode::kEval);
+        ASSERT_EQ(1u, calibrate(conv, {Tensor::uniform({2, kChannels, 11, 13},
+                                                       -1.5f, 2.0f, rng)}));
+        std::vector<float> scale(static_cast<std::size_t>(out_ch));
+        std::vector<float> shift(static_cast<std::size_t>(out_ch));
+        for (std::size_t c = 0; c < scale.size(); ++c) {
+          scale[c] = static_cast<float>(rng.uniform(0.5, 1.5));
+          shift[c] = static_cast<float>(rng.uniform(-0.5, 0.5));
+        }
+        for (const long batch : {1L, 3L, 8L}) {
+          // Inputs beyond the calibrated range exercise the 0/255 clamps.
+          const Tensor x =
+              Tensor::uniform({batch, kChannels, 11, 13}, -2.0f, 2.5f, rng);
+          const std::string where = "k=" + std::to_string(k) +
+                                    " stride=" + std::to_string(stride) +
+                                    " groups=" + std::to_string(groups) +
+                                    " batch=" + std::to_string(batch);
+          conv.set_mode(Mode::kEval);
+          const long plain = first_bit_difference(
+              int8_conv_reference(conv, x, nullptr, conv.bias()->value.data(),
+                                  tensor::EpilogueAct::kNone),
+              conv.forward(x));
+          EXPECT_EQ(-1, plain) << "kEval " << where;
+          conv.set_mode(Mode::kEvalFused);
+          for (const tensor::EpilogueAct act :
+               {tensor::EpilogueAct::kReLU, tensor::EpilogueAct::kHSwish}) {
+            const long fused = first_bit_difference(
+                int8_conv_reference(conv, x, scale.data(), shift.data(), act),
+                conv.forward_fused(x, scale.data(), shift.data(), act));
+            EXPECT_EQ(-1, fused) << "kEvalFused act=" << static_cast<int>(act)
+                                 << " " << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantizedLinear, BitExactAgainstIntegerReference) {
+  util::Rng rng(80);
+  const long in = 37, out = 11;  // 37: a reduction with a partial quad
+  Linear lin(in, out, rng);
+  for (long o = 0; o < out; ++o) {
+    lin.bias().value.at(o) = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+  lin.set_mode(Mode::kEval);
+  ASSERT_EQ(1u, calibrate(lin, {Tensor::uniform({4, in}, -1.0f, 1.5f, rng)}));
+  const QuantState& q = *lin.quant_state();
+  const std::int32_t za = q.input.zero_point;
+  for (const long batch : {1L, 3L, 8L}) {
+    const Tensor x = Tensor::uniform({batch, in}, -1.5f, 2.0f, rng);
+    Tensor want({batch, out});
+    for (long o = 0; o < out; ++o) {
+      const std::int8_t* wo = q.qweight.i8_data() + o * in;
+      const float qs =
+          q.input.scale * q.weight_scales[static_cast<std::size_t>(o)];
+      for (long s = 0; s < batch; ++s) {
+        std::int32_t acc = 0;
+        for (long t = 0; t < in; ++t) {
+          acc += wo[t] * (code_reference(x.at(s, t), q.input) - za);
+        }
+        want.at(s, o) = tensor::epilogue_affine(qs, static_cast<float>(acc),
+                                                lin.bias().value.at(o));
+      }
+    }
+    EXPECT_EQ(-1, first_bit_difference(want, lin.forward(x)))
+        << "batch=" << batch;
   }
 }
 

@@ -17,15 +17,19 @@
 #      corpus; otherwise the always-built replay drivers re-run the
 #      checked-in corpora once (the live path on gcc-only hosts).
 #   6. clang-tidy over src/ and tools/ (skipped when not installed).
-#   7. ASan+UBSan build + full ctest, then an explicit `ctest -L quant`
+#   7. portable build (-DHSCONAS_NATIVE_KERNELS=OFF) + `ctest -L quant`:
+#      every other tree compiles the tensor kernels for the build
+#      machine's ISA, so only this one runs the scalar fallbacks of the
+#      int8 GEMM and of the quantize / requantize / depthwise kernels.
+#   8. ASan+UBSan build + full ctest, then an explicit `ctest -L quant`
 #      re-run: the int8 GEMM, PTQ calibration, and quantized-search
 #      suites exercise every integer accumulation/requantize path under
 #      the overflow checkers (skipped with --fast).
-#   8. TSan build + full ctest, then explicit `ctest -L kernels`,
+#   9. TSan build + full ctest, then explicit `ctest -L kernels`,
 #      `ctest -L obs`, and `ctest -L serving` re-runs (GEMM/fused-conv/
 #      depthwise determinism, tracer/profiler and pool work-floor, and
 #      batch-serving suites) under TSan (skipped with --fast).
-#   9. bench_serving closed-loop smoke: a reduced load-generation run
+#  10. bench_serving closed-loop smoke: a reduced load-generation run
 #      through the batch server must finish error-free (skipped with
 #      --fast).
 #
@@ -85,6 +89,16 @@ done
 
 stage "clang-tidy (if installed)"
 "$root/tools/run_clang_tidy.sh" -j "$jobs" "$root/ci-build-warn"
+
+stage "portable build (HSCONAS_NATIVE_KERNELS=OFF) + quantization suites"
+# The quantized suites pin bit-exact integer references, so they hold on
+# the baseline ISA too: the non-VNNI GEMM microkernel, libm nearbyintf in
+# the quantizer and the unvectorized requantize rows must agree with them.
+cmake -S "$root" -B "$root/ci-build-portable" -DHSCONAS_NATIVE_KERNELS=OFF \
+  -DCMAKE_BUILD_TYPE=Release -DHSCONAS_BUILD_BENCHES=OFF \
+  -DHSCONAS_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build "$root/ci-build-portable" -j "$jobs" --target test_quant
+(cd "$root/ci-build-portable" && ctest --output-on-failure -L quant)
 
 if [ "$fast" -eq 1 ]; then
   stage "done (--fast: sanitizer stages skipped)"

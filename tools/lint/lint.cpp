@@ -240,8 +240,8 @@ bool has_c_float_cast(const std::string& line) {
 void rule_quant_dtype_discipline(const FileContext& ctx, const Options& opts,
                                  std::vector<Violation>* out) {
   // Quantized kernels must stay in integer arithmetic end to end; the only
-  // int<->float crossings allowed are the sanctioned requant helpers
-  // (gemm_i8.cpp requant_value), which carry an explicit
+  // int<->float crossings allowed are the quantizer and requantize lines
+  // of quantize_i8.cpp, which carry an explicit
   // hsconas-lint-allow(quant-dtype-discipline) marker. Everything this
   // rule catches — float casts and the float->int rounding family — is a
   // dtype crossing that would silently fork the requantization math.
