@@ -105,7 +105,7 @@ class Profiler {
   static std::vector<OpStats> snapshot();
 };
 
-/// Dependency inversion for scratch-arena attribution: obs sits below
+/// Dependency inversion for scratch-lease attribution: obs sits below
 /// tensor, so tensor/workspace.cpp registers these probes at static-init
 /// time and the profiler calls through them. Null probes (tensor not
 /// linked) report a zero Workspace peak.

@@ -5,7 +5,6 @@
 #include "core/supernet.h"
 #include "obs/metrics.h"
 #include "obs/timing.h"
-#include "tensor/pool_allocator.h"
 #include "tensor/tensor.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -171,11 +170,6 @@ Receipt BatchServer::infer(std::span<const float> input,
 }
 
 void BatchServer::lane() {
-  // Lane-thread opt-in to the recycling tensor pool: every batch/
-  // activation tensor constructed below is pooled, which is what makes
-  // steady-state serving heap-allocation-free.
-  tensor::ScopedTensorPool pool_scope;
-
   std::vector<Request*> claimed;
   claimed.reserve(config_.batch_max);
 

@@ -63,11 +63,12 @@ struct Receipt {
 /// (see nn::Module), so forwards run concurrently and every lane computes
 /// the same bits by construction.
 ///
-/// Memory discipline: each lane runs under a tensor::ScopedTensorPool, so
-/// after the first few batches every activation/batch tensor comes from
-/// recycled blocks and steady-state serving performs zero heap
-/// allocations (verified by hsconas.tensor.pool.heap_allocs staying
-/// flat; see docs/SERVING.md). Request bookkeeping lives on the caller's
+/// Memory discipline: tensor storage and kernel scratch come from the
+/// thread-local block pool (tensor/workspace.h), so after the first few
+/// batches every activation/batch tensor and every scratch lease reuses a
+/// parked block and steady-state serving performs zero heap allocations
+/// (verified by hsconas.tensor.pool.heap_allocs staying flat; see
+/// docs/SERVING.md). Request bookkeeping lives on the caller's
 /// stack and in a ring buffer pre-sized at construction.
 ///
 /// Metrics (hsconas.serve.*): requests, rejected, batches, latency_ms,

@@ -42,8 +42,8 @@ struct LoadGenReport {
   double batch_occupancy_mean = 0.0;
   double queue_depth_peak = 0.0;
 
-  // Memory discipline during the window: heap allocations observed by
-  // opted-in lane threads (hsconas.tensor.pool.heap_allocs delta). A
+  // Memory discipline during the window: heap allocations that missed the
+  // thread-local block pool (hsconas.tensor.pool.heap_allocs delta). A
   // steady-state window reports 0 here.
   double pool_heap_allocs = 0.0;
   double pool_hits = 0.0;

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "tensor/pool_allocator.h"
+#include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -33,8 +33,7 @@ struct QuantParams {
 };
 
 /// Shape storage. Pooled like the element buffer so that constructing a
-/// Tensor on an opted-in thread (see ScopedTensorPool) touches the heap
-/// zero times in steady state.
+/// Tensor touches the heap zero times in steady state.
 using ShapeVec = std::vector<long, PooledAllocator<long>>;
 
 /// Shapes compare against plain std::vector<long> literals (tests, call

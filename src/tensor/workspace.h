@@ -2,7 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 namespace hsconas::obs {
 class Gauge;
@@ -10,20 +10,89 @@ class Gauge;
 
 namespace hsconas::tensor {
 
-class Workspace;
+/// The library's one thread-local allocator. Tensor storage (through
+/// PooledAllocator) and kernel scratch (through Workspace leases) draw
+/// 64-byte-aligned blocks from the calling thread's pool, so after a
+/// warm-up every training, scoring and serving forward reuses recycled
+/// memory instead of calling malloc per layer.
+///
+/// Blocks: a request is rounded up to its size class (64-byte steps up to
+/// 512 bytes, then four classes per power of two) and served from the
+/// calling thread's parked blocks of that class; a miss goes to the heap.
+/// A freed block parks on the *freeing* thread's pool, so blocks
+/// are fungible across threads (a tensor built on one thread may die on
+/// another); each thread's parked blocks are touched only by that thread.
+///
+/// Bound: at most kMaxParkedBytes stay parked per thread, about twice a
+/// serving lane's working set over every batch size. Parking past it
+/// first frees the least recently used classes; a block that still does
+/// not fit goes back to the heap.
+///
+/// Counters: every heap trip increments `hsconas.tensor.pool.heap_allocs`
+/// and every recycled block `hsconas.tensor.pool.hits`. The serving
+/// zero-allocation test (tests/serve) pins heap_allocs flat across a
+/// post-warm-up serving window.
+inline constexpr std::size_t kBlockAlign = 64;  // cache line / AVX-512
+inline constexpr std::size_t kMaxParkedBytes = std::size_t{16} << 20;
 
-/// RAII lease on a float scratch buffer owned by a Workspace. Returns the
-/// buffer to the owning pool on destruction so the next acquire of a
-/// similar size reuses the allocation instead of hitting the heap.
-/// Contents are uninitialized unless acquired via take_zeroed().
+/// A block of at least `bytes` bytes, kBlockAlign-aligned, uninitialized.
+/// pool_deallocate must get the same `bytes`, on any thread.
+void* pool_allocate(std::size_t bytes);
+void pool_deallocate(void* p, std::size_t bytes) noexcept;
+
+/// Process-wide count of allocations that went to the heap. Flat across a
+/// serving window == the window was allocation-free.
+std::uint64_t pool_heap_allocs();
+
+/// Process-wide count of allocations served from parked blocks.
+std::uint64_t pool_hits();
+
+/// Bytes currently parked in the calling thread's pool (diagnostics).
+std::size_t pool_parked_bytes();
+
+/// Free every block parked on the calling thread's pool. Outstanding
+/// allocations are unaffected.
+void pool_release_thread_memory();
+
+/// Minimal C++20 allocator over the thread-local pool. Stateless — all
+/// instances are interchangeable, so vector moves/swaps stay O(1) and
+/// noexcept exactly as with std::allocator.
+template <class T>
+class PooledAllocator {
+ public:
+  using value_type = T;
+
+  PooledAllocator() = default;
+  template <class U>
+  PooledAllocator(const PooledAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(pool_allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    pool_deallocate(p, n * sizeof(T));
+  }
+
+  template <class U>
+  bool operator==(const PooledAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+/// RAII lease on a float scratch buffer from the pool. Returns the block
+/// to the releasing thread's pool on destruction, so the next lease of the
+/// same size class reuses it instead of hitting the heap. Contents are
+/// uninitialized unless acquired via Workspace::take_zeroed().
 class Scratch {
  public:
   Scratch() = default;
-  Scratch(Scratch&& other) noexcept;
+  Scratch(Scratch&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
   Scratch& operator=(Scratch&& other) noexcept;
   Scratch(const Scratch&) = delete;
   Scratch& operator=(const Scratch&) = delete;
-  ~Scratch();
+  ~Scratch() { release(); }
 
   float* data() { return data_; }
   const float* data() const { return data_; }
@@ -33,21 +102,17 @@ class Scratch {
 
  private:
   friend class Workspace;
-  Scratch(Workspace* home, float* data, std::size_t size,
-          std::size_t capacity)
-      : home_(home), data_(data), size_(size), capacity_(capacity) {}
+  Scratch(float* data, std::size_t size) : data_(data), size_(size) {}
+  void release() noexcept;
 
-  Workspace* home_ = nullptr;  ///< pool to return to; null when empty
-  float* data_ = nullptr;
+  float* data_ = nullptr;  ///< null when empty
   std::size_t size_ = 0;
-  std::size_t capacity_ = 0;  ///< allocation size in floats
 };
 
 /// RAII lease on a byte-typed scratch buffer for the quantized kernels
-/// (int8 packing panels, u8 activation staging). Backed by the same pooled
-/// float blocks as Scratch — reinterpreted, which byte types may do — so
-/// the int8 path shares one recycling arena with the fp32 path and stays
-/// allocation-free in steady state. Same thread-affinity rules as Scratch.
+/// (int8 packing panels, u8 activation staging). Backed by a float lease —
+/// reinterpreted, which byte types may do — so the int8 path shares the
+/// pool and the lease accounting with the fp32 path.
 class ByteScratch {
  public:
   ByteScratch() = default;
@@ -78,50 +143,40 @@ class ByteScratch {
   std::size_t size_ = 0;  ///< requested bytes
 };
 
-/// Growable pool of cache-line-aligned scratch buffers. The hot compute
-/// paths (GEMM packing, im2col panels, conv scatter staging) lease buffers
-/// from the calling thread's pool via Workspace::tls() instead of
-/// constructing a std::vector per call — after warm-up, a forward/backward
-/// pass performs zero scratch allocations.
+/// The calling thread's scratch leases. The hot compute paths (GEMM
+/// packing, im2col panels, conv scatter staging) lease buffers through
+/// Workspace::tls() instead of constructing a std::vector per call; the
+/// blocks come from the pool above, so after warm-up a forward/backward
+/// pass performs zero scratch allocations. Each worker in a
+/// ThreadPool::parallel_for body leases through its own Workspace.
 ///
-/// Thread-safety: a Workspace instance is NOT synchronized. Use the
-/// thread-local instance from tls(); a Scratch must be released (destroyed)
-/// on the thread whose pool it came from. This is what makes leases safe
-/// inside ThreadPool::parallel_for bodies: each worker leases from its own
-/// pool.
+/// Accounting counts Scratch leases only (not Tensor storage): a lease
+/// counts on the thread that takes it and ends on the thread that
+/// releases it.
 class Workspace {
  public:
-  Workspace() = default;
-  ~Workspace();
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// Calling thread's pool (lazily constructed, lives for the thread).
+  /// Calling thread's instance (lazily constructed, lives for the thread).
   static Workspace& tls();
 
-  /// Lease a buffer of at least n floats, 64-byte aligned, uninitialized.
+  /// Lease a buffer of n floats, 64-byte aligned, uninitialized.
   Scratch take(std::size_t n);
 
   /// Lease a buffer of n floats with every element set to 0.0f.
   Scratch take_zeroed(std::size_t n);
 
   /// Lease at least n bytes, 64-byte aligned, uninitialized — a float
-  /// lease rounded up to whole floats and viewed as bytes, so pool
-  /// accounting and recycling are shared with the float path.
+  /// lease rounded up to whole floats and viewed as bytes.
   ByteScratch take_bytes(std::size_t n);
 
-  /// Floats currently parked in the free list (for tests/diagnostics).
-  std::size_t pooled_floats() const;
-
-  /// Floats currently leased out from this pool. The cross-thread peak in
-  /// bytes is published to the `hsconas.workspace.peak_bytes` gauge;
-  /// tls() pools additionally publish their own high-water mark to
-  /// `hsconas.workspace.peak_bytes.t<id>` so per-thread packing-buffer
+  /// Floats currently leased out on this thread. The cross-thread peak in
+  /// bytes is published to the `hsconas.workspace.peak_bytes` gauge and
+  /// each thread's own high-water mark to
+  /// `hsconas.workspace.peak_bytes.t<id>`, so per-thread packing-buffer
   /// sizing is observable.
   std::size_t outstanding_floats() const { return outstanding_floats_; }
-
-  /// High-water mark of outstanding_floats() over this pool's life.
-  std::size_t peak_floats() const { return peak_floats_; }
 
   /// Resettable watermark window for per-operator attribution: the
   /// profiler (obs::OpScope) calls reset_scope_peak() when a profiled op
@@ -130,29 +185,12 @@ class Workspace {
   void reset_scope_peak() { scope_peak_floats_ = outstanding_floats_; }
   std::size_t scope_peak_floats() const { return scope_peak_floats_; }
 
-  /// Number of buffers currently parked in the free list.
-  std::size_t pooled_buffers() const { return free_.size(); }
-
-  /// Drop all pooled allocations (outstanding leases are unaffected).
-  void release_memory();
-
  private:
   friend class Scratch;
-  struct Block {
-    float* data = nullptr;
-    std::size_t capacity = 0;
-  };
+  Workspace() = default;
 
-  static float* allocate(std::size_t n);
-  static void deallocate(float* p);
-  void give_back(float* data, std::size_t capacity);
-  void note_lease(std::size_t capacity);
-
-  std::vector<Block> free_;
   std::size_t outstanding_floats_ = 0;
-  std::size_t peak_floats_ = 0;
   std::size_t scope_peak_floats_ = 0;
-  /// Per-thread peak gauge, set by tls() only (null for ad-hoc pools).
   obs::Gauge* thread_peak_gauge_ = nullptr;
 };
 

@@ -22,7 +22,7 @@
 #include "obs/metrics.h"
 #include "serve/batch_server.h"
 #include "serve/load_gen.h"
-#include "tensor/pool_allocator.h"
+#include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -165,39 +165,58 @@ TEST(BatchServer, FifoUnderConcurrentSubmitters) {
 }
 
 // The headline memory contract: once warm, serving performs zero heap
-// allocations — pinned by the tensor-pool and workspace heap counters.
+// allocations — pinned by the block pool's one heap counter, which covers
+// tensor storage and kernel scratch on every thread. One table over dtype
+// × fusion × global-pool size: each cell warms a fresh server, then
+// requires 200 requests without a single heap trip.
 TEST(BatchServer, ZeroAllocationSteadyState) {
-  // Single-worker global pool: GEMM scratch leases stay on the lane
-  // thread, so the workspace counter below is deterministic.
-  util::ThreadPool::configure_global(1);
+  struct Cell {
+    nn::InferenceDType dtype;
+    bool fuse;
+    std::size_t pool_workers;
+  };
+  std::vector<Cell> cells;
+  for (nn::InferenceDType dtype :
+       {nn::InferenceDType::kF32, nn::InferenceDType::kI8}) {
+    for (bool fuse : {false, true}) {
+      for (std::size_t pool_workers : {1, 2}) {
+        cells.push_back({dtype, fuse, pool_workers});
+      }
+    }
+  }
   const core::SearchSpace space = proxy_space();
-  serve::ServerConfig cfg;
-  cfg.workers = 1;
-  cfg.batch_max = 1;
-  cfg.deadline_us = 0;
-  serve::BatchServer server(space, sample_arch(space), cfg);
+  const core::Arch arch = sample_arch(space);
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(::testing::Message()
+                 << (cell.dtype == nn::InferenceDType::kI8 ? "int8" : "f32")
+                 << (cell.fuse ? " fused" : " unfused") << ", global pool "
+                 << cell.pool_workers);
+    util::ThreadPool::configure_global(cell.pool_workers);
+    {
+      serve::ServerConfig cfg;
+      cfg.workers = 1;
+      cfg.batch_max = 1;
+      cfg.deadline_us = 0;
+      cfg.dtype = cell.dtype;
+      cfg.fuse = cell.fuse;
+      serve::BatchServer server(space, arch, cfg);
 
-  std::vector<float> input = sample_input(server.input_size(), 11);
-  std::vector<float> output(server.output_size());
-  for (int i = 0; i < 10; ++i) server.infer(input, output);  // warm-up
+      std::vector<float> input = sample_input(server.input_size(), 11);
+      std::vector<float> output(server.output_size());
+      for (int i = 0; i < 10; ++i) server.infer(input, output);  // warm-up
 
-  const std::uint64_t pool_heap0 = tensor::tensor_pool_heap_allocs();
-  const std::uint64_t pool_hits0 = tensor::tensor_pool_hits();
-  const double ws_heap0 =
-      static_cast<double>(obs::counter("hsconas.workspace.heap_allocs")
-                              .value());
-  for (int i = 0; i < 30; ++i) server.infer(input, output);
+      const std::uint64_t heap0 = tensor::pool_heap_allocs();
+      const std::uint64_t hits0 = tensor::pool_hits();
+      for (int i = 0; i < 200; ++i) server.infer(input, output);
 
-  EXPECT_EQ(tensor::tensor_pool_heap_allocs(), pool_heap0)
-      << "steady-state serving hit the heap for tensor storage";
-  EXPECT_EQ(static_cast<double>(
-                obs::counter("hsconas.workspace.heap_allocs").value()),
-            ws_heap0)
-      << "steady-state serving grew the scratch arena";
-  // And the pool was actually exercised, not bypassed.
-  EXPECT_GT(tensor::tensor_pool_hits(), pool_hits0);
-  server.shutdown();
-  util::ThreadPool::configure_global(0);
+      EXPECT_EQ(tensor::pool_heap_allocs(), heap0)
+          << "steady-state serving hit the heap";
+      // And the pool was actually exercised, not bypassed.
+      EXPECT_GT(tensor::pool_hits(), hits0);
+      server.shutdown();
+    }
+    util::ThreadPool::configure_global(0);
+  }
 }
 
 // Graceful shutdown: everything enqueued before shutdown() completes;

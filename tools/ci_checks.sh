@@ -28,7 +28,9 @@
 #   9. TSan build + full ctest, then explicit `ctest -L kernels`,
 #      `ctest -L obs`, and `ctest -L serving` re-runs (GEMM/fused-conv/
 #      depthwise determinism, tracer/profiler and pool work-floor, and
-#      batch-serving suites) under TSan (skipped with --fast).
+#      batch-serving plus thread-local block pool suites, whose blocks
+#      are freed on other threads than the ones that took them) under
+#      TSan (skipped with --fast).
 #  10. bench_serving closed-loop smoke: a reduced load-generation run
 #      through the batch server must finish error-free (skipped with
 #      --fast).
@@ -145,10 +147,11 @@ stage "tracer/profiler suites under TSan (ctest -L obs)"
 (cd "$root/ci-build-tsan" && ctest --output-on-failure -L obs)
 
 stage "batch-serving suites under TSan (ctest -L serving)"
-# The serving lanes, the dynamic-batching queue, the thread-local tensor
-# pool, and the ThreadPool reconfiguration guard are all cross-thread by
-# construction; the serial -L serving re-run gives TSan clean
-# interleavings to watch.
+# The serving lanes, the dynamic-batching queue, the thread-local block
+# pool (tests/tensor/workspace_test.cpp: tensor blocks and Scratch leases
+# freed on another thread park there), and the ThreadPool
+# reconfiguration guard are all cross-thread by construction; the serial
+# -L serving re-run gives TSan clean interleavings to watch.
 (cd "$root/ci-build-tsan" && ctest --output-on-failure -L serving)
 
 stage "serving load-generator smoke (bench_serving, reduced load)"

@@ -121,11 +121,10 @@ void rule_scratch_discipline(const FileContext& ctx, const Options& opts,
   const bool kernel_dir = starts_with(ctx.path, "src/tensor/") ||
                           starts_with(ctx.path, "src/nn/");
   if (!kernel_dir) return;
-  // The tensor container, the scratch arena, and the recycling pool are
-  // the three owners allowed to allocate.
+  // The tensor container and the one block pool (tensor/workspace) are
+  // the two owners allowed to allocate.
   if (starts_with(ctx.path, "src/tensor/tensor") ||
-      starts_with(ctx.path, "src/tensor/workspace") ||
-      starts_with(ctx.path, "src/tensor/pool_allocator")) {
+      starts_with(ctx.path, "src/tensor/workspace")) {
     return;
   }
   for (std::size_t i = 0; i < ctx.code.size(); ++i) {
@@ -134,13 +133,14 @@ void rule_scratch_discipline(const FileContext& ctx, const Options& opts,
         has_call(line, "realloc") || has_array_new(line)) {
       report(ctx, out, opts, i + 1, kScratchDiscipline,
              "heap allocation in a kernel hot path; lease scratch from "
-             "tensor::Workspace::tls() instead");
+             "the block pool via tensor::Workspace::tls() instead");
     }
     if (!is_header(ctx.path) &&
         line.find("std::vector<float>") != std::string::npos) {
       report(ctx, out, opts, i + 1, kScratchDiscipline,
              "ad-hoc std::vector<float> scratch in a kernel translation "
-             "unit; lease from tensor::Workspace::tls() instead");
+             "unit; lease from the block pool via tensor::Workspace::tls() "
+             "instead");
     }
   }
 }
@@ -371,7 +371,7 @@ const std::vector<Rule>& rules() {
        "reinterpret_cast outside util/serial (no pointer-cast decoding)"},
       {kScratchDiscipline,
        "no malloc/new[]/ad-hoc vector<float> scratch in tensor/nn kernels "
-       "(Workspace-only)"},
+       "(block pool via Workspace leases only)"},
       {kThreadDiscipline,
        "no raw std::thread in tensor/nn kernels (util::ThreadPool only)"},
       {kRngDiscipline,

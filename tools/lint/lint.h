@@ -13,8 +13,9 @@ namespace hsconas::lint {
 /// The reproduction's correctness story (bit-for-bit resumable search,
 /// deterministic parallel evaluation, crash-safe checkpoints) rests on a
 /// handful of project-wide disciplines: all deserialization goes through
-/// the bounds-checked util::ByteReader, all kernel scratch through the
-/// tensor::Workspace arena, all randomness through seeded util::Rng
+/// the bounds-checked util::ByteReader, all kernel scratch through
+/// tensor::Workspace leases on the one thread-local block pool (which
+/// also backs Tensor storage), all randomness through seeded util::Rng
 /// streams, all library output through util/logging. This linter makes
 /// those disciplines machine-enforced: it walks `src/`, `tools/` and
 /// `tests/`, strips comments and string literals, and reports each
