@@ -128,23 +128,30 @@ BENCHMARK(BM_ConvForward);
 // PERFORMANCE.md) at the serving batch of 8, as eval-mode forwards in
 // each dtype; the int8 layer is calibrated on its own input. Registered
 // from main() as BM_ConvForward/<shape>/<dtype>, so the ledger prices the
-// fp32 -> int8 step per shape.
+// fp32 -> int8 step per shape. The dw rows are the arch's six depthwise
+// signatures (`s2`: stride 2), pw and stem its first pointwise and stem.
 struct ServedConv {
   const char* name;
-  long in_ch, out_ch, kernel, pad, groups;
+  long in_ch, out_ch, kernel, stride, pad, groups, size;  // size: H = W
 };
 constexpr ServedConv kServedConvs[] = {
-    {"dw8_k3_16x16_b8", 8, 8, 3, 1, 8},
-    {"pw8_8_16x16_b8", 8, 8, 1, 0, 1},
-    {"stem3_16_k3_16x16_b8", 3, 16, 3, 1, 1},
+    {"dw8_k3_16x16_b8", 8, 8, 3, 1, 1, 8, 16},
+    {"dw16_k3_8x8_b8", 16, 16, 3, 1, 1, 16, 8},
+    {"dw32_k3_4x4_b8", 32, 32, 3, 1, 1, 32, 4},
+    {"dw32_k3s2_8x8_b8", 32, 32, 3, 2, 1, 32, 8},
+    {"dw16_k7s2_16x16_b8", 16, 16, 7, 2, 3, 16, 16},
+    {"dw16_k3s2_16x16_b8", 16, 16, 3, 2, 1, 16, 16},
+    {"pw8_8_16x16_b8", 8, 8, 1, 1, 0, 1, 16},
+    {"stem3_16_k3_16x16_b8", 3, 16, 3, 1, 1, 1, 16},
 };
 
 void BM_ServedConvForward(benchmark::State& state, ServedConv shape,
                           nn::InferenceDType dtype) {
   util::Rng rng(2);
-  nn::Conv2d conv(shape.in_ch, shape.out_ch, shape.kernel, 1, shape.pad,
-                  shape.groups, true, rng);
-  const Tensor x = Tensor::uniform({8, shape.in_ch, 16, 16}, -1, 1, rng);
+  nn::Conv2d conv(shape.in_ch, shape.out_ch, shape.kernel, shape.stride,
+                  shape.pad, shape.groups, true, rng);
+  const Tensor x =
+      Tensor::uniform({8, shape.in_ch, shape.size, shape.size}, -1, 1, rng);
   conv.set_mode(nn::Mode::kEval);
   if (dtype == nn::InferenceDType::kI8) nn::calibrate(conv, {x});
   for (auto _ : state) {

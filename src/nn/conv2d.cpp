@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "nn/op_profile.h"
+#include "tensor/depthwise.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_i8.h"
 #include "tensor/quantize_i8.h"
@@ -55,81 +56,6 @@ obs::OpInfo conv_op_info(const Conv2d& conv, const Tensor& x, const char* op,
   info.bytes = work_mult * 4.0 *
                (static_cast<double>(x.numel()) + out_numel + weight_numel);
   return info;
-}
-
-/// Interior output columns of a depthwise row go this many at a time,
-/// their accumulators kept in registers across the taps.
-constexpr long kDepthwiseBlock = 4;
-
-/// One fp32 depthwise plane: out[oy, ox] = sum over the taps (ky, kx) that
-/// land inside the h × w image of wk[ky, kx] * img[iy, ix], added in
-/// (ky, kx) order starting from 0.0f. That is exactly what a per-tap
-/// bounds check computes, bit for bit, but the valid tap window is worked
-/// out once per row (ky) and once per border output (kx) instead of per
-/// tap. Interior columns, whose window lies wholly inside the image, run
-/// kDepthwiseBlock at a time: each tap is one multiply-add across the
-/// block, which the compiler vectorizes, and every output still adds its
-/// taps in (ky, kx) order. The last block of a row is aligned to the
-/// interior's end and may overlap the one before it; the overlapped
-/// outputs are recomputed identically. `kStride` > 0 fixes the stride at
-/// compile time (so stride-1 loads are contiguous); 0 reads `stride`.
-template <long kStride>
-void depthwise_plane(const float* img, long h, long w, const float* wk,
-                     long k, long stride, long pad, float* out, long oh,
-                     long ow) {
-  if constexpr (kStride > 0) stride = kStride;
-  // Interior columns [ox_begin, ox_end): ox*stride - pad >= 0 and
-  // ox*stride - pad + k <= w.
-  const long ox_begin = std::min(ow, (pad + stride - 1) / stride);
-  const long ox_end =
-      w + pad - k >= 0
-          ? std::clamp((w + pad - k) / stride + 1, ox_begin, ow)
-          : ox_begin;
-  for (long oy = 0; oy < oh; ++oy) {
-    const long iy0 = oy * stride - pad;
-    const long ky_lo = std::max(0L, -iy0);
-    const long ky_hi = std::min(k, h - iy0);
-    float* orow = out + oy * ow;
-    const auto single = [&](long ox) {
-      const long ix0 = ox * stride - pad;
-      const long kx_lo = std::max(0L, -ix0);
-      const long kx_hi = std::min(k, w - ix0);
-      float acc = 0.0f;
-      for (long ky = ky_lo; ky < ky_hi; ++ky) {
-        const long irow = (iy0 + ky) * w + ix0;
-        const float* wrow = wk + ky * k;
-        for (long kx = kx_lo; kx < kx_hi; ++kx) {
-          acc += wrow[kx] * img[irow + kx];
-        }
-      }
-      orow[ox] = acc;
-    };
-    const auto block = [&](long ox) {
-      float acc[kDepthwiseBlock] = {};
-      for (long ky = ky_lo; ky < ky_hi; ++ky) {
-        const float* src = img + (iy0 + ky) * w + (ox * stride - pad);
-        const float* wrow = wk + ky * k;
-        for (long kx = 0; kx < k; ++kx, ++src) {
-          const float wv = wrow[kx];
-          for (long j = 0; j < kDepthwiseBlock; ++j) {
-            acc[j] += wv * src[j * stride];
-          }
-        }
-      }
-      std::copy(acc, acc + kDepthwiseBlock, orow + ox);
-    };
-    for (long ox = 0; ox < ox_begin; ++ox) single(ox);
-    if (ox_end - ox_begin >= kDepthwiseBlock) {
-      for (long ox = ox_begin; ox + kDepthwiseBlock < ox_end;
-           ox += kDepthwiseBlock) {
-        block(ox);
-      }
-      block(ox_end - kDepthwiseBlock);
-    } else {
-      for (long ox = ox_begin; ox < ox_end; ++ox) single(ox);
-    }
-    for (long ox = ox_end; ox < ow; ++ox) single(ox);
-  }
 }
 
 }  // namespace
@@ -226,32 +152,19 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
   auto& pool = util::ThreadPool::global();
 
   if (cin_g == 1 && cout_g == 1) {
-    // Depthwise: skip im2col + per-group m==1 GEMMs entirely and compute
-    // each (sample, channel) plane directly, in parallel — planes are
-    // disjoint and the (ky, kx) accumulation order is fixed.
+    // Depthwise: per channel, run that channel of every sample through
+    // one batch-stacked pass, the epilogue (row c of `ep`) fused into its
+    // writeback — the layout forward_quant_impl uses for int8.
     const long k = kernel_;
-    pool.parallel_for(static_cast<std::size_t>(n * out_channels_),
-                      static_cast<std::size_t>(ohw * k * k),
-                      [&](std::size_t t) {
-      const long s = static_cast<long>(t) / out_channels_;
-      const long c = static_cast<long>(t) % out_channels_;
-      float* out = y.data() + ((s * out_channels_ + c) * ohw);
-      const float* img = x.data() + ((s * in_channels_ + c) * h * w);
-      const float* wk = weight_.value.data() + c * k * k;
-      if (stride_ == 1) {
-        depthwise_plane<1>(img, h, w, wk, k, stride_, pad_, out, oh, ow);
-      } else if (stride_ == 2) {
-        depthwise_plane<2>(img, h, w, wk, k, stride_, pad_, out, oh, ow);
-      } else {
-        depthwise_plane<0>(img, h, w, wk, k, stride_, pad_, out, oh, ow);
-      }
-      if (ep == nullptr) return;
-      const float es = ep->scale != nullptr ? ep->scale[c] : 1.0f;
-      const float et = ep->shift != nullptr ? ep->shift[c] : 0.0f;
-      for (long i = 0; i < ohw; ++i) {
-        out[i] = tensor::epilogue_apply(
-            ep->act, tensor::epilogue_affine(es, out[i], et));
-      }
+    pool.parallel_for(static_cast<std::size_t>(out_channels_),
+                      static_cast<std::size_t>(n * ohw * k * k),
+                      [&](std::size_t ci) {
+      const long c = static_cast<long>(ci);
+      tensor::depthwise_f32(x.data() + c * h * w,
+                            static_cast<std::size_t>(in_channels_ * h * w), n,
+                            geom, weight_.value.data() + c * k * k, ep, ci,
+                            y.data() + c * ohw,
+                            static_cast<std::size_t>(out_channels_ * ohw));
     });
     return y;
   }

@@ -10,9 +10,11 @@ namespace hsconas::nn {
 /// 2-D convolution with square kernels, symmetric padding and channel
 /// groups (groups == in_channels == out_channels gives depthwise).
 ///
-/// Weights are OIHW with I = in_channels / groups. Implemented as
-/// im2col + GEMM per sample per group; gradients for weights, bias and
-/// input are exact.
+/// Weights are OIHW with I = in_channels / groups. The forward runs as
+/// im2col + one GEMM per group over the whole batch; a depthwise conv
+/// instead runs tensor::depthwise_f32 (or depthwise_i8 once calibrated)
+/// per channel over every sample at once. The backward is im2col + GEMM;
+/// gradients for weights, bias and input are exact.
 class Conv2d : public Module {
  public:
   /// Kaiming-normal weight init (fan_in, ReLU gain); zero bias.
@@ -26,8 +28,9 @@ class Conv2d : public Module {
   std::string name() const override { return display_name_; }
 
   /// Inference-only fused forward: y = act(scale[c] * conv_raw + shift[c])
-  /// per output channel, applied inside the GEMM's C-writeback (one memory
-  /// pass for conv + bias + BN + activation). `scale`/`shift` have
+  /// per output channel, applied inside the GEMM's C-writeback or the
+  /// depthwise kernel's output writeback (one memory pass for conv + bias
+  /// + BN + activation). `scale`/`shift` have
   /// out_channels entries and must already fold the conv bias and any
   /// BatchNorm terms — this layer's own bias_ is intentionally ignored
   /// (see nn/fused_conv.h for the folding helper). Null scale means 1,
@@ -61,8 +64,8 @@ class Conv2d : public Module {
  private:
   /// Shared forward body. `ep`, when non-null, spans all out_channels
   /// (per-group slices are taken internally) and is applied during the
-  /// GEMM writeback / depthwise accumulation. Does not touch
-  /// cached_input_.
+  /// GEMM writeback / depthwise writeback (row c for channel c). Does not
+  /// touch cached_input_.
   tensor::Tensor forward_impl(const tensor::Tensor& x,
                               const tensor::GemmEpilogue* ep);
 

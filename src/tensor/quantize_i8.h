@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "tensor/gemm.h"
-#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 
 namespace hsconas::tensor {
@@ -12,8 +11,8 @@ namespace hsconas::tensor {
 /// The int8 activation kernels. Every float <-> integer crossing of the
 /// quantized forward happens here, at two sanctioned sites: quantize_u8
 /// on the way in and requant_rows on the way out. The integer work
-/// between them — depthwise_i8 here, im2col_u8 and the int8 GEMM beside
-/// it — never touches a float. Built with HSCONAS_NATIVE_KERNELS like the
+/// between them — depthwise_i8 (tensor/depthwise.h), im2col_u8 and the
+/// int8 GEMM — never touches a float. Built with HSCONAS_NATIVE_KERNELS like the
 /// int8 GEMM, so both crossings run as vector code. See
 /// docs/QUANTIZATION.md.
 
@@ -43,19 +42,6 @@ struct QuantEpilogue {
 /// in one call rather than row by row.
 void quantize_u8(const float* x, std::size_t n, QuantParams p,
                  std::uint8_t* out);
-
-/// Int8 depthwise accumulation over `planes` u8 planes that share one
-/// k × k kernel — one channel of every sample in a batch. Plane p is the
-/// g.in_h × g.in_w block of codes at codes + p · plane_stride; the window
-/// reaches past its edges into a border of z (the activation zero point).
-/// For each plane p and output (oy, ox) of g.out_h() × g.out_w():
-///   acc[(p·oh + oy)·ow + ox] =
-///       Σ_{ky, kx} wk[ky·k + kx] · padded_p[oy·stride + ky, ox·stride + kx]
-/// over the full window. Integer sums do not depend on order, so the
-/// kernel is free to run each tap as one vector pass over every output.
-void depthwise_i8(const std::uint8_t* codes, std::size_t plane_stride,
-                  long planes, const ConvGeom& g, std::uint8_t z,
-                  const std::int8_t* wk, std::int32_t* acc);
 
 /// The requantizing writeback: for r < rows and j < n,
 ///   out[r·ld_out + j] = act(affine(scale[row0 + r],

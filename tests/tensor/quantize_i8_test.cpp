@@ -7,6 +7,7 @@
 // This file is built without the native-ISA flag, so every reference
 // below runs the plain scalar libm / IEEE path.
 
+#include "tensor/depthwise.h"
 #include "tensor/quantize_i8.h"
 
 #include <gtest/gtest.h>

@@ -17,10 +17,11 @@
 #      corpus; otherwise the always-built replay drivers re-run the
 #      checked-in corpora once (the live path on gcc-only hosts).
 #   6. clang-tidy over src/ and tools/ (skipped when not installed).
-#   7. portable build (-DHSCONAS_NATIVE_KERNELS=OFF) + `ctest -L quant`:
-#      every other tree compiles the tensor kernels for the build
-#      machine's ISA, so only this one runs the scalar fallbacks of the
-#      int8 GEMM and of the quantize / requantize / depthwise kernels.
+#   7. portable build (-DHSCONAS_NATIVE_KERNELS=OFF) + `ctest -L quant`
+#      and `ctest -L kernels`: every other tree compiles the tensor
+#      kernels for the build machine's ISA, so only this one runs the
+#      baseline-ISA code of the int8 GEMM, the quantize / requantize
+#      kernels and the fp32 and int8 depthwise kernels.
 #   8. ASan+UBSan build + full ctest, then an explicit `ctest -L quant`
 #      re-run: the int8 GEMM, PTQ calibration, and quantized-search
 #      suites exercise every integer accumulation/requantize path under
@@ -92,15 +93,20 @@ done
 stage "clang-tidy (if installed)"
 "$root/tools/run_clang_tidy.sh" -j "$jobs" "$root/ci-build-warn"
 
-stage "portable build (HSCONAS_NATIVE_KERNELS=OFF) + quantization suites"
+stage "portable build (HSCONAS_NATIVE_KERNELS=OFF) + quant and kernel suites"
 # The quantized suites pin bit-exact integer references, so they hold on
 # the baseline ISA too: the non-VNNI GEMM microkernel, libm nearbyintf in
 # the quantizer and the unvectorized requantize rows must agree with them.
+# The kernel suites pin the fp32 depthwise bits (tensor/depthwise.cpp,
+# a native-ISA file) to an in-order float reference, which must hold for
+# its baseline-ISA build as well.
 cmake -S "$root" -B "$root/ci-build-portable" -DHSCONAS_NATIVE_KERNELS=OFF \
   -DCMAKE_BUILD_TYPE=Release -DHSCONAS_BUILD_BENCHES=OFF \
   -DHSCONAS_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build "$root/ci-build-portable" -j "$jobs" --target test_quant
+cmake --build "$root/ci-build-portable" -j "$jobs" \
+  --target test_quant test_kernels
 (cd "$root/ci-build-portable" && ctest --output-on-failure -L quant)
+(cd "$root/ci-build-portable" && ctest --output-on-failure -L kernels)
 
 if [ "$fast" -eq 1 ]; then
   stage "done (--fast: sanitizer stages skipped)"
