@@ -117,7 +117,14 @@ int main(int argc, char** argv) {
   util::CsvWriter csv(cli.get("csv"));
   csv.row(std::vector<std::string>{"phase", "shrunk_acc", "naive_acc",
                                    "shrunk_log10", "naive_log10"});
+  // Scoring needs the supernets in score mode; every training step puts
+  // them back in train mode.
+  const auto enter_scoring = [&] {
+    shrunk_net.set_mode(nn::Mode::kScore);
+    naive_net.set_mode(nn::Mode::kScore);
+  };
   const auto record = [&](const std::string& phase) {
+    enter_scoring();
     const double sa = mean_candidate_accuracy(shrunk, shrunk_space,
                                               eval_archs, seed ^ 0xE, 3);
     const double na = mean_candidate_accuracy(naive, naive_space, eval_archs,
@@ -146,6 +153,7 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "stage 1: shrinking layers %d..%d\n", L - 1,
                L - per_stage);
+  enter_scoring();
   shrinker.shrink_stage(L - 1, per_stage);
   shrunk.run(tune_epochs, 0.01);
   naive.run(tune_epochs, 0.01);
@@ -153,6 +161,7 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "stage 2: shrinking layers %d..%d\n",
                L - 1 - per_stage, L - 2 * per_stage);
+  enter_scoring();
   shrinker.shrink_stage(L - 1 - per_stage, per_stage);
   shrunk.run(tune_epochs, 0.0035);
   naive.run(tune_epochs, 0.0035);

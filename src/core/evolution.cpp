@@ -44,29 +44,6 @@ EvolutionSearch::EvolutionSearch(const SearchSpace& space,
   energy_ = &energy;
 }
 
-double EvolutionSearch::cached_latency_ms(const Arch& arch) {
-  static obs::Counter& hits = obs::counter("hsconas.evolution.memo_hits");
-  static obs::Counter& misses = obs::counter("hsconas.evolution.memo_misses");
-  const std::uint64_t h = arch.hash();
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    double ms = 0.0;
-    if (latency_memo_.lookup(h, arch, &ms)) {
-      hits.add();
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      return ms;
-    }
-  }
-  misses.add();
-  memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  // Compute outside the lock; predict_ms is deterministic, so a racing
-  // duplicate computation stores the identical value.
-  const double ms = latency_.predict_ms(arch);
-  std::lock_guard<std::mutex> lock(memo_mutex_);
-  latency_memo_.store(h, arch, ms);
-  return ms;
-}
-
 EvolutionSearch::Candidate EvolutionSearch::evaluate(Arch arch) {
   static obs::Counter& evaluated =
       obs::counter("hsconas.evolution.candidates_evaluated");
@@ -74,7 +51,7 @@ EvolutionSearch::Candidate EvolutionSearch::evaluate(Arch arch) {
   Candidate c;
   c.arch = std::move(arch);
   c.accuracy = accuracy_(c.arch);
-  c.latency_ms = cached_latency_ms(c.arch);
+  c.latency_ms = latency_.predict_ms(c.arch);
   if (energy_ != nullptr) {
     c.energy_mj = energy_->predict_mj(c.arch);
     c.score = objective_.score(c.accuracy, c.latency_ms, c.energy_mj);
@@ -86,19 +63,11 @@ EvolutionSearch::Candidate EvolutionSearch::evaluate(Arch arch) {
 
 std::vector<EvolutionSearch::Candidate> EvolutionSearch::evaluate_batch(
     std::vector<Arch> archs) {
-  std::vector<Candidate> out(archs.size());
-  util::ThreadPool& pool =
-      config_.pool != nullptr ? *config_.pool : util::ThreadPool::global();
-  if (!config_.parallel_eval || pool.size() <= 1 || archs.size() <= 1) {
-    for (std::size_t i = 0; i < archs.size(); ++i) {
-      out[i] = evaluate(std::move(archs[i]));
-    }
-    return out;
-  }
+  HSCONAS_TRACE_SCOPE("evolution.score");
   // Each index writes only its own slot and evaluation order does not
-  // affect any candidate's value, so this is bit-identical to the serial
-  // loop above for any worker count.
-  pool.parallel_for(archs.size(), [&](std::size_t i) {
+  // affect any candidate's value, so every pool size gives the same bits.
+  std::vector<Candidate> out(archs.size());
+  util::ThreadPool::global().parallel_for(archs.size(), [&](std::size_t i) {
     out[i] = evaluate(std::move(archs[i]));
   });
   return out;
@@ -159,7 +128,7 @@ Arch EvolutionSearch::mutate(Arch arch) {
 void EvolutionSearch::init_population() {
   // Breed-then-score: every generation's genomes are produced serially
   // (so the RNG stream is independent of the evaluation schedule), then
-  // scored as one batch — in parallel when Config::parallel_eval is set.
+  // scored as one concurrent batch.
   std::vector<Arch> initial;
   initial.reserve(static_cast<std::size_t>(config_.population));
   while (static_cast<int>(initial.size()) < config_.population) {
@@ -202,14 +171,6 @@ void EvolutionSearch::step_generation() {
   obs::gauge("hsconas.evolution.best_score").set(stats.best_score);
   obs::gauge("hsconas.evolution.best_latency_ms")
       .set(stats.best_latency_ms);
-  const double hits = static_cast<double>(
-      memo_hits_.load(std::memory_order_relaxed));
-  const double misses = static_cast<double>(
-      memo_misses_.load(std::memory_order_relaxed));
-  if (hits + misses > 0.0) {
-    obs::gauge("hsconas.evolution.memo_hit_rate")
-        .set(hits / (hits + misses));
-  }
 
   // Top-k parents breed the next generation. Elites survive unchanged.
   const std::vector<Candidate> parents(

@@ -1,12 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "core/arch.h"
@@ -15,35 +11,7 @@
 #include "core/objective.h"
 #include "core/space_shrinking.h"  // AccuracyFn
 
-namespace hsconas::util {
-class ThreadPool;
-}
-
 namespace hsconas::core {
-
-/// Latency memo keyed by Arch::hash(), made collision-safe by storing the
-/// genome each value was computed for: lookup() verifies the stored arch
-/// matches, so a hash collision falls through to a fresh prediction
-/// instead of silently returning another architecture's latency.
-class ArchLatencyMemo {
- public:
-  /// True (and *ms set) only when `key` maps to exactly `arch`.
-  bool lookup(std::uint64_t key, const Arch& arch, double* ms) const {
-    const auto it = map_.find(key);
-    if (it == map_.end() || !(it->second.first == arch)) return false;
-    *ms = it->second.second;
-    return true;
-  }
-  /// First writer wins on collision (the colliding arch just stays
-  /// unmemoized — correctness over hit rate).
-  void store(std::uint64_t key, const Arch& arch, double ms) {
-    map_.emplace(key, std::make_pair(arch, ms));
-  }
-  std::size_t size() const { return map_.size(); }
-
- private:
-  std::unordered_map<std::uint64_t, std::pair<Arch, double>> map_;
-};
 
 /// Evolutionary architecture search (§III-D, Eq. 5): generational EA over
 /// {opˡ, cˡ} genomes with top-k parent selection, uniform crossover and
@@ -52,10 +20,13 @@ class ArchLatencyMemo {
 ///
 /// Candidate evaluation is batched per generation: offspring genomes are
 /// bred serially (all RNG decisions happen on one thread, in a fixed
-/// order) and then scored either inline or across a thread pool. Because
-/// scoring touches no shared mutable state, the parallel schedule is
-/// bit-identical to serial execution for a fixed seed — same Result.best,
-/// same per_generation stats — regardless of worker count.
+/// order) and then scored concurrently across util::ThreadPool::global()
+/// into index-ordered slots. The accuracy functor (and energy model, when
+/// present) must be safe to call from several threads at once: the
+/// surrogate is a pure function, and a supernet in score mode writes no
+/// module state (Supernet::evaluate). Because scoring touches no shared
+/// mutable state, every pool size gives the same Result bit for bit for a
+/// fixed seed — same best, same per_generation stats.
 class EvolutionSearch {
  public:
   struct Config {
@@ -68,14 +39,6 @@ class EvolutionSearch {
     /// mutation (so mutation changes a couple of layers, not all 20).
     double gene_mutation_prob = 0.1;
     std::uint64_t seed = 99;
-    /// Score candidates concurrently via the thread pool. Requires the
-    /// accuracy functor (and energy model, when present) to be safe to
-    /// call from multiple threads at once — true for the pure
-    /// AccuracySurrogate, NOT true for supernet/trainer-backed functors,
-    /// which mutate module state on every forward pass.
-    bool parallel_eval = false;
-    /// Pool for parallel_eval; nullptr means util::ThreadPool::global().
-    util::ThreadPool* pool = nullptr;
   };
 
   struct Candidate {
@@ -127,8 +90,7 @@ class EvolutionSearch {
   int generations_completed() const { return next_generation_; }
 
   /// Serialize/restore the full search state: RNG stream, dedup set,
-  /// current population, and the result-so-far. The latency memo is NOT
-  /// serialized — predictions are deterministic, so it refills on demand.
+  /// current population, and the result-so-far.
   void export_state(util::ByteWriter& out) const;
   void import_state(util::ByteReader& in);
 
@@ -136,12 +98,8 @@ class EvolutionSearch {
   void init_population();
   void step_generation();
   Candidate evaluate(Arch arch);
-  /// Score a bred batch, preserving index order; parallel when configured.
+  /// Score a bred batch across the global pool, preserving index order.
   std::vector<Candidate> evaluate_batch(std::vector<Arch> archs);
-  /// LatencyModel::predict_ms memoized via ArchLatencyMemo — repeat
-  /// genotypes (elites, re-bred duplicates) never re-walk the LUT, and a
-  /// hash collision falls through to a fresh prediction.
-  double cached_latency_ms(const Arch& arch);
   Arch crossover(const Arch& a, const Arch& b);
   Arch mutate(Arch arch);
 
@@ -159,14 +117,6 @@ class EvolutionSearch {
   std::vector<Candidate> population_;
   std::unordered_set<std::uint64_t> seen_;
   Result result_;
-
-  ArchLatencyMemo latency_memo_;
-  std::mutex memo_mutex_;
-  /// This search's own memo statistics (the registry counters aggregate
-  /// across all searches in the process); atomics because evaluate() runs
-  /// across the pool. Feeds the per-generation memo-hit-rate gauge.
-  std::atomic<std::uint64_t> memo_hits_{0};
-  std::atomic<std::uint64_t> memo_misses_{0};
 };
 
 }  // namespace hsconas::core

@@ -271,20 +271,16 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
   }
 
   // ---- search components (restored state flows in below) -------------------
-  // The surrogate is a pure function of the arch, so subspace sampling and
-  // candidate scoring may fan out across the thread pool; the
-  // supernet/trainer functor mutates module state per forward pass and
-  // must stay serial.
+  // Both score candidates concurrently across the thread pool. The
+  // surrogate is a pure function of the arch; the supernet is put in
+  // score mode at the start of each scoring phase (enter_scoring), where
+  // its forwards write no module state.
+  SpaceShrinker::Config shrink_cfg = config_.shrink;
+  shrink_cfg.seed ^= config_.seed;
   SpaceShrinker shrinker(space_, accuracy, *latency_model_, objective,
-                         [&] {
-                           auto c = config_.shrink;
-                           c.seed ^= config_.seed;
-                           c.parallel_eval = config_.use_surrogate;
-                           return c;
-                         }());
+                         shrink_cfg);
   EvolutionSearch::Config evo_cfg = config_.evolution;
   evo_cfg.seed ^= config_.seed;
-  evo_cfg.parallel_eval = config_.use_surrogate;
   EvolutionSearch search(space_, accuracy, *latency_model_, objective,
                          evo_cfg);
 
@@ -373,6 +369,12 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
     };
   };
 
+  // Training steps put the supernet in train mode on every step; each
+  // scoring phase switches it to score mode once, before it fans out.
+  const auto enter_scoring = [&] {
+    if (supernet) supernet->set_mode(nn::Mode::kScore);
+  };
+
   // ---- phase machine (Fig. 1 order; each arm falls through to the next) ----
   if (phase == PipelinePhase::kInitialTrain) {
     if (trainer) {
@@ -401,6 +403,7 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
 
   if (phase == PipelinePhase::kShrinkStage1) {
     HSCONAS_TRACE_SCOPE("pipeline.space_shrinking");
+    enter_scoring();
     result.stage1_decisions = shrinker.shrink_stage(L - 1, per_stage);
     result.log10_space_after_stage1 = space_.log10_size();
     phase = PipelinePhase::kTuneStage1;
@@ -421,6 +424,7 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
 
   if (phase == PipelinePhase::kShrinkStage2) {
     HSCONAS_TRACE_SCOPE("pipeline.space_shrinking");
+    enter_scoring();
     result.stage2_decisions =
         shrinker.shrink_stage(L - 1 - per_stage, per_stage);
     result.log10_space_after_stage2 = space_.log10_size();
@@ -443,6 +447,7 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
   // ---- evolutionary search (§III-D) ----------------------------------------
   {
     HSCONAS_TRACE_SCOPE("pipeline.evolution");
+    enter_scoring();
     result.evolution = search.run([&](int generation) {
       // generation == -1: initial population scored. Always snapshot that
       // (it is the most expensive single step to lose), then every

@@ -28,8 +28,8 @@ SpaceShrinker::SpaceShrinker(SearchSpace& space, AccuracyFn accuracy,
 double SpaceShrinker::subspace_quality(int layer, int op) {
   // Q(A_sub) = (1/N) Σ F(arch_i, T),  arch_i ~ U(A_sub)   (Definition 1)
   // Samples are drawn serially (one RNG stream, fixed order), then scored
-  // — across the pool when configured — and reduced in index order, so
-  // the mean is identical at any worker count.
+  // across the pool and reduced in index order, so the mean is identical
+  // at any worker count.
   static obs::Counter& q_samples = obs::counter("hsconas.shrink.q_samples");
   static obs::Counter& subspaces =
       obs::counter("hsconas.shrink.subspaces_scored");
@@ -43,16 +43,12 @@ double SpaceShrinker::subspace_quality(int layer, int op) {
   }
 
   std::vector<double> scores(n);
-  const auto score_one = [&](std::size_t i) {
-    scores[i] = objective_.score(accuracy_(samples[i]),
-                                 latency_.predict_ms(samples[i]));
-  };
-  util::ThreadPool& pool =
-      config_.pool != nullptr ? *config_.pool : util::ThreadPool::global();
-  if (config_.parallel_eval && pool.size() > 1) {
-    pool.parallel_for(n, score_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) score_one(i);
+  {
+    HSCONAS_TRACE_SCOPE("shrink.score");
+    util::ThreadPool::global().parallel_for(n, [&](std::size_t i) {
+      scores[i] = objective_.score(accuracy_(samples[i]),
+                                   latency_.predict_ms(samples[i]));
+    });
   }
 
   double total = 0.0;

@@ -8,10 +8,6 @@
 #include "core/objective.h"
 #include "core/search_space.h"
 
-namespace hsconas::util {
-class ThreadPool;
-}
-
 namespace hsconas::core {
 
 /// Accuracy oracle used by the search components: the proxy pipeline plugs
@@ -28,19 +24,16 @@ using AccuracyFn = std::function<double(const Arch&)>;
 /// front, so when layer l is scored, all deeper layers are already fixed,
 /// exactly as the paper prescribes ("when evaluating the 19-th layer, we
 /// fix the operator of the 20-th layer").
+///
+/// The N samples are drawn serially (one RNG stream, fixed order), scored
+/// concurrently across util::ThreadPool::global() and reduced in index
+/// order, so Q is the same at every pool size. The accuracy functor must
+/// be safe to call from several threads at once (see EvolutionSearch).
 class SpaceShrinker {
  public:
   struct Config {
     int samples_per_subspace = 100;  ///< N of Definition 1
     std::uint64_t seed = 77;
-    /// Score the N subspace samples concurrently. The archs are drawn
-    /// serially first (fixed RNG order) and the mean is reduced in index
-    /// order, so the result is bit-identical to serial execution — but
-    /// the accuracy functor must be thread-safe (see EvolutionSearch's
-    /// parallel_eval for which functors qualify).
-    bool parallel_eval = false;
-    /// Pool for parallel_eval; nullptr means util::ThreadPool::global().
-    util::ThreadPool* pool = nullptr;
   };
 
   /// The space is mutated in place by shrink operations.

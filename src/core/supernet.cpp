@@ -32,15 +32,10 @@ Supernet::Supernet(const SearchSpace& space, std::uint64_t seed,
     const LayerInfo& info = space_.layer(l);
     auto& choices = layers_[static_cast<std::size_t>(l)];
     if (fixed_arch_) {
-      // A standalone network's widths are part of its arch: set once
-      // here, so its forward writes no channel factor.
-      const auto i = static_cast<std::size_t>(l);
-      const int op = fixed_arch_->ops[i];
+      const int op = fixed_arch_->ops[static_cast<std::size_t>(l)];
       choices.push_back(nn::make_family_block(
           cfg.family, op, info.in_channels, info.out_channels, info.stride,
           rng, util::format("layer%d.op%d", l, op)));
-      choices.back()->set_channel_factor(cfg.channel_factors.at(
-          static_cast<std::size_t>(fixed_arch_->factors[i])));
     } else {
       for (int op = 0; op < cfg.num_ops; ++op) {
         choices.push_back(nn::make_family_block(
@@ -102,11 +97,9 @@ Tensor Supernet::forward(const Tensor& images, const Arch& arch) {
   for (int l = 0; l < space_.num_layers(); ++l) {
     const auto i = static_cast<std::size_t>(l);
     nn::ChoiceBlock& blk = block(l, arch.ops[i]);
-    if (!fixed_arch_) {
-      blk.set_channel_factor(space_.config().channel_factors.at(
-          static_cast<std::size_t>(arch.factors[i])));
-    }
-    h = run(blk, h);
+    if (record) active_path_.push_back(&blk);
+    h = blk.forward(h, space_.config().channel_factors.at(
+                           static_cast<std::size_t>(arch.factors[i])));
   }
   h = run(*head_conv_, h);
   h = run(gap_, h);
@@ -165,8 +158,10 @@ double Supernet::evaluate(const data::SyntheticDataset& dataset,
                           const Arch& arch, std::size_t batch_size,
                           std::size_t max_batches) {
   check_arch(arch);
-  // Batch-statistics BN without backward state; back to train mode after.
-  set_mode(nn::Mode::kScore);
+  if (mode() != nn::Mode::kScore) {
+    throw Error("Supernet::evaluate: needs score mode (kScore), set once "
+                "per scoring phase; other modes write state or change BN");
+  }
   data::DataLoader loader(dataset, batch_size, /*train=*/false, /*seed=*/0);
   const std::size_t batches =
       max_batches == 0 ? loader.num_batches()
@@ -179,7 +174,6 @@ double Supernet::evaluate(const data::SyntheticDataset& dataset,
     correct += res.correct_top1;
     total += batch.labels.size();
   }
-  set_mode(nn::Mode::kTrain);
   return total == 0 ? 0.0
                     : static_cast<double>(correct) /
                           static_cast<double>(total);

@@ -37,11 +37,10 @@ class Supernet {
   const Arch& fixed_arch() const;
 
   /// Forward the batch through the path selected by `arch` (must equal the
-  /// fixed arch for standalone networks). Returns logits (N, classes).
-  /// A train forward records the path for backward(). On the full
-  /// supernet every call sets the path's channel factors; a standalone
-  /// network set them at construction, so its eval forward writes nothing
-  /// and any number of threads may run it concurrently.
+  /// fixed arch for standalone networks), each block at the arch's channel
+  /// factor. Returns logits (N, classes). A train forward records the
+  /// path for backward(); a score or eval forward writes nothing, so any
+  /// number of threads may run one concurrently, each with its own arch.
   tensor::Tensor forward(const tensor::Tensor& images, const Arch& arch);
 
   /// Forward for standalone networks.
@@ -74,11 +73,13 @@ class Supernet {
   std::size_t calibrate_quant(const std::vector<tensor::Tensor>& batches);
 
   /// Top-1 accuracy of `arch` on (a prefix of) the validation split.
-  /// Runs in score mode: batch-statistics BN (standard one-shot practice:
-  /// candidate paths never saw calibrated running stats) with the same
-  /// running-stat updates and logits as a train-mode forward, but no state
-  /// kept for backward — a backward() after it throws. Leaves the network
-  /// in train mode. max_batches == 0 means the full split.
+  /// Requires score mode, set once per scoring phase by the caller, and
+  /// throws Error in any other mode: batch-statistics BN (standard
+  /// one-shot practice: candidate paths never saw calibrated running
+  /// stats) with the same logits as a train-mode forward, but no module
+  /// written — running stats, backward state and mode all stay as they
+  /// are. So any number of threads may evaluate candidates on one
+  /// supernet at once. max_batches == 0 means the full split.
   double evaluate(const data::SyntheticDataset& dataset, const Arch& arch,
                   std::size_t batch_size, std::size_t max_batches = 0);
 

@@ -225,6 +225,7 @@ FromScratchResult train_from_scratch(const SearchSpace& space,
   SupernetTrainer trainer(net, dataset, config);
   FromScratchResult result;
   result.history = trainer.run(config.epochs);
+  net.set_mode(nn::Mode::kScore);
   result.val_top1 = net.evaluate(dataset, arch, config.batch_size);
   return result;
 }
@@ -237,6 +238,7 @@ FromScratchResult fine_tune_subnet(Supernet& supernet, const Arch& arch,
   SupernetTrainer trainer(*subnet, dataset, config);
   FromScratchResult result;
   result.history = trainer.run(config.epochs);
+  subnet->set_mode(nn::Mode::kScore);
   result.val_top1 = subnet->evaluate(dataset, arch, config.batch_size);
   return result;
 }

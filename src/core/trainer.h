@@ -79,7 +79,8 @@ class SupernetTrainer {
 
   const std::vector<EpochStats>& history() const { return history_; }
 
-  /// Mean validation top-1 over `eval_batches` batches for one arch.
+  /// Mean validation top-1 over `eval_batches` batches for one arch
+  /// (Supernet::evaluate: the supernet must be in score mode).
   double evaluate(const Arch& arch, std::size_t eval_batches = 0);
 
   /// Checkpoint/resume: both RNG streams (path sampling + loader

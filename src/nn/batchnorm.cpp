@@ -92,7 +92,9 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
     double mean[L], var[L];
     if (batch_statistics) {
       batch_stats<L>(x.data(), n, channels_, spatial, c0, mean, var);
-      for (long l = 0; l < L; ++l) {
+      // Only a train forward moves the running estimates: a score
+      // forward writes no member.
+      for (long l = 0; keep && l < L; ++l) {
         const long c = c0 + l;
         running_mean_.at(c) = static_cast<float>(
             (1.0 - momentum_) * running_mean_.at(c) + momentum_ * mean[l]);

@@ -6,9 +6,9 @@ namespace hsconas::nn {
 
 /// Per-channel batch normalization over NCHW activations.
 ///
-/// Train and score modes normalize with batch statistics and update the
-/// running estimates with exponential momentum; eval mode uses the running
-/// estimates. Only train mode keeps x̂ and 1/σ for backward(), which
+/// Train and score modes normalize with batch statistics; eval mode uses
+/// the running estimates. Only train mode updates those estimates (with
+/// exponential momentum) and keeps x̂ and 1/σ for backward(), which
 /// therefore always differentiates through the batch statistics.
 /// gamma/beta are trainable and excluded from weight decay.
 ///
@@ -16,7 +16,7 @@ namespace hsconas::nn {
 /// masking other channels never perturbs the statistics of active ones.
 /// Masked channels see all-zero batches (mean 0, var 0) and are re-masked
 /// downstream, so the `beta` they would leak is suppressed (see
-/// ChannelMask).
+/// MaskedBranch).
 class BatchNorm2d : public Module {
  public:
   explicit BatchNorm2d(long channels, double momentum = 0.1,

@@ -29,10 +29,9 @@ long block_kernel(BlockKind kind) {
 namespace {
 
 struct BranchBuilder {
-  Sequential& seq;
+  Sequential* seq;  // the stage being filled
   util::Rng& rng;
   const std::string& prefix;
-  std::vector<ChannelMask*>& masks;
   int idx = 0;
 
   std::string tag(const char* what) {
@@ -40,21 +39,17 @@ struct BranchBuilder {
   }
 
   void pw(long in, long out, bool relu) {
-    seq.add(std::make_unique<Conv2d>(in, out, 1, 1, 0, 1, false, rng,
-                                     tag("pw")));
-    seq.add(std::make_unique<BatchNorm2d>(out, 0.1, 1e-5, tag("bn")));
-    if (relu) seq.add(std::make_unique<ReLU>());
+    seq->add(std::make_unique<Conv2d>(in, out, 1, 1, 0, 1, false, rng,
+                                      tag("pw")));
+    seq->add(std::make_unique<BatchNorm2d>(out, 0.1, 1e-5, tag("bn")));
+    if (relu) seq->add(std::make_unique<ReLU>());
   }
 
   void dw(long channels, long kernel, long stride) {
-    seq.add(std::make_unique<Conv2d>(channels, channels, kernel, stride,
-                                     kernel / 2, channels, false, rng,
-                                     tag("dw")));
-    seq.add(std::make_unique<BatchNorm2d>(channels, 0.1, 1e-5, tag("bn")));
-  }
-
-  void mask(long channels) {
-    masks.push_back(seq.add(std::make_unique<ChannelMask>(channels)));
+    seq->add(std::make_unique<Conv2d>(channels, channels, kernel, stride,
+                                      kernel / 2, channels, false, rng,
+                                      tag("dw")));
+    seq->add(std::make_unique<BatchNorm2d>(channels, 0.1, 1e-5, tag("bn")));
   }
 };
 
@@ -90,8 +85,8 @@ ShuffleChoiceBlock::ShuffleChoiceBlock(BlockKind kind, long in_channels,
     }
     // Skip at a reduction layer lowers to the minimal projection so the
     // layer can still change geometry (keeps K = 5 everywhere).
-    main_ = std::make_unique<Sequential>(display_name_ + ".skip_proj");
-    BranchBuilder b{*main_, rng, display_name_, masks_};
+    BranchBuilder b{&main_.add_stage(display_name_ + ".skip_proj"), rng,
+                    display_name_};
     b.dw(in_channels, 3, 2);
     b.pw(in_channels, out_channels, /*relu=*/true);
     return;
@@ -102,33 +97,37 @@ ShuffleChoiceBlock::ShuffleChoiceBlock(BlockKind kind, long in_channels,
   const long branch_in = (stride == 1) ? in_channels / 2 : in_channels;
   split_left_ = (stride == 1) ? in_channels / 2 : branch_out;
 
-  main_ = std::make_unique<Sequential>(display_name_ + ".main");
-  BranchBuilder b{*main_, rng, display_name_, masks_};
+  BranchBuilder b{&main_.add_stage(display_name_ + ".main"), rng,
+                  display_name_};
+  // The mid-width mask sits between this stage and the next one.
+  const auto mask = [&] {
+    b.seq = &main_.add_stage(display_name_ + ".main");
+  };
 
   if (kind == BlockKind::kXception) {
     b.dw(branch_in, 3, stride);
     b.pw(branch_in, mid_channels_, /*relu=*/true);
-    b.mask(mid_channels_);
+    mask();
     b.dw(mid_channels_, 3, 1);
-    b.mask(mid_channels_);
+    mask();
     b.pw(mid_channels_, mid_channels_, /*relu=*/true);
-    b.mask(mid_channels_);
+    mask();
     b.dw(mid_channels_, 3, 1);
-    b.mask(mid_channels_);
+    mask();
     b.pw(mid_channels_, branch_out, /*relu=*/true);
   } else {
     b.pw(branch_in, mid_channels_, /*relu=*/true);
-    b.mask(mid_channels_);
+    mask();
     b.dw(mid_channels_, kernel, stride);
-    b.mask(mid_channels_);
+    mask();
     b.pw(mid_channels_, branch_out, /*relu=*/true);
   }
 
   if (stride == 2) {
-    proj_ = std::make_unique<Sequential>(display_name_ + ".proj");
-    BranchBuilder p{*proj_, rng, display_name_ + ".proj", masks_};
-    // The projection branch has fixed width (not searchable), so it adds no
-    // masks; BranchBuilder.mask is simply never called here.
+    // The projection branch has fixed width (not searchable): no masks.
+    const std::string proj_name = display_name_ + ".proj";
+    proj_ = std::make_unique<Sequential>(proj_name);
+    BranchBuilder p{proj_.get(), rng, proj_name};
     p.dw(in_channels, 3, 2);
     p.pw(in_channels, branch_out, /*relu=*/true);
   }
@@ -136,71 +135,42 @@ ShuffleChoiceBlock::ShuffleChoiceBlock(BlockKind kind, long in_channels,
   shuffle_ = std::make_unique<ChannelShuffle>(2);
 }
 
-void ShuffleChoiceBlock::set_channel_factor(double factor) {
-  if (factor <= 0.0 || factor > 1.0) {
-    throw InvalidArgument("set_channel_factor: factor must be in (0, 1]");
-  }
-  channel_factor_ = factor;
-  if (mid_channels_ == 0) return;  // skip ops have no searchable width
-  const long active = scaled_channels(mid_channels_, factor);
-  for (ChannelMask* m : masks_) m->set_active(active);
-}
-
-long ShuffleChoiceBlock::active_mid_channels() const {
-  if (mid_channels_ == 0) return 0;
-  return scaled_channels(mid_channels_, channel_factor_);
-}
-
-Tensor ShuffleChoiceBlock::forward(const Tensor& x) {
+Tensor ShuffleChoiceBlock::forward_at(const Tensor& x, long active) {
   if (pure_identity_) return x;
-  if (kind_ == BlockKind::kSkip) return main_->forward(x);  // stride-2 skip
-  return stride_ == 1 ? forward_stride1(x) : forward_stride2(x);
+  if (kind_ == BlockKind::kSkip) return main_.forward(x, active);
+  if (stride_ == 1) {
+    Tensor left, right;
+    split_channels(x, split_left_, left, right);
+    return shuffle_->forward(
+        concat_channels(left, main_.forward(right, active)));
+  }
+  Tensor proj_out = proj_->forward(x);
+  return shuffle_->forward(
+      concat_channels(proj_out, main_.forward(x, active)));
 }
 
-Tensor ShuffleChoiceBlock::backward(const Tensor& dy) {
+Tensor ShuffleChoiceBlock::backward_at(const Tensor& dy, long active) {
   if (pure_identity_) return dy;
-  if (kind_ == BlockKind::kSkip) return main_->backward(dy);
-  return stride_ == 1 ? backward_stride1(dy) : backward_stride2(dy);
-}
-
-Tensor ShuffleChoiceBlock::forward_stride1(const Tensor& x) {
-  Tensor left, right;
-  split_channels(x, split_left_, left, right);
-  Tensor main_out = main_->forward(right);
-  return shuffle_->forward(concat_channels(left, main_out));
-}
-
-Tensor ShuffleChoiceBlock::backward_stride1(const Tensor& dy) {
+  if (kind_ == BlockKind::kSkip) return main_.backward(dy, active);
   Tensor d = shuffle_->backward(dy);
   Tensor d_left, d_main;
   split_channels(d, split_left_, d_left, d_main);
-  Tensor dx_right = main_->backward(d_main);
-  return concat_channels(d_left, dx_right);
-}
-
-Tensor ShuffleChoiceBlock::forward_stride2(const Tensor& x) {
-  Tensor proj_out = proj_->forward(x);
-  Tensor main_out = main_->forward(x);
-  return shuffle_->forward(concat_channels(proj_out, main_out));
-}
-
-Tensor ShuffleChoiceBlock::backward_stride2(const Tensor& dy) {
-  Tensor d = shuffle_->backward(dy);
-  Tensor d_proj, d_main;
-  split_channels(d, split_left_, d_proj, d_main);
-  Tensor dx = proj_->backward(d_proj);
-  dx.add_(main_->backward(d_main));
+  if (stride_ == 1) {
+    return concat_channels(d_left, main_.backward(d_main, active));
+  }
+  Tensor dx = proj_->backward(d_left);
+  dx.add_(main_.backward(d_main, active));
   return dx;
 }
 
 void ShuffleChoiceBlock::collect_params(std::vector<Parameter*>& out) {
-  if (main_) main_->collect_params(out);
+  main_.collect_params(out);
   if (proj_) proj_->collect_params(out);
 }
 
 void ShuffleChoiceBlock::visit(const std::function<void(Module&)>& fn) {
   fn(*this);
-  if (main_) main_->visit(fn);
+  main_.visit(fn);
   if (proj_) proj_->visit(fn);
   if (shuffle_) shuffle_->visit(fn);
 }

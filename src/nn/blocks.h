@@ -44,16 +44,14 @@ long block_kernel(BlockKind kind);
 /// K = 5 choices at every layer so |A| = (K·|C|)^L matches the paper's
 /// quoted 9.5e33.
 ///
-/// Dynamic channel scaling: set_channel_factor(c) masks the branch's
-/// mid-channels down to round(c · S) where S = max_mid_channels().
+/// Dynamic channel scaling: forward(x, c) masks the branch's mid-channels
+/// down to round(c · S) where S = max_mid_channels().
 class ShuffleChoiceBlock : public ChoiceBlock {
  public:
   ShuffleChoiceBlock(BlockKind kind, long in_channels, long out_channels,
                      long stride, util::Rng& rng,
                      std::string display_name = "choice_block");
 
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
   void collect_params(std::vector<Parameter*>& out) override;
   void visit(const std::function<void(Module&)>& fn) override;
   std::string name() const override { return display_name_; }
@@ -63,30 +61,22 @@ class ShuffleChoiceBlock : public ChoiceBlock {
   long out_channels() const override { return out_channels_; }
   long stride() const override { return stride_; }
 
-  /// Sˡ — the width being scaled by the dynamic channel factor.
+  /// Sˡ — the width being scaled by the dynamic channel factor (0 for
+  /// skip ops, which have no searchable width).
   long max_mid_channels() const override { return mid_channels_; }
 
-  /// Apply channel factor c ∈ (0, 1]; a no-op for blocks without a
-  /// searchable width (pure skip at stride 1).
-  void set_channel_factor(double factor) override;
-  double channel_factor() const override { return channel_factor_; }
-  long active_mid_channels() const override;
+ protected:
+  tensor::Tensor forward_at(const tensor::Tensor& x, long active) override;
+  tensor::Tensor backward_at(const tensor::Tensor& dy, long active) override;
 
  private:
-  tensor::Tensor forward_stride1(const tensor::Tensor& x);
-  tensor::Tensor forward_stride2(const tensor::Tensor& x);
-  tensor::Tensor backward_stride1(const tensor::Tensor& dy);
-  tensor::Tensor backward_stride2(const tensor::Tensor& dy);
-
   BlockKind kind_;
   long in_channels_, out_channels_, stride_, mid_channels_;
-  double channel_factor_ = 1.0;
   std::string display_name_;
 
-  std::unique_ptr<Sequential> main_;    // operator branch
+  MaskedBranch main_;                   // operator branch
   std::unique_ptr<Sequential> proj_;    // stride-2 projection branch
   std::unique_ptr<ChannelShuffle> shuffle_;
-  std::vector<ChannelMask*> masks_;     // observers into main_
 
   bool pure_identity_ = false;  // skip @ stride 1
   long split_left_ = 0;         // stride-1 split point

@@ -3,6 +3,7 @@
 #include <iterator>
 
 #include "nn/blocks.h"
+#include "nn/mask.h"
 #include "nn/mbconv_block.h"
 #include "util/error.h"
 
@@ -23,6 +24,24 @@ constexpr MbConvOp kMbConvOps[] = {
 };
 
 }  // namespace
+
+tensor::Tensor ChoiceBlock::forward(const tensor::Tensor& x, double factor) {
+  const long active = active_mid_channels(factor);
+  if (keeps_backward_state()) backward_active_ = active;
+  return forward_at(x, active);
+}
+
+tensor::Tensor ChoiceBlock::backward(const tensor::Tensor& dy) {
+  return backward_at(dy, backward_active_);
+}
+
+long ChoiceBlock::active_mid_channels(double factor) const {
+  if (!(factor > 0.0 && factor <= 1.0)) {
+    throw InvalidArgument("ChoiceBlock: channel factor must be in (0, 1]");
+  }
+  const long max_mid = max_mid_channels();
+  return max_mid == 0 ? 0 : scaled_channels(max_mid, factor);
+}
 
 int family_num_ops(OpFamily family) {
   switch (family) {

@@ -10,19 +10,42 @@ namespace hsconas::nn {
 /// width can be scaled by the paper's dynamic channel factor. The supernet
 /// and the search code only ever talk to this interface, which is what
 /// makes the framework operator-family-agnostic.
+///
+/// The factor is an argument of each forward, never block state: a score
+/// or eval forward writes no member, so one block may run forwards at
+/// different factors on several threads at once. A train forward keeps
+/// the width it ran at for backward(), like any other backward state.
 class ChoiceBlock : public Module {
  public:
-  /// Apply channel factor c ∈ (0, 1] by masking (§III-B).
-  virtual void set_channel_factor(double factor) = 0;
-  virtual double channel_factor() const = 0;
+  /// Forward at channel factor c ∈ (0, 1]: the block's mid channels are
+  /// masked down to active_mid_channels(c) for this call (§III-B).
+  tensor::Tensor forward(const tensor::Tensor& x, double factor);
+  /// Forward at full width (c = 1).
+  tensor::Tensor forward(const tensor::Tensor& x) override {
+    return forward(x, 1.0);
+  }
+  /// Backward through the last train forward, at the width it ran at.
+  tensor::Tensor backward(const tensor::Tensor& dy) override;
 
   /// Sˡ — the maximum searchable width (0 for widthless ops like skip).
   virtual long max_mid_channels() const = 0;
-  virtual long active_mid_channels() const = 0;
+  /// round(c · Sˡ) (0 for widthless ops); throws InvalidArgument unless
+  /// 0 < c <= 1.
+  long active_mid_channels(double factor) const;
 
   virtual long in_channels() const = 0;
   virtual long out_channels() const = 0;
   virtual long stride() const = 0;
+
+ protected:
+  /// The block's arithmetic at `active` mid channels.
+  virtual tensor::Tensor forward_at(const tensor::Tensor& x, long active) = 0;
+  virtual tensor::Tensor backward_at(const tensor::Tensor& dy,
+                                     long active) = 0;
+  void release_backward_state() override { backward_active_ = 0; }
+
+ private:
+  long backward_active_ = 0;  ///< width of the last train forward
 };
 
 /// Operator families the search space can draw from. Both expose K = 5

@@ -1,35 +1,49 @@
 #pragma once
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "nn/module.h"
 
 namespace hsconas::nn {
 
-/// Channel mask implementing the paper's dynamic channel scaling (§III-B):
-/// the binary vector Iˡ ∈ {0,1}^{Sˡ} zeroes the activations of unselected
-/// channels in forward and their gradients in backward, which is exactly
-/// equivalent to slicing the layer to its first `active` channels while
-/// keeping the full-width shared weights resident ("scale-down-only"
-/// masking — the supernet never has to be rebuilt or re-loaded).
+/// Channel masking implementing the paper's dynamic channel scaling
+/// (§III-B): the binary vector Iˡ ∈ {0,1}^{Sˡ} keeps the first `active`
+/// channels of an NCHW tensor and zeroes the rest. Applied to activations
+/// in forward and to gradients in backward, it is exactly equivalent to
+/// slicing the layer to its first `active` channels while keeping the
+/// full-width shared weights resident ("scale-down-only" masking — the
+/// supernet never has to be rebuilt or re-loaded). Zeroes `x` in place
+/// and returns it, so a moved-in tensor is never copied; throws
+/// InvalidArgument unless 1 <= active <= x.dim(1). `op` names the call in
+/// the per-op profiler.
+tensor::Tensor mask_channels(tensor::Tensor x, long active,
+                             const char* op = "channel_mask");
+
+/// The searchable part of a choice block: Sequential stages run in order
+/// with mask_channels(·, active) between consecutive stages. Placement
+/// matters: each mask sits *after* a stage's BatchNorm (and activation),
+/// because BN's `beta` would otherwise re-introduce a nonzero constant on
+/// channels whose inputs were masked upstream.
 ///
-/// Placement matters: the mask must sit *after* BatchNorm, because BN's
-/// `beta` would otherwise re-introduce a nonzero constant on channels whose
-/// inputs were masked upstream.
-class ChannelMask : public Module {
+/// The width is an argument of every call, never a member, so one branch
+/// may run forwards at different widths on several threads at once.
+class MaskedBranch {
  public:
-  explicit ChannelMask(long channels);
+  /// Append an empty stage and return it for filling.
+  Sequential& add_stage(std::string display_name);
 
-  /// Activate the first `active` channels (1 <= active <= channels).
-  void set_active(long active);
-  long active() const { return active_; }
-  long channels() const { return channels_; }
+  tensor::Tensor forward(const tensor::Tensor& x, long active);
+  /// Backward through the stages' last train forward, masking the
+  /// gradient at the width that forward ran at.
+  tensor::Tensor backward(const tensor::Tensor& dy, long active);
 
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-  std::string name() const override { return "channel_mask"; }
+  void collect_params(std::vector<Parameter*>& out);
+  void visit(const std::function<void(Module&)>& fn);
 
  private:
-  long channels_;
-  long active_;
+  std::vector<std::unique_ptr<Sequential>> stages_;
 };
 
 /// Round a channel count by a scaling factor the way the paper does

@@ -38,16 +38,16 @@ MbConvChoiceBlock::MbConvChoiceBlock(double expansion, long kernel,
       return;
     }
     // Reduction skip: minimal projection, as in the shuffle family.
-    body_ = std::make_unique<Sequential>(display_name_ + ".skip_proj");
-    body_->add(std::make_unique<Conv2d>(in_channels, in_channels, 3, 2, 1,
-                                        in_channels, false, rng, tag("dw")));
-    body_->add(std::make_unique<BatchNorm2d>(in_channels, 0.1, 1e-5,
-                                             tag("bn")));
-    body_->add(std::make_unique<Conv2d>(in_channels, out_channels, 1, 1, 0,
-                                        1, false, rng, tag("pw")));
-    body_->add(std::make_unique<BatchNorm2d>(out_channels, 0.1, 1e-5,
-                                             tag("bn")));
-    body_->add(std::make_unique<ReLU>());
+    Sequential& proj = body_.add_stage(display_name_ + ".skip_proj");
+    proj.add(std::make_unique<Conv2d>(in_channels, in_channels, 3, 2, 1,
+                                      in_channels, false, rng, tag("dw")));
+    proj.add(std::make_unique<BatchNorm2d>(in_channels, 0.1, 1e-5,
+                                           tag("bn")));
+    proj.add(std::make_unique<Conv2d>(in_channels, out_channels, 1, 1, 0, 1,
+                                      false, rng, tag("pw")));
+    proj.add(std::make_unique<BatchNorm2d>(out_channels, 0.1, 1e-5,
+                                           tag("bn")));
+    proj.add(std::make_unique<ReLU>());
     return;
   }
 
@@ -56,65 +56,50 @@ MbConvChoiceBlock::MbConvChoiceBlock(double expansion, long kernel,
                                         static_cast<double>(in_channels))));
   residual_ = (stride == 1 && in_channels == out_channels);
 
-  body_ = std::make_unique<Sequential>(display_name_ + ".body");
-  // Expand.
-  body_->add(std::make_unique<Conv2d>(in_channels, mid_channels_, 1, 1, 0, 1,
+  // Expand; the mid-width mask follows each of the first two stages.
+  Sequential& expand = body_.add_stage(display_name_ + ".expand");
+  expand.add(std::make_unique<Conv2d>(in_channels, mid_channels_, 1, 1, 0, 1,
                                       false, rng, tag("pw")));
-  body_->add(std::make_unique<BatchNorm2d>(mid_channels_, 0.1, 1e-5,
+  expand.add(std::make_unique<BatchNorm2d>(mid_channels_, 0.1, 1e-5,
                                            tag("bn")));
-  body_->add(std::make_unique<ReLU>());
-  masks_.push_back(body_->add(std::make_unique<ChannelMask>(mid_channels_)));
+  expand.add(std::make_unique<ReLU>());
   // Depthwise.
-  body_->add(std::make_unique<Conv2d>(mid_channels_, mid_channels_, kernel,
-                                      stride, kernel / 2, mid_channels_,
-                                      false, rng, tag("dw")));
-  body_->add(std::make_unique<BatchNorm2d>(mid_channels_, 0.1, 1e-5,
-                                           tag("bn")));
-  body_->add(std::make_unique<ReLU>());
-  masks_.push_back(body_->add(std::make_unique<ChannelMask>(mid_channels_)));
+  Sequential& depthwise = body_.add_stage(display_name_ + ".depthwise");
+  depthwise.add(std::make_unique<Conv2d>(mid_channels_, mid_channels_, kernel,
+                                         stride, kernel / 2, mid_channels_,
+                                         false, rng, tag("dw")));
+  depthwise.add(std::make_unique<BatchNorm2d>(mid_channels_, 0.1, 1e-5,
+                                              tag("bn")));
+  depthwise.add(std::make_unique<ReLU>());
   // Project (linear bottleneck: no activation, per MobileNetV2).
-  body_->add(std::make_unique<Conv2d>(mid_channels_, out_channels, 1, 1, 0,
-                                      1, false, rng, tag("pw")));
-  body_->add(std::make_unique<BatchNorm2d>(out_channels, 0.1, 1e-5,
-                                           tag("bn")));
+  Sequential& project = body_.add_stage(display_name_ + ".project");
+  project.add(std::make_unique<Conv2d>(mid_channels_, out_channels, 1, 1, 0,
+                                       1, false, rng, tag("pw")));
+  project.add(std::make_unique<BatchNorm2d>(out_channels, 0.1, 1e-5,
+                                            tag("bn")));
 }
 
-void MbConvChoiceBlock::set_channel_factor(double factor) {
-  if (factor <= 0.0 || factor > 1.0) {
-    throw InvalidArgument("set_channel_factor: factor must be in (0, 1]");
-  }
-  channel_factor_ = factor;
-  if (mid_channels_ == 0) return;
-  const long active = scaled_channels(mid_channels_, factor);
-  for (ChannelMask* m : masks_) m->set_active(active);
-}
-
-long MbConvChoiceBlock::active_mid_channels() const {
-  if (mid_channels_ == 0) return 0;
-  return scaled_channels(mid_channels_, channel_factor_);
-}
-
-Tensor MbConvChoiceBlock::forward(const Tensor& x) {
+Tensor MbConvChoiceBlock::forward_at(const Tensor& x, long active) {
   if (pure_identity_) return x;
-  Tensor y = body_->forward(x);
+  Tensor y = body_.forward(x, active);
   if (residual_) y.add_(x);
   return y;
 }
 
-Tensor MbConvChoiceBlock::backward(const Tensor& dy) {
+Tensor MbConvChoiceBlock::backward_at(const Tensor& dy, long active) {
   if (pure_identity_) return dy;
-  Tensor dx = body_->backward(dy);
+  Tensor dx = body_.backward(dy, active);
   if (residual_) dx.add_(dy);  // the identity path's gradient
   return dx;
 }
 
 void MbConvChoiceBlock::collect_params(std::vector<Parameter*>& out) {
-  if (body_) body_->collect_params(out);
+  body_.collect_params(out);
 }
 
 void MbConvChoiceBlock::visit(const std::function<void(Module&)>& fn) {
   fn(*this);
-  if (body_) body_->visit(fn);
+  body_.visit(fn);
 }
 
 }  // namespace hsconas::nn

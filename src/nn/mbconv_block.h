@@ -29,16 +29,11 @@ class MbConvChoiceBlock : public ChoiceBlock {
                     long out_channels, long stride, util::Rng& rng,
                     std::string display_name = "mbconv");
 
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
   void collect_params(std::vector<Parameter*>& out) override;
   void visit(const std::function<void(Module&)>& fn) override;
   std::string name() const override { return display_name_; }
 
-  void set_channel_factor(double factor) override;
-  double channel_factor() const override { return channel_factor_; }
   long max_mid_channels() const override { return mid_channels_; }
-  long active_mid_channels() const override;
   long in_channels() const override { return in_channels_; }
   long out_channels() const override { return out_channels_; }
   long stride() const override { return stride_; }
@@ -47,17 +42,19 @@ class MbConvChoiceBlock : public ChoiceBlock {
   long kernel() const { return kernel_; }
   bool has_residual() const { return residual_; }
 
+ protected:
+  tensor::Tensor forward_at(const tensor::Tensor& x, long active) override;
+  tensor::Tensor backward_at(const tensor::Tensor& dy, long active) override;
+
  private:
   double expansion_;
   long kernel_;
   long in_channels_, out_channels_, stride_, mid_channels_;
-  double channel_factor_ = 1.0;
   bool residual_ = false;
   bool pure_identity_ = false;
   std::string display_name_;
 
-  std::unique_ptr<Sequential> body_;
-  std::vector<ChannelMask*> masks_;
+  MaskedBranch body_;
 };
 
 }  // namespace hsconas::nn

@@ -37,11 +37,13 @@ struct Parameter {
 /// Per-module execution mode.
 ///   kTrain: batch-statistics BatchNorm (running stats updated); modules
 ///           keep what backward() needs. The only mode backward() accepts.
-///   kScore: the same arithmetic as kTrain — bit-identical outputs and
-///           running-stat updates — but forward-only: nothing is kept for
-///           backward(), and state left by an earlier kTrain forward is
-///           dropped when the mode is set. What scoring a search candidate
-///           on shared weights needs (Supernet::evaluate).
+///   kScore: the same arithmetic as kTrain — batch-statistics BatchNorm,
+///           bit-identical outputs — but read-only: running stats are left
+///           alone, nothing is kept for backward(), and state left by an
+///           earlier kTrain forward is dropped when the mode is set. What
+///           scoring search candidates on shared weights needs
+///           (Supernet::evaluate): like eval forwards, any number of
+///           threads may run score forwards through one module at once.
 ///   kEval:  running-statistics BatchNorm, dropout off, forward-only like
 ///           kScore. Conv2d/Linear layers whose QuantState is ready
 ///           compute in int8, every other layer in fp32. Serving and int8
@@ -73,10 +75,11 @@ void set_mode(const ModuleVisitor& visit, Mode mode);
 /// backward() call, so a module supports exactly one in-flight train
 /// forward/backward pair — which matches how one-shot NAS training uses it
 /// (one sampled path per step). set_mode() releases that state when a
-/// module leaves train mode, and an eval forward writes no member, so any
-/// number of threads may run eval forwards through one module at once
-/// (serving lanes share one network this way) while nothing changes its
-/// mode, weights or quantization state.
+/// module leaves train mode, and a score or eval forward writes no member,
+/// so any number of threads may run such forwards through one module at
+/// once (serving lanes share one network this way, and the search scores
+/// candidates on one supernet this way) while nothing changes its mode,
+/// weights or quantization state.
 class Module {
  public:
   virtual ~Module() = default;

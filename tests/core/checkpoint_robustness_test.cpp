@@ -12,8 +12,6 @@
 #include <string>
 
 #include "core/checkpoint.h"
-#include "core/evolution.h"
-#include "core/search_space.h"
 #include "util/error.h"
 #include "util/serial.h"
 
@@ -230,32 +228,6 @@ TEST(SerialCodec, ExpectDoneCatchesUnderAndOverConsumption) {
   EXPECT_EQ(r.u32(), 2u);
   EXPECT_NO_THROW(r.expect_done());
   EXPECT_THROW(r.u8(), Error);
-}
-
-// ----------------------------------------------------------- latency memo --
-
-TEST(ArchLatencyMemo, HashCollisionFallsThroughInsteadOfAliasing) {
-  const SearchSpace space(SearchSpaceConfig::proxy(4, 8, 1));
-  util::Rng rng(5);
-  Arch a = Arch::random(space, rng);
-  Arch b = Arch::random(space, rng);
-  while (b == a) b = Arch::random(space, rng);
-
-  ArchLatencyMemo memo;
-  const std::uint64_t key = 42;  // force both archs onto one slot
-  memo.store(key, a, 1.25);
-
-  double ms = 0.0;
-  EXPECT_TRUE(memo.lookup(key, a, &ms));
-  EXPECT_EQ(ms, 1.25);
-  // The colliding arch must MISS (old behavior: silently returned 1.25).
-  EXPECT_FALSE(memo.lookup(key, b, &ms));
-
-  // First writer wins; the original mapping survives a colliding store.
-  memo.store(key, b, 9.75);
-  EXPECT_TRUE(memo.lookup(key, a, &ms));
-  EXPECT_EQ(ms, 1.25);
-  EXPECT_EQ(memo.size(), 1u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Determinism contract for parallel candidate evaluation: EvolutionSearch
-// and SpaceShrinker breed/draw genomes serially and score them into
-// index-ordered slots, so a run with Config::parallel_eval on a pool of N
-// workers must be BIT-identical — not merely statistically close — to the
-// serial run for the same seed. These tests pin that guarantee.
+// Determinism contract for concurrent candidate scoring: EvolutionSearch
+// and SpaceShrinker breed/draw genomes serially and score them across
+// util::ThreadPool::global() into index-ordered slots, so a run on a pool
+// of N workers must be BIT-identical — not merely statistically close —
+// to a run on one worker (where parallel_for runs inline, i.e. serially)
+// for the same seed. These tests pin that guarantee.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +11,12 @@
 #include "core/evolution.h"
 #include "core/space_shrinking.h"
 #include "hwsim/registry.h"
-#include "util/thread_pool.h"
+#include "tests/core/pool_guard.h"
 
 namespace hsconas::core {
 namespace {
+
+using testutil::PoolGuard;
 
 struct Fixture {
   SearchSpace space{SearchSpaceConfig::proxy(10, 16, 2)};  // 6 layers
@@ -35,15 +38,14 @@ struct Fixture {
     return [this](const Arch& a) { return surrogate.accuracy(a); };
   }
 
-  EvolutionSearch::Result run_evolution(bool parallel,
-                                        util::ThreadPool* pool) {
+  /// A search scored on a global pool of `threads` workers.
+  EvolutionSearch::Result run_evolution(std::size_t threads) {
+    PoolGuard pool(threads);
     EvolutionSearch::Config cfg;
     cfg.generations = 6;
     cfg.population = 24;
     cfg.parents = 8;
     cfg.seed = 4242;
-    cfg.parallel_eval = parallel;
-    cfg.pool = pool;
     EvolutionSearch search(space, accuracy_fn(), model, objective, cfg);
     return search.run();
   }
@@ -78,49 +80,44 @@ void expect_identical(const EvolutionSearch::Result& serial,
 
 TEST(EvolutionParallel, ParallelEvalBitIdenticalToSerial) {
   Fixture f;
-  const auto serial = f.run_evolution(false, nullptr);
-
-  util::ThreadPool pool(4);
+  const auto serial = f.run_evolution(1);  // one worker: inline scoring
   Fixture f2;  // fresh space/model: identical construction inputs
-  const auto parallel = f2.run_evolution(true, &pool);
+  const auto parallel = f2.run_evolution(4);
   expect_identical(serial, parallel);
 }
 
 TEST(EvolutionParallel, WorkerCountDoesNotChangeResult) {
   Fixture f;
-  util::ThreadPool pool1(1);
-  const auto one = f.run_evolution(true, &pool1);  // pool of 1 => serial path
-
+  const auto three = f.run_evolution(3);
   Fixture f2;
-  util::ThreadPool pool7(7);
-  const auto seven = f2.run_evolution(true, &pool7);
-  expect_identical(one, seven);
+  const auto seven = f2.run_evolution(7);
+  expect_identical(three, seven);
 }
 
 TEST(EvolutionParallel, RepeatedSerialRunsAreIdentical) {
   // Sanity: the comparison above is meaningful only if the search itself
   // is deterministic for a fixed seed.
   Fixture f1, f2;
-  expect_identical(f1.run_evolution(false, nullptr),
-                   f2.run_evolution(false, nullptr));
+  expect_identical(f1.run_evolution(1), f2.run_evolution(1));
 }
 
 TEST(ShrinkerParallel, SubspaceQualityBitIdenticalToSerial) {
   Fixture f1, f2;
-  SpaceShrinker::Config serial_cfg{40, 7};
   SpaceShrinker serial(f1.space, f1.accuracy_fn(), f1.model, f1.objective,
-                       serial_cfg);
-
-  util::ThreadPool pool(5);
-  SpaceShrinker::Config par_cfg{40, 7};
-  par_cfg.parallel_eval = true;
-  par_cfg.pool = &pool;
+                       SpaceShrinker::Config{40, 7});
   SpaceShrinker parallel(f2.space, f2.accuracy_fn(), f2.model, f2.objective,
-                         par_cfg);
+                         SpaceShrinker::Config{40, 7});
 
   for (int layer : {5, 4}) {
-    const auto a = serial.shrink_layer(layer);
-    const auto b = parallel.shrink_layer(layer);
+    SpaceShrinker::LayerDecision a, b;
+    {
+      PoolGuard pool(1);
+      a = serial.shrink_layer(layer);
+    }
+    {
+      PoolGuard pool(5);
+      b = parallel.shrink_layer(layer);
+    }
     EXPECT_EQ(a.chosen_op, b.chosen_op) << "layer " << layer;
     ASSERT_EQ(a.quality.size(), b.quality.size());
     for (std::size_t i = 0; i < a.quality.size(); ++i) {

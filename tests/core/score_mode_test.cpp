@@ -1,8 +1,9 @@
-// Forward-only candidate scoring. Score mode must compute exactly what a
-// train-mode forward computes — logits, top-1 and the BatchNorm running
-// statistics it leaves behind — while keeping nothing for backward(), at
-// any pool size. The hsconas.nn.backward_state_bytes counter stays flat
-// across Supernet::evaluate and across a serving window.
+// Read-only candidate scoring. Score mode must compute exactly the logits
+// and top-1 a train-mode forward computes, while writing no module state:
+// the BatchNorm running statistics stay as they were, nothing is kept for
+// backward() and the mode is not touched, at any pool size. The
+// hsconas.nn.backward_state_bytes counter stays flat across
+// Supernet::evaluate and across a serving window.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "nn/loss.h"
 #include "obs/metrics.h"
 #include "serve/batch_server.h"
+#include "tests/core/pool_guard.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -22,27 +24,13 @@ namespace hsconas::core {
 namespace {
 
 using tensor::Tensor;
+using testutil::PoolGuard;
 
 constexpr const char* kBackwardState = "hsconas.nn.backward_state_bytes";
 
 std::uint64_t backward_state_bytes() {
   return obs::counter(kBackwardState).value();
 }
-
-/// Resize the global pool for one scope, restoring the prior width.
-class PoolGuard {
- public:
-  explicit PoolGuard(std::size_t threads)
-      : prev_(util::ThreadPool::global().size()) {
-    util::ThreadPool::configure_global(threads);
-  }
-  ~PoolGuard() { util::ThreadPool::configure_global(prev_); }
-  PoolGuard(const PoolGuard&) = delete;
-  PoolGuard& operator=(const PoolGuard&) = delete;
-
- private:
-  std::size_t prev_;
-};
 
 data::SyntheticDataset proxy_dataset() {
   data::SyntheticConfig cfg;
@@ -123,8 +111,9 @@ TEST_P(ScoreMode, MatchesTrainForwardBitForBit) {
     randomize_bn_affine(trained);
     randomize_bn_affine(scored);
 
-    // Top-1 and running stats: evaluate() against the same loop run in
-    // train mode.
+    // Top-1: evaluate() against the same loop run in train mode, which
+    // moves the running stats; scoring leaves them as they were.
+    const std::vector<float> initial_stats = running_stats(scored);
     trained.set_mode(nn::Mode::kTrain);
     data::DataLoader loader(dataset, kBatch, /*train=*/false, /*seed=*/0);
     std::size_t correct = 0, total = 0;
@@ -134,20 +123,22 @@ TEST_P(ScoreMode, MatchesTrainForwardBitForBit) {
       correct += nn::cross_entropy(logits, batch.labels).correct_top1;
       total += batch.labels.size();
     }
+    ASSERT_FALSE(same_bits(running_stats(trained), initial_stats))
+        << "the train forwards must move the running stats, trial " << trial;
+    scored.set_mode(nn::Mode::kScore);
     const double top1 = scored.evaluate(dataset, arch, kBatch, kBatches);
     EXPECT_EQ(top1, static_cast<double>(correct) / static_cast<double>(total));
-    EXPECT_EQ(nn::Mode::kTrain, scored.mode());
-    EXPECT_TRUE(same_bits(running_stats(trained), running_stats(scored)))
+    EXPECT_EQ(nn::Mode::kScore, scored.mode());
+    EXPECT_TRUE(same_bits(running_stats(scored), initial_stats))
         << "running stats after evaluate, trial " << trial;
 
     // Logits of one more batch, score mode against train mode.
     const data::Batch batch = loader.batch(0);
-    scored.set_mode(nn::Mode::kScore);
     const Tensor train_logits = trained.forward(batch.images, arch);
     const Tensor score_logits = scored.forward(batch.images, arch);
     EXPECT_TRUE(same_bits(train_logits, score_logits))
         << "logits, trial " << trial;
-    EXPECT_TRUE(same_bits(running_stats(trained), running_stats(scored)))
+    EXPECT_TRUE(same_bits(running_stats(scored), initial_stats))
         << "running stats after forward, trial " << trial;
   }
 }
@@ -177,6 +168,7 @@ TEST(BackwardStateBytes, FlatAcrossEvaluateAndServing) {
   EXPECT_GT(backward_state_bytes(), before);
 
   before = backward_state_bytes();
+  net.set_mode(nn::Mode::kScore);
   net.evaluate(dataset, arch, 36, 2);
   EXPECT_EQ(before, backward_state_bytes());
 

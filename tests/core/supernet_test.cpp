@@ -128,6 +128,7 @@ TEST(Supernet, EvaluateReturnsFraction) {
   Supernet net(space, 1);
   const auto dataset = tiny_dataset();
   util::Rng rng(6);
+  net.set_mode(nn::Mode::kScore);
   const double acc =
       net.evaluate(dataset, Arch::random(space, rng), 16);
   EXPECT_GE(acc, 0.0);
@@ -197,9 +198,11 @@ TEST(Supernet, MaskedEvaluationDiffersByChannelFactor) {
 }
 
 TEST(Supernet, BackwardAfterEvaluateThrows) {
-  // evaluate() scores forward-only: it drops the state an earlier train
-  // forward left, so a backward() that follows fails instead of reading
-  // stale caches, even though evaluate() leaves the net in train mode.
+  // Scoring is forward-only: entering score mode drops the state an
+  // earlier train forward left, and evaluate() keeps none, so a backward()
+  // that follows fails instead of reading stale caches. evaluate() refuses
+  // to run in train mode, where its forwards would write module state,
+  // and leaves the mode as it found it.
   const SearchSpace space(tiny_config());
   const data::SyntheticDataset dataset = tiny_dataset();
   Supernet net(space, 17);
@@ -207,8 +210,10 @@ TEST(Supernet, BackwardAfterEvaluateThrows) {
   tensor::Tensor x({2, 3, 8, 8});
   x.fill(0.2f);
   const tensor::Tensor logits = net.forward(x, arch);
+  EXPECT_THROW(net.evaluate(dataset, arch, 16, 1), Error);
+  net.set_mode(nn::Mode::kScore);
   net.evaluate(dataset, arch, 16, 1);
-  EXPECT_EQ(nn::Mode::kTrain, net.mode());
+  EXPECT_EQ(nn::Mode::kScore, net.mode());
   EXPECT_THROW(net.backward(logits), InternalError);
 }
 

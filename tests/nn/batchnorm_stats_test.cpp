@@ -1,8 +1,9 @@
 // Bit-exactness of BatchNorm2d's batch statistics. The forward sums four
 // channels side by side, then a one-channel tail; the contract is that
 // every channel's double sums still run in the serial (sample, pixel)
-// order, so outputs and running statistics equal, bit for bit, the
-// one-channel-at-a-time reference below. The first batch is plain normal
+// order, so outputs (train and score mode) and running statistics (train
+// mode; score mode leaves them at their initial values) equal, bit for
+// bit, the one-channel-at-a-time reference below. The first batch is plain normal
 // data, which pins the normalization arithmetic; the second carries a
 // ±2^40 pair per channel, which makes the mean's double sum
 // order-sensitive, so a reordered sum changes the bits. A tail that
@@ -112,8 +113,9 @@ TEST_P(InterleavedStats, MatchSerialPerChannelReference) {
   }
 
   // Two batches, so the second starts from non-trivial running stats.
-  std::vector<float> rm(static_cast<std::size_t>(ch), 0.0f);
-  std::vector<float> rv(static_cast<std::size_t>(ch), 1.0f);
+  const std::vector<float> initial_mean(static_cast<std::size_t>(ch), 0.0f);
+  const std::vector<float> initial_var(static_cast<std::size_t>(ch), 1.0f);
+  std::vector<float> rm = initial_mean, rv = initial_var;
   for (int batch = 0; batch < 2; ++batch) {
     util::Rng data_rng(static_cast<std::uint64_t>(200 + ch));
     const Tensor x = batch == 0
@@ -126,13 +128,16 @@ TEST_P(InterleavedStats, MatchSerialPerChannelReference) {
     const auto count = static_cast<std::size_t>(x.numel());
     const auto chans = static_cast<std::size_t>(ch);
     for (BatchNorm2d* bn : {&train, &score}) {
-      const char* mode = bn == &train ? "train" : "score";
+      const bool is_train = bn == &train;
+      const char* mode = is_train ? "train" : "score";
       const Tensor y = bn->forward(x);
       EXPECT_TRUE(same_bits(y.data(), ref.y.data(), count))
           << mode << " output, channels " << ch << ", batch " << batch;
-      EXPECT_TRUE(same_bits(bn->running_mean().data(), rm.data(), chans))
+      const float* want_mean = is_train ? rm.data() : initial_mean.data();
+      const float* want_var = is_train ? rv.data() : initial_var.data();
+      EXPECT_TRUE(same_bits(bn->running_mean().data(), want_mean, chans))
           << mode << " running mean, channels " << ch << ", batch " << batch;
-      EXPECT_TRUE(same_bits(bn->running_var().data(), rv.data(), chans))
+      EXPECT_TRUE(same_bits(bn->running_var().data(), want_var, chans))
           << mode << " running var, channels " << ch << ", batch " << batch;
     }
   }

@@ -117,28 +117,31 @@ TEST(ShuffleChoiceBlock, ChannelFactorMasksMidChannels) {
   util::Rng rng(2);
   ShuffleChoiceBlock block(BlockKind::kShuffleK3, 16, 16, 1, rng);
   EXPECT_EQ(block.max_mid_channels(), 8);
-  block.set_channel_factor(0.5);
-  EXPECT_EQ(block.active_mid_channels(), 4);
-  block.set_channel_factor(0.1);
-  EXPECT_EQ(block.active_mid_channels(), 1);
-  block.set_channel_factor(1.0);
-  EXPECT_EQ(block.active_mid_channels(), 8);
+  EXPECT_EQ(block.active_mid_channels(0.5), 4);
+  EXPECT_EQ(block.active_mid_channels(0.1), 1);
+  EXPECT_EQ(block.active_mid_channels(1.0), 8);
 }
 
 TEST(ShuffleChoiceBlock, NarrowerFactorChangesOutput) {
   util::Rng rng(3);
   ShuffleChoiceBlock block(BlockKind::kShuffleK3, 8, 8, 1, rng);
   const Tensor x = block_input(8, 6, 10);
-  block.set_channel_factor(1.0);
-  const Tensor full = block.forward(x);
-  block.set_channel_factor(0.5);
-  const Tensor half = block.forward(x);
+  const Tensor full = block.forward(x, 1.0);
+  const Tensor half = block.forward(x, 0.5);
   double diff = 0.0;
   for (long i = 0; i < full.numel(); ++i) {
     diff += std::abs(full.flat()[static_cast<std::size_t>(i)] -
                      half.flat()[static_cast<std::size_t>(i)]);
   }
   EXPECT_GT(diff, 1e-3);
+  // The factor is per call: a full-width forward after the narrow one is
+  // the first full-width forward again, bit for bit.
+  const Tensor again = block.forward(x);
+  ASSERT_EQ(again.shape(), full.shape());
+  for (long i = 0; i < full.numel(); ++i) {
+    EXPECT_EQ(again.flat()[static_cast<std::size_t>(i)],
+              full.flat()[static_cast<std::size_t>(i)]);
+  }
 }
 
 TEST(ShuffleChoiceBlock, MaskingEquivalentToZeroedWeights) {
@@ -146,9 +149,8 @@ TEST(ShuffleChoiceBlock, MaskingEquivalentToZeroedWeights) {
   // gradients to masked mid-channels are zero.
   util::Rng rng(4);
   ShuffleChoiceBlock block(BlockKind::kShuffleK3, 8, 8, 1, rng);
-  block.set_channel_factor(0.5);  // 2 of 4 mid channels active
   const Tensor x = block_input(8, 6, 11);
-  const Tensor y = block.forward(x);
+  const Tensor y = block.forward(x, 0.5);  // 2 of 4 mid channels active
   block.backward(Tensor::ones(y.shape()));
 
   std::vector<Parameter*> params;
@@ -174,8 +176,10 @@ TEST(ShuffleChoiceBlock, MaskingEquivalentToZeroedWeights) {
 TEST(ShuffleChoiceBlock, FactorOutOfRangeThrows) {
   util::Rng rng(5);
   ShuffleChoiceBlock block(BlockKind::kShuffleK3, 8, 8, 1, rng);
-  EXPECT_THROW(block.set_channel_factor(0.0), InvalidArgument);
-  EXPECT_THROW(block.set_channel_factor(1.5), InvalidArgument);
+  const Tensor x = block_input(8, 6, 12);
+  EXPECT_THROW(block.forward(x, 0.0), InvalidArgument);
+  EXPECT_THROW(block.forward(x, 1.5), InvalidArgument);
+  EXPECT_THROW(block.active_mid_channels(0.0), InvalidArgument);
 }
 
 TEST(ShuffleChoiceBlock, ConstructionValidation) {

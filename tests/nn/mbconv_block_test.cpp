@@ -138,8 +138,7 @@ TEST(MbConvChoiceBlock, ExpansionSetsMidWidth) {
   EXPECT_EQ(e3.max_mid_channels(), 24);
   MbConvChoiceBlock e6(6.0, 5, 8, 8, 1, rng);
   EXPECT_EQ(e6.max_mid_channels(), 48);
-  e6.set_channel_factor(0.5);
-  EXPECT_EQ(e6.active_mid_channels(), 24);
+  EXPECT_EQ(e6.active_mid_channels(0.5), 24);
 }
 
 TEST(MbConvChoiceBlock, SkipStride1IsIdentityWithNoParams) {
@@ -158,9 +157,8 @@ TEST(MbConvChoiceBlock, SkipStride1IsIdentityWithNoParams) {
 TEST(MbConvChoiceBlock, MaskedChannelsGetNoGradient) {
   util::Rng rng(12);
   MbConvChoiceBlock block(6.0, 3, 4, 4, 1, rng);  // mid = 24
-  block.set_channel_factor(0.5);                  // 12 active
   const Tensor x = block_input(4, 6, 13);
-  const Tensor y = block.forward(x);
+  const Tensor y = block.forward(x, 0.5);  // 12 active
   block.backward(Tensor::ones(y.shape()));
   std::vector<Parameter*> params;
   block.collect_params(params);
@@ -182,7 +180,7 @@ TEST(MbConvChoiceBlock, Validation) {
   EXPECT_THROW(MbConvChoiceBlock(3.0, 3, 8, 16, 1, rng), InvalidArgument);
   EXPECT_THROW(MbConvChoiceBlock(3.0, 3, 8, 8, 3, rng), InvalidArgument);
   MbConvChoiceBlock block(3.0, 3, 8, 8, 1, rng);
-  EXPECT_THROW(block.set_channel_factor(1.5), InvalidArgument);
+  EXPECT_THROW(block.forward(block_input(8, 5, 15), 1.5), InvalidArgument);
 }
 
 }  // namespace

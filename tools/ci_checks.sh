@@ -27,11 +27,12 @@
 #      suites exercise every integer accumulation/requantize path under
 #      the overflow checkers (skipped with --fast).
 #   9. TSan build + full ctest, then explicit `ctest -L kernels`,
-#      `ctest -L obs`, and `ctest -L serving` re-runs (GEMM/fused-conv/
-#      depthwise determinism, tracer/profiler and pool work-floor, and
-#      batch-serving plus thread-local block pool suites, whose blocks
-#      are freed on other threads than the ones that took them) under
-#      TSan (skipped with --fast).
+#      `ctest -L obs`, `ctest -L serving` and `ctest -L search` re-runs
+#      (GEMM/fused-conv/depthwise determinism, tracer/profiler and pool
+#      work-floor, batch-serving plus thread-local block pool suites,
+#      whose blocks are freed on other threads than the ones that took
+#      them, and candidates scored concurrently on one shared supernet)
+#      under TSan (skipped with --fast).
 #  10. bench_serving closed-loop smoke: a reduced load-generation run
 #      through the batch server must finish error-free (skipped with
 #      --fast).
@@ -159,6 +160,13 @@ stage "batch-serving suites under TSan (ctest -L serving)"
 # reconfiguration guard are all cross-thread by construction; the serial
 # -L serving re-run gives TSan clean interleavings to watch.
 (cd "$root/ci-build-tsan" && ctest --output-on-failure -L serving)
+
+stage "concurrent search-scoring suites under TSan (ctest -L search)"
+# The EA and the space shrinker score candidates across the global pool
+# on one shared supernet in score mode, whose forwards must write no
+# module state; the serial -L search re-run gives TSan clean
+# interleavings to watch.
+(cd "$root/ci-build-tsan" && ctest --output-on-failure -L search)
 
 stage "serving load-generator smoke (bench_serving, reduced load)"
 # Closed-loop end-to-end pass through the batch server: nonzero exit means

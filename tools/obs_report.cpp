@@ -9,8 +9,9 @@
 //   * a per-op profile report (`hsconas profile --out=...`, schema
 //     "hsconas.profile.v1") — per-arch predicted-vs-measured, pooled
 //     roofline, worst offenders and correlation summary;
-//   * a Perfetto trace (`--trace-out=...`) — event/drop counts only, with
-//     a pointer at ui.perfetto.dev for the real rendering.
+//   * a Perfetto trace (`--trace-out=...`) — event/drop counts and a
+//     count/total-time row per span name, with a pointer at
+//     ui.perfetto.dev for the real rendering.
 //
 // Broken inputs fail gracefully: a missing, empty or truncated file gets a
 // one-line diagnosis on stderr and exit code 1, never a raw parser abort.
@@ -18,8 +19,10 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "obs/export.h"
 #include "util/error.h"
@@ -127,6 +130,24 @@ int render_trace(const Json& doc) {
       events != nullptr && events->is_array() ? events->items().size() : 0;
   std::printf("trace file: %zu events, %g dropped (ring overflow)\n", n,
               num(doc, "droppedEvents"));
+  // Per span name: count and total time. A nested span's time also counts
+  // in its parent's, so evolution.run minus evolution.score is the time
+  // the EA spent breeding and selecting.
+  std::map<std::string, std::pair<std::size_t, double>> totals;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Json& e = events->items()[i];
+    auto& [count, us] = totals[str(e, "name", "?")];
+    ++count;
+    us += num(e, "dur");
+  }
+  if (!totals.empty()) {
+    hsconas::util::Table table({"span", "count", "total (ms)"});
+    for (const auto& [name, t] : totals) {
+      table.add_row({name, std::to_string(t.first),
+                     hsconas::util::format("%.1f", t.second / 1e3)});
+    }
+    std::printf("%s", table.render().c_str());
+  }
   std::printf("load it at https://ui.perfetto.dev or chrome://tracing\n");
   return 0;
 }
