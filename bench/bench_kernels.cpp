@@ -125,14 +125,20 @@ void BM_ConvForward(benchmark::State& state) {
 BENCHMARK(BM_ConvForward);
 
 // The served network's small convs (perfbench's fixed arch, docs/
-// PERFORMANCE.md) at the serving batch of 8, as eval-mode forwards in
+// PERFORMANCE.md) at the serving batch of 8, and the proxy search's
+// scoring convs at its evaluation batch of 36, as eval-mode forwards in
 // each dtype; the int8 layer is calibrated on its own input. Registered
 // from main() as BM_ConvForward/<shape>/<dtype>, so the ledger prices the
 // fp32 -> int8 step per shape. The dw rows are the arch's six depthwise
 // signatures (`s2`: stride 2), pw and stem its first pointwise and stem.
+// The b36 rows are the proxy's in-block 1×1 convs, its head and its stem,
+// bias-free like the supernet's convs, so their fp32 rows price the
+// epilogue-free GEMM a candidate score runs.
 struct ServedConv {
   const char* name;
   long in_ch, out_ch, kernel, stride, pad, groups, size;  // size: H = W
+  long batch = 8;
+  bool bias = true;
 };
 constexpr ServedConv kServedConvs[] = {
     {"dw8_k3_16x16_b8", 8, 8, 3, 1, 1, 8, 16},
@@ -143,15 +149,19 @@ constexpr ServedConv kServedConvs[] = {
     {"dw16_k3s2_16x16_b8", 16, 16, 3, 2, 1, 16, 16},
     {"pw8_8_16x16_b8", 8, 8, 1, 1, 0, 1, 16},
     {"stem3_16_k3_16x16_b8", 3, 16, 3, 1, 1, 1, 16},
+    {"pw8_8_12x12_b36", 8, 8, 1, 1, 0, 1, 12, 36, false},
+    {"pw32_32_3x3_b36", 32, 32, 1, 1, 0, 1, 3, 36, false},
+    {"head64_128_3x3_b36", 64, 128, 1, 1, 0, 1, 3, 36, false},
+    {"stem3_16_k3_12x12_b36", 3, 16, 3, 1, 1, 1, 12, 36, false},
 };
 
 void BM_ServedConvForward(benchmark::State& state, ServedConv shape,
                           nn::InferenceDType dtype) {
   util::Rng rng(2);
   nn::Conv2d conv(shape.in_ch, shape.out_ch, shape.kernel, shape.stride,
-                  shape.pad, shape.groups, true, rng);
-  const Tensor x =
-      Tensor::uniform({8, shape.in_ch, shape.size, shape.size}, -1, 1, rng);
+                  shape.pad, shape.groups, shape.bias, rng);
+  const Tensor x = Tensor::uniform(
+      {shape.batch, shape.in_ch, shape.size, shape.size}, -1, 1, rng);
   conv.set_mode(nn::Mode::kEval);
   if (dtype == nn::InferenceDType::kI8) nn::calibrate(conv, {x});
   for (auto _ : state) {

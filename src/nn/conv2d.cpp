@@ -169,38 +169,18 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
     return y;
   }
 
-  // Batch the GEMM across samples: one (cout_g × col_rows)·(col_rows ×
-  // N·ohw) product per group instead of N skinny ones. The column matrix
-  // concatenates every sample's im2col panel, so the GEMM result lands in
-  // a (cout_g, N, oh, ow) scratch that is transposed back to NCHW. All
-  // scratch is leased from the thread-local workspace pool — no heap
-  // allocation on the steady-state path.
-  tensor::Workspace& ws = tensor::Workspace::tls();
-  tensor::Scratch cols = ws.take(static_cast<std::size_t>(col_rows * n * ohw));
-  tensor::Scratch out_panel =
-      ws.take(static_cast<std::size_t>(cout_g * n * ohw));
-
+  // One GEMM per group over the whole batch: (cout_g × col_rows) weights
+  // times the group's conv view, whose column (sample, output pixel) the
+  // GEMM packs straight from x and writes straight into y's NCHW slots.
   for (long g = 0; g < groups_; ++g) {
-    // Per-sample im2col panels are independent and each sample writes a
-    // disjoint column stripe, so pack them in parallel. The panel scratch
-    // is leased inside the body: every worker uses its own pool.
-    pool.parallel_for(static_cast<std::size_t>(n),
-                      static_cast<std::size_t>(col_rows * ohw),
-                      [&](std::size_t si) {
-      const long s = static_cast<long>(si);
-      tensor::Scratch panel =
-          tensor::Workspace::tls().take(static_cast<std::size_t>(col_rows * ohw));
-      const float* img = x.data() + ((s * in_channels_ + g * cin_g) * h * w);
-      // Write sample s's panel into columns [s*ohw, (s+1)*ohw):
-      // im2col fills row-major (col_rows × ohw); scatter rows by stride.
-      tensor::im2col(img, geom, panel.data());
-      for (long r = 0; r < col_rows; ++r) {
-        std::copy(panel.data() + r * ohw, panel.data() + (r + 1) * ohw,
-                  cols.data() + r * n * ohw + s * ohw);
-      }
-    });
-    const float* wgt =
-        weight_.value.data() + g * cout_g * cin_g * kernel_ * kernel_;
+    const tensor::ConvInput<float> in{
+        x.data() + g * cin_g * h * w,
+        static_cast<std::size_t>(in_channels_ * h * w), geom,
+        static_cast<std::size_t>(n)};
+    const tensor::ConvOutput out{
+        y.data() + g * cout_g * ohw,
+        static_cast<std::size_t>(out_channels_ * ohw)};
+    const float* wgt = weight_.value.data() + g * cout_g * col_rows;
     if (ep != nullptr) {
       // The GEMM row axis is the output channel within this group, so the
       // per-row epilogue is exactly the per-channel bias/BN/act — sliced
@@ -209,26 +189,10 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
       gep.scale = ep->scale != nullptr ? ep->scale + g * cout_g : nullptr;
       gep.shift = ep->shift != nullptr ? ep->shift + g * cout_g : nullptr;
       gep.act = ep->act;
-      tensor::gemm_fused(static_cast<std::size_t>(cout_g),
-                         static_cast<std::size_t>(n * ohw),
-                         static_cast<std::size_t>(col_rows), 1.0f, wgt,
-                         cols.data(), out_panel.data(), gep);
+      tensor::gemm_fused(static_cast<std::size_t>(cout_g), wgt, in, out, gep);
     } else {
-      tensor::gemm(static_cast<std::size_t>(cout_g),
-                   static_cast<std::size_t>(n * ohw),
-                   static_cast<std::size_t>(col_rows), 1.0f, wgt, cols.data(),
-                   0.0f, out_panel.data());
+      tensor::gemm(static_cast<std::size_t>(cout_g), wgt, in, out);
     }
-    pool.parallel_for(static_cast<std::size_t>(cout_g),
-                      static_cast<std::size_t>(n * ohw),
-                      [&](std::size_t ci) {
-      const long c = static_cast<long>(ci);
-      for (long s = 0; s < n; ++s) {
-        std::copy(out_panel.data() + (c * n + s) * ohw,
-                  out_panel.data() + (c * n + s + 1) * ohw,
-                  y.data() + ((s * out_channels_ + g * cout_g + c) * ohw));
-      }
-    });
   }
   return y;
 }
@@ -278,25 +242,18 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
   qep.acc_bias = acc_bias;
   qep.act = ep != nullptr ? ep->act : tensor::EpilogueAct::kNone;
 
-  // Every path but the direct 1×1 one starts from the u8 codes of the
-  // whole batch, quantized once.
-  const bool depthwise = cin_g == 1 && cout_g == 1;
-  const bool pointwise =
-      !depthwise && kernel_ == 1 && stride_ == 1 && pad_ == 0;
+  // Every path starts from the u8 codes of the whole batch, quantized once.
   const auto za = static_cast<std::uint8_t>(aq.zero_point);
-  tensor::ByteScratch codes;
-  if (!pointwise) {
-    const long chw = in_channels_ * hw;
-    codes = ws.take_bytes(static_cast<std::size_t>(n * chw));
-    pool.parallel_for(static_cast<std::size_t>(n),
-                      static_cast<std::size_t>(chw), [&](std::size_t si) {
-      const long s = static_cast<long>(si);
-      tensor::quantize_u8(x.data() + s * chw, static_cast<std::size_t>(chw),
-                          aq, codes.u8() + s * chw);
-    });
-  }
+  const long chw = in_channels_ * hw;
+  tensor::ByteScratch codes = ws.take_bytes(static_cast<std::size_t>(n * chw));
+  pool.parallel_for(static_cast<std::size_t>(n), static_cast<std::size_t>(chw),
+                    [&](std::size_t si) {
+    const long s = static_cast<long>(si);
+    tensor::quantize_u8(x.data() + s * chw, static_cast<std::size_t>(chw), aq,
+                        codes.u8() + s * chw);
+  });
 
-  if (depthwise) {
+  if (cin_g == 1 && cout_g == 1) {
     // Depthwise: per channel, accumulate the full k×k windows of that
     // channel of every sample in one int32 pass, then requantize each
     // sample's plane as one writeback row (row c of the epilogue).
@@ -322,53 +279,22 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
     return y;
   }
 
-  // Grouped path: one int8 GEMM per group over a u8 column matrix that
-  // concatenates every sample's panel (sample s owns columns
-  // [s*ohw, (s+1)*ohw)), dequantizing in its writeback. A 1×1 stride-1
-  // unpadded conv's panel is its input planes, quantized straight into
-  // the column matrix; any other geometry gathers u8 windows from the
-  // batch's codes. Each code depends only on its input element, so
-  // batched == sequential bit-identically.
-  const auto cols_ld = static_cast<std::size_t>(n * ohw);
-  tensor::ByteScratch qcols =
-      ws.take_bytes(static_cast<std::size_t>(col_rows) * cols_ld);
-  tensor::Scratch out_panel =
-      ws.take(static_cast<std::size_t>(cout_g * n * ohw));
-
+  // One int8 GEMM per group over the conv view of the group's codes,
+  // dequantizing in its writeback straight into y. Each code depends only
+  // on its input element, so batched == sequential bit-identically.
   for (long g = 0; g < groups_; ++g) {
-    pool.parallel_for(static_cast<std::size_t>(n),
-                      static_cast<std::size_t>(col_rows * ohw),
-                      [&](std::size_t si) {
-      const long first = static_cast<long>(si) * in_channels_ + g * cin_g;
-      std::uint8_t* dst = qcols.u8() + static_cast<long>(si) * ohw;
-      if (!pointwise) {
-        tensor::im2col_u8(codes.u8() + first * hw, geom, za, dst, cols_ld);
-        return;
-      }
-      for (long r = 0; r < cin_g; ++r) {
-        tensor::quantize_u8(x.data() + (first + r) * hw,
-                            static_cast<std::size_t>(hw), aq,
-                            dst + r * static_cast<long>(cols_ld));
-      }
-    });
+    const tensor::ConvInput<std::uint8_t> in{
+        codes.u8() + g * cin_g * hw, static_cast<std::size_t>(chw), geom,
+        static_cast<std::size_t>(n), za};
+    const tensor::ConvOutput out{
+        y.data() + g * cout_g * ohw,
+        static_cast<std::size_t>(out_channels_ * ohw)};
     tensor::QuantEpilogue gep = qep;
     gep.scale += g * cout_g;
     if (gep.shift != nullptr) gep.shift += g * cout_g;
     gep.acc_bias += g * cout_g;
-    tensor::gemm_i8_requant(static_cast<std::size_t>(cout_g), cols_ld,
-                            static_cast<std::size_t>(col_rows),
-                            qw + g * cout_g * col_rows, qcols.u8(),
-                            out_panel.data(), gep);
-    pool.parallel_for(static_cast<std::size_t>(cout_g),
-                      static_cast<std::size_t>(n * ohw),
-                      [&](std::size_t ci) {
-      const long c = static_cast<long>(ci);
-      for (long s = 0; s < n; ++s) {
-        std::copy(out_panel.data() + (c * n + s) * ohw,
-                  out_panel.data() + (c * n + s + 1) * ohw,
-                  y.data() + ((s * out_channels_ + g * cout_g + c) * ohw));
-      }
-    });
+    tensor::gemm_i8_requant(static_cast<std::size_t>(cout_g),
+                            qw + g * cout_g * col_rows, in, out, gep);
   }
   return y;
 }
@@ -392,9 +318,9 @@ Tensor Conv2d::backward(const Tensor& dy) {
   const long col_rows = cin_g * kernel_ * kernel_;
   const long ohw = oh * ow;
 
-  // Mirror the forward pass's sample batching: per group, build the
-  // concatenated column matrix and output-gradient panel once, run two
-  // well-shaped GEMMs, then scatter the column gradients back per sample.
+  // Batch across samples: per group, build the concatenated column matrix
+  // and output-gradient panel once, run two well-shaped GEMMs, then
+  // scatter the column gradients back per sample.
   tensor::Workspace& ws = tensor::Workspace::tls();
   tensor::Scratch cols = ws.take(static_cast<std::size_t>(col_rows * n * ohw));
   tensor::Scratch dy_panel =

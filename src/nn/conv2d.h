@@ -10,8 +10,9 @@ namespace hsconas::nn {
 /// 2-D convolution with square kernels, symmetric padding and channel
 /// groups (groups == in_channels == out_channels gives depthwise).
 ///
-/// Weights are OIHW with I = in_channels / groups. The forward runs as
-/// im2col + one GEMM per group over the whole batch; a depthwise conv
+/// Weights are OIHW with I = in_channels / groups. The forward runs one
+/// implicit GEMM per group over the whole batch (tensor::ConvInput: the
+/// GEMM packs conv windows straight from the input); a depthwise conv
 /// instead runs tensor::depthwise_f32 (or depthwise_i8 once calibrated)
 /// per channel over every sample at once. The backward is im2col + GEMM;
 /// gradients for weights, bias and input are exact.

@@ -44,9 +44,12 @@ long Module::param_count() {
 }
 
 tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
-  tensor::Tensor h = x;
+  if (children_.empty()) return x;
+  // The first child reads x itself; h holds each later stage's input.
+  tensor::Tensor h;
   const bool fuse = mode() == Mode::kEvalFused;
   for (std::size_t i = 0; i < children_.size(); ++i) {
+    const tensor::Tensor& in = i == 0 ? x : h;
     // Fused-eval peephole: a Conv2d → BatchNorm2d [→ ReLU | HSwish] run
     // collapses into one fused epilogue pass. Only in an eval flavour:
     // the fused path folds the running statistics, not batch statistics.
@@ -68,19 +71,20 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
             consumed = 3;
           }
         }
-        h = fused_conv_bn_act(*conv, *bn, act, h);
+        h = fused_conv_bn_act(*conv, *bn, act, in);
         i += consumed - 1;
         continue;
       }
     }
-    h = children_[i]->forward(h);
+    h = children_[i]->forward(in);
   }
   return h;
 }
 
 tensor::Tensor Sequential::backward(const tensor::Tensor& dy) {
-  tensor::Tensor g = dy;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
+  if (children_.empty()) return dy;
+  tensor::Tensor g = children_.back()->backward(dy);
+  for (auto it = children_.rbegin() + 1; it != children_.rend(); ++it) {
     g = (*it)->backward(g);
   }
   return g;

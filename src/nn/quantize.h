@@ -30,7 +30,7 @@ InferenceDType parse_inference_dtype(const std::string& name);
 /// Running min/max over every batch fed through a layer during
 /// calibration; yields the asymmetric per-tensor uint8 activation
 /// quantizer. The range is widened to include 0 so that zero-padding
-/// (im2col borders) and ReLU floors are exactly representable — the
+/// (conv borders) and ReLU floors are exactly representable — the
 /// zero_point maps to real 0.0 with no rounding error.
 class MinMaxObserver {
  public:

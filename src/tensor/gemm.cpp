@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/timing.h"
+#include "tensor/conv_pack.h"
 #include "tensor/workspace.h"
 #include "util/thread_pool.h"
 
@@ -105,27 +106,27 @@ void pack_a_block(const float* a, std::size_t lda, bool trans, std::size_t ic,
   }
 }
 
-/// Pack one kc×NR panel of B (columns [jc+jp, jc+jp+nr)) starting at row
-/// pc into `bp`: kc runs of NR row-adjacent values, zero-padded past nr.
+/// Pack one kc×NR panel of B (columns [j0, j0+nr)) starting at row pc
+/// into `bp`: kc runs of NR row-adjacent values, zero-padded past nr.
 /// `trans` means B is stored n×k and the logical matrix is its transpose
 /// (the gemm_a_bt layout). Panels are independent, so a K block's panels
 /// can be packed concurrently into disjoint slices of the shared buffer.
 void pack_b_panel(const float* b, std::size_t ldb, bool trans, std::size_t pc,
-                  std::size_t jc, std::size_t kc, std::size_t jp,
-                  std::size_t nr, float* HSCONAS_RESTRICT bp) {
+                  std::size_t j0, std::size_t kc, std::size_t nr,
+                  float* HSCONAS_RESTRICT bp) {
   if (!trans) {
     for (std::size_t p = 0; p < kc; ++p) {
-      const float* src = b + (pc + p) * ldb + jc + jp;
+      const float* src = b + (pc + p) * ldb + j0;
       for (std::size_t j = 0; j < nr; ++j) bp[j] = src[j];
       for (std::size_t j = nr; j < kNR; ++j) bp[j] = 0.0f;
       bp += kNR;
     }
   } else {
     // Transpose during packing: column j of the logical B is row
-    // (jc+jp+j) of the stored matrix.
+    // (j0+j) of the stored matrix.
     std::memset(bp, 0, kc * kNR * sizeof(float));
     for (std::size_t j = 0; j < nr; ++j) {
-      const float* src = b + (jc + jp + j) * ldb + pc;
+      const float* src = b + (j0 + j) * ldb + pc;
       for (std::size_t p = 0; p < kc; ++p) bp[p * kNR + j] = src[p];
     }
   }
@@ -135,7 +136,8 @@ void pack_b_panel(const float* b, std::size_t ldb, bool trans, std::size_t pc,
 /// per-row epilogue applied during the store when `ep` is non-null (the
 /// dispatch passes it only on the final K block, when the tile's
 /// accumulation is complete). `row0` is the tile's absolute C row, the
-/// index into the epilogue's scale/shift vectors.
+/// index into the epilogue's scale/shift vectors. `first` reads C as
+/// zeros, for an output that the first K block overwrites.
 ///
 /// The accumulator tile is kMR vectors of kNR floats held in registers for
 /// the whole k loop; each k step is one B vector load plus kMR
@@ -150,7 +152,7 @@ typedef float VecNR __attribute__((vector_size(kNR * sizeof(float))));
 void micro_kernel(std::size_t kc, const float* HSCONAS_RESTRICT ap,
                   const float* HSCONAS_RESTRICT bp, float* HSCONAS_RESTRICT c,
                   std::size_t ldc, std::size_t mr, std::size_t nr,
-                  const GemmEpilogue* ep, std::size_t row0) {
+                  const GemmEpilogue* ep, std::size_t row0, bool first) {
   VecNR acc[kMR] = {};
   for (std::size_t p = 0; p < kc; ++p) {
     VecNR bv;
@@ -172,7 +174,8 @@ void micro_kernel(std::size_t kc, const float* HSCONAS_RESTRICT ap,
       float* crow = c + i * ldc;
       for (std::size_t j = 0; j < nr; ++j) {
         crow[j] = epilogue_apply(
-            ep->act, epilogue_affine(s, crow[j] + acc[i][j], t));
+            ep->act,
+            epilogue_affine(s, (first ? 0.0f : crow[j]) + acc[i][j], t));
       }
     }
     return;
@@ -180,9 +183,9 @@ void micro_kernel(std::size_t kc, const float* HSCONAS_RESTRICT ap,
   if (mr == kMR && nr == kNR) {
     for (std::size_t i = 0; i < kMR; ++i) {
       float* crow = c + i * ldc;
-      VecNR cv;
+      VecNR cv = {};
       // hsconas-lint-allow(serial-raw-memcpy) — vector load/store puns.
-      std::memcpy(&cv, crow, sizeof(cv));
+      if (!first) std::memcpy(&cv, crow, sizeof(cv));
       cv += acc[i];
       // hsconas-lint-allow(serial-raw-memcpy)
       std::memcpy(crow, &cv, sizeof(cv));
@@ -190,7 +193,9 @@ void micro_kernel(std::size_t kc, const float* HSCONAS_RESTRICT ap,
   } else {
     for (std::size_t i = 0; i < mr; ++i) {
       float* crow = c + i * ldc;
-      for (std::size_t j = 0; j < nr; ++j) crow[j] += acc[i][j];
+      for (std::size_t j = 0; j < nr; ++j) {
+        crow[j] = (first ? 0.0f : crow[j]) + acc[i][j];
+      }
     }
   }
 }
@@ -198,7 +203,7 @@ void micro_kernel(std::size_t kc, const float* HSCONAS_RESTRICT ap,
 void micro_kernel(std::size_t kc, const float* HSCONAS_RESTRICT ap,
                   const float* HSCONAS_RESTRICT bp, float* HSCONAS_RESTRICT c,
                   std::size_t ldc, std::size_t mr, std::size_t nr,
-                  const GemmEpilogue* ep, std::size_t row0) {
+                  const GemmEpilogue* ep, std::size_t row0, bool first) {
   float acc[kMR][kNR] = {};
   for (std::size_t p = 0; p < kc; ++p) {
     const float* HSCONAS_RESTRICT arow = ap + p * kMR;
@@ -216,14 +221,17 @@ void micro_kernel(std::size_t kc, const float* HSCONAS_RESTRICT ap,
       float* crow = c + i * ldc;
       for (std::size_t j = 0; j < nr; ++j) {
         crow[j] = epilogue_apply(
-            ep->act, epilogue_affine(s, crow[j] + acc[i][j], t));
+            ep->act,
+            epilogue_affine(s, (first ? 0.0f : crow[j]) + acc[i][j], t));
       }
     }
     return;
   }
   for (std::size_t i = 0; i < mr; ++i) {
     float* crow = c + i * ldc;
-    for (std::size_t j = 0; j < nr; ++j) crow[j] += acc[i][j];
+    for (std::size_t j = 0; j < nr; ++j) {
+      crow[j] = (first ? 0.0f : crow[j]) + acc[i][j];
+    }
   }
 }
 #endif
@@ -237,9 +245,66 @@ struct GemmArgs {
   const float* b;
   std::size_t ldb;
   bool btrans;
-  float* c;                        // ldc == n
-  const GemmEpilogue* ep = nullptr;  // null: plain accumulate
+  float* c;
+  const GemmEpilogue* ep;          // null: plain accumulate
+  const ConvInput<float>* conv;    // set: B is this view (b, ldb unused)
+  // C column j is pixel j % plane of sample j / plane, at c + sample ·
+  // c_stride + row · plane + pixel. A dense C is one sample: plane == n.
+  std::size_t plane, c_stride;
 };
+
+/// Pack the kc×NR panel of B at rows [pc, pc + kc), columns [j0, j0 + nr):
+/// a conv view gathers its windows straight from the input.
+void pack_b(const GemmArgs& g, std::size_t pc, std::size_t kc, std::size_t j0,
+            std::size_t nr, float* HSCONAS_RESTRICT bp) {
+  if (g.conv == nullptr) {
+    pack_b_panel(g.b, g.ldb, g.btrans, pc, j0, kc, nr, bp);
+    return;
+  }
+  if (nr < kNR) std::fill(bp, bp + kc * kNR, 0.0f);
+  gather_conv_rows<1>(*g.conv, pc, kc, j0, nr,
+                      [&](std::size_t p) { return bp + (p - pc) * kNR; });
+}
+
+/// Copy the mr×nr block of C at (row0, j0) into `tile` (row stride kNR),
+/// or back into C when `to_c`, one sample's piece at a time.
+void copy_tile(const GemmArgs& g, std::size_t row0, std::size_t j0,
+               std::size_t mr, std::size_t nr, float* tile, bool to_c) {
+  for_each_sample_piece(j0, nr, g.plane, [&](std::size_t s, std::size_t pix,
+                                             std::size_t t, std::size_t len) {
+    float* c = g.c + s * g.c_stride + row0 * g.plane + pix;
+    for (std::size_t i = 0; i < mr; ++i) {
+      float* crow = c + i * g.plane;
+      float* trow = tile + i * kNR + t;
+      for (std::size_t j = 0; j < len; ++j) {
+        if (to_c) {
+          crow[j] = trow[j];
+        } else {
+          trow[j] = crow[j];
+        }
+      }
+    }
+  });
+}
+
+/// Run the microkernel on the C tile at (row0, j0), column j0 being pixel
+/// pix of sample s: in place when the tile lies in one sample (always, for
+/// a dense C), else through a stack tile, loaded from C after the first K
+/// block and copied back piece by piece — the same values either way.
+void kernel_tile(const GemmArgs& g, std::size_t kc, const float* ap,
+                 const float* bp, std::size_t row0, std::size_t j0,
+                 std::size_t s, std::size_t pix, std::size_t mr,
+                 std::size_t nr, const GemmEpilogue* ep, bool first) {
+  if (pix + nr <= g.plane) {
+    micro_kernel(kc, ap, bp, g.c + s * g.c_stride + row0 * g.plane + pix,
+                 g.plane, mr, nr, ep, row0, first);
+    return;
+  }
+  alignas(64) float tile[kMR * kNR];
+  if (!first) copy_tile(g, row0, j0, mr, nr, tile, /*to_c=*/false);
+  micro_kernel(kc, ap, bp, tile, kNR, mr, nr, ep, row0, first);
+  copy_tile(g, row0, j0, mr, nr, tile, /*to_c=*/true);
+}
 
 /// Compute the kMChunk-row M chunk starting at row `i0` against the shared
 /// packed B block `bp` (kc×nc panels at logical column jc): pack this
@@ -257,15 +322,17 @@ void run_m_chunk(const GemmArgs& g, std::size_t i0, std::size_t jc,
   pack_a_block(g.a, g.lda, g.atrans, i0, pc, mc, kc, g.alpha, ap.data());
   a_panel_counter().add((mc + kMR - 1) / kMR);
   const GemmEpilogue* ep = last_k ? g.ep : nullptr;
+  // The panel's first column is pixel pix of sample s, stepped per panel.
+  std::size_t s = jc / g.plane, pix = jc % g.plane;
   for (std::size_t jp = 0; jp < nc; jp += kNR) {
     const std::size_t nr = std::min(kNR, nc - jp);
     const float* bpanel = bp + (jp / kNR) * kc * kNR;
     for (std::size_t ip = 0; ip < mc; ip += kMR) {
       const std::size_t mr = std::min(kMR, mc - ip);
-      micro_kernel(kc, ap.data() + (ip / kMR) * kc * kMR, bpanel,
-                   g.c + (i0 + ip) * g.n + jc + jp, g.n, mr, nr, ep,
-                   i0 + ip);
+      kernel_tile(g, kc, ap.data() + (ip / kMR) * kc * kMR, bpanel, i0 + ip,
+                  jc + jp, s, pix, mr, nr, ep, g.conv != nullptr && pc == 0);
     }
+    for (pix += kNR; pix >= g.plane; pix -= g.plane) ++s;
   }
 }
 
@@ -296,6 +363,34 @@ void gemm_small(const GemmArgs& g) {
   }
 }
 
+/// The same fallback for a conv view, whose B has no rows to sweep: per
+/// NR-column panel, gathered once, each C row sums its k products in the
+/// same order, in registers, from zero.
+void gemm_small_conv(const GemmArgs& g) {
+  Scratch bp = Workspace::tls().take(g.k * kNR);
+  for (std::size_t j0 = 0; j0 < g.n; j0 += kNR) {
+    const std::size_t nr = std::min(kNR, g.n - j0);
+    pack_b(g, 0, g.k, j0, nr, bp.data());
+    for (std::size_t i = 0; i < g.m; ++i) {
+      float acc[kNR] = {};
+      for (std::size_t p = 0; p < g.k; ++p) {
+        const float av = g.alpha * g.a[i * g.lda + p];
+        if (av == 0.0f) continue;
+        const float* brow = bp.data() + p * kNR;
+        for (std::size_t t = 0; t < kNR; ++t) acc[t] += av * brow[t];
+      }
+      if (g.ep != nullptr) {
+        const float s = g.ep->scale != nullptr ? g.ep->scale[i] : 1.0f;
+        const float t = g.ep->shift != nullptr ? g.ep->shift[i] : 0.0f;
+        for (float& v : acc) {
+          v = epilogue_apply(g.ep->act, epilogue_affine(s, v, t));
+        }
+      }
+      copy_tile(g, i, j0, 1, nr, acc, /*to_c=*/true);
+    }
+  }
+}
+
 /// Macro-kernel: for each (NC, KC) block, pack B once into a shared
 /// read-only buffer (panels packed concurrently — they are disjoint — and
 /// the parallel_for join publishes them to the compute tasks), then
@@ -318,8 +413,8 @@ void gemm_blocked(const GemmArgs& g, bool parallel) {
       const std::size_t kc = std::min(kKC, g.k - pc);
       const bool last_k = pc + kc == g.k;
       auto pack_panel = [&](std::size_t t) {
-        pack_b_panel(g.b, g.ldb, g.btrans, pc, jc, kc, t * kNR,
-                     std::min(kNR, nc - t * kNR), bp.data() + t * kc * kNR);
+        pack_b(g, pc, kc, jc + t * kNR, std::min(kNR, nc - t * kNR),
+               bp.data() + t * kc * kNR);
       };
       auto run_chunk = [&](std::size_t t) {
         run_m_chunk(g, t * kMChunk, jc, nc, pc, kc, bp.data(), last_k);
@@ -377,12 +472,23 @@ void gemm_dispatch(const GemmArgs& g, float beta) {
   // unpacked path, whose j-loop still vectorizes.
   const std::size_t flops = 2 * g.m * g.n * g.k;
   if (flops < kPackThresholdFlops || g.m < kMR / 2) {
-    gemm_small(g);
+    g.conv != nullptr ? gemm_small_conv(g) : gemm_small(g);
     return;
   }
   auto& pool = util::ThreadPool::global();
   const bool parallel = pool.size() > 1 && flops >= kParallelThresholdFlops;
   gemm_blocked(g, parallel);
+}
+
+void gemm_conv(std::size_t m, const float* a, const ConvInput<float>& b,
+               const ConvOutput& c, const GemmEpilogue* ep) {
+  static obs::Counter& calls = obs::counter("hsconas.gemm.calls_conv");
+  const std::size_t n = b.n(), k = b.k();
+  count_gemm_entry(calls, m, n, k);
+  // beta 1 leaves y to the first K block, which overwrites it (`first`).
+  gemm_dispatch({m, n, k, 1.0f, a, /*lda=*/k, /*atrans=*/false, nullptr, 0,
+                 false, c.y, ep, &b, b.ohw(), c.sample_stride},
+                /*beta=*/1.0f);
 }
 
 }  // namespace
@@ -392,7 +498,7 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls");
   count_gemm_entry(calls, m, n, k);
   gemm_dispatch({m, n, k, alpha, a, /*lda=*/k, /*atrans=*/false, b,
-                 /*ldb=*/n, /*btrans=*/false, c},
+                 /*ldb=*/n, /*btrans=*/false, c, nullptr, nullptr, n, 0},
                 beta);
 }
 
@@ -401,7 +507,7 @@ void gemm_at_b(std::size_t m, std::size_t n, std::size_t k, float alpha,
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls_at_b");
   count_gemm_entry(calls, m, n, k);
   gemm_dispatch({m, n, k, alpha, a, /*lda=*/m, /*atrans=*/true, b,
-                 /*ldb=*/n, /*btrans=*/false, c},
+                 /*ldb=*/n, /*btrans=*/false, c, nullptr, nullptr, n, 0},
                 beta);
 }
 
@@ -410,7 +516,7 @@ void gemm_a_bt(std::size_t m, std::size_t n, std::size_t k, float alpha,
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls_a_bt");
   count_gemm_entry(calls, m, n, k);
   gemm_dispatch({m, n, k, alpha, a, /*lda=*/k, /*atrans=*/false, b,
-                 /*ldb=*/k, /*btrans=*/true, c},
+                 /*ldb=*/k, /*btrans=*/true, c, nullptr, nullptr, n, 0},
                 beta);
 }
 
@@ -420,8 +526,18 @@ void gemm_fused(std::size_t m, std::size_t n, std::size_t k, float alpha,
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls_fused");
   count_gemm_entry(calls, m, n, k);
   gemm_dispatch({m, n, k, alpha, a, /*lda=*/k, /*atrans=*/false, b,
-                 /*ldb=*/n, /*btrans=*/false, c, &ep},
+                 /*ldb=*/n, /*btrans=*/false, c, &ep, nullptr, n, 0},
                 /*beta=*/0.0f);
+}
+
+void gemm(std::size_t m, const float* a, const ConvInput<float>& b,
+          const ConvOutput& c) {
+  gemm_conv(m, a, b, c, nullptr);
+}
+
+void gemm_fused(std::size_t m, const float* a, const ConvInput<float>& b,
+                const ConvOutput& c, const GemmEpilogue& ep) {
+  gemm_conv(m, a, b, c, &ep);
 }
 
 }  // namespace hsconas::tensor

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 
+#include "tensor/im2col.h"
+
 namespace hsconas::tensor {
 
 /// Activation applied by a fused GEMM epilogue. The scalar formulas are
@@ -91,5 +93,20 @@ void gemm_a_bt(std::size_t m, std::size_t n, std::size_t k, float alpha,
 void gemm_fused(std::size_t m, std::size_t n, std::size_t k, float alpha,
                 const float* a, const float* b, float* c,
                 const GemmEpilogue& ep);
+
+/// Implicit-GEMM convolution: y = A (m×k) · B, where B is the conv view
+/// `b` (k = b.k(), n = b.n()) and C is the NCHW output `c`. The packers
+/// gather conv windows straight from the input into their panels and the
+/// writeback stores each tile straight into y, so no column matrix or
+/// transposed copy exists. Same K order, small-vs-blocked dispatch and
+/// microkernel as gemm(m, n, k, 1, a, im2col columns, 0, C): bit-identical
+/// to it at every thread count.
+void gemm(std::size_t m, const float* a, const ConvInput<float>& b,
+          const ConvOutput& c);
+
+/// The fused twin: y = ep(A · B), bit-identical to gemm_fused above over
+/// the im2col columns.
+void gemm_fused(std::size_t m, const float* a, const ConvInput<float>& b,
+                const ConvOutput& c, const GemmEpilogue& ep);
 
 }  // namespace hsconas::tensor

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
+#include "tensor/conv_pack.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -73,6 +74,10 @@ struct GemmI8Args {
   std::int32_t* ci;       // raw int32 output (null when requantizing)
   float* cf;              // requantized float output (null for raw)
   const QuantEpilogue* ep;
+  const ConvInput<std::uint8_t>* conv;  // set: B is this view (b unused)
+  // C column j is pixel j % plane of sample j / plane, at sample ·
+  // c_stride + row · plane + pixel. A dense C is one sample: plane == n.
+  std::size_t plane, c_stride;
 };
 
 /// Pack the M chunk [i0, i0+mc) of A into MR-row, quad-interleaved panels:
@@ -98,23 +103,26 @@ void pack_a_block(const std::int8_t* a, std::size_t lda, std::size_t i0,
   }
 }
 
-/// Pack one k×NR panel of B (columns [jc+jp, jc+jp+nr)) quad-interleaved:
+/// Pack one k×NR panel of B (columns [j0, j0+nr)) quad-interleaved:
 /// step q holds, for each of the NR columns, that column's 4 consecutive
 /// k bytes — one 64-byte VNNI vector per step. Zero-padded past nr and
-/// past k. Panels are disjoint, so an N block's panels pack concurrently.
-void pack_b_panel(const std::uint8_t* b, std::size_t ldb, std::size_t jc,
-                  std::size_t jp, std::size_t nr, std::size_t k,
+/// past k. A conv view gathers its windows (padded taps read the zero
+/// point) straight from the codes. Panels are disjoint, so an N block's
+/// panels pack concurrently.
+void pack_b_panel(const GemmI8Args& g, std::size_t j0, std::size_t nr,
                   std::size_t kq, std::uint8_t* HSCONAS_RESTRICT bp) {
   std::memset(bp, 0, kq * kNR * kQuad);
-  for (std::size_t q = 0; q < kq; ++q) {
-    for (std::size_t t = 0; t < kQuad; ++t) {
-      const std::size_t p = q * kQuad + t;
-      if (p >= k) break;
-      const std::uint8_t* src = b + p * ldb + jc + jp;
-      for (std::size_t j = 0; j < nr; ++j) {
-        bp[(q * kNR + j) * kQuad + t] = src[j];
-      }
-    }
+  const auto row = [&](std::size_t p) {
+    return bp + (p / kQuad * kNR) * kQuad + p % kQuad;
+  };
+  if (g.conv != nullptr) {
+    gather_conv_rows<kQuad>(*g.conv, 0, g.k, j0, nr, row);
+    return;
+  }
+  for (std::size_t p = 0; p < g.k; ++p) {
+    const std::uint8_t* src = g.b + p * g.n + j0;
+    std::uint8_t* dst = row(p);
+    for (std::size_t j = 0; j < nr; ++j) dst[j * kQuad] = src[j];
   }
 }
 
@@ -179,15 +187,18 @@ void micro_kernel(std::size_t kq, const std::int8_t* HSCONAS_RESTRICT ap,
 void write_tile(const GemmI8Args& g, std::size_t row0, std::size_t col0,
                 std::size_t mr, std::size_t nr,
                 const std::int32_t* HSCONAS_RESTRICT acc) {
-  if (g.ep != nullptr) {
-    requant_rows(*g.ep, row0, mr, nr, acc, kNR, g.cf + row0 * g.n + col0,
-                 g.n);
-    return;
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    std::int32_t* HSCONAS_RESTRICT crow = g.ci + (row0 + i) * g.n + col0;
-    for (std::size_t j = 0; j < nr; ++j) crow[j] = acc[i * kNR + j];
-  }
+  for_each_sample_piece(col0, nr, g.plane, [&](std::size_t s, std::size_t pix,
+                                               std::size_t t, std::size_t len) {
+    const std::size_t at = s * g.c_stride + row0 * g.plane + pix;
+    if (g.ep != nullptr) {
+      requant_rows(*g.ep, row0, mr, len, acc + t, kNR, g.cf + at, g.plane);
+      return;
+    }
+    for (std::size_t i = 0; i < mr; ++i) {
+      std::int32_t* HSCONAS_RESTRICT crow = g.ci + at + i * g.plane;
+      for (std::size_t j = 0; j < len; ++j) crow[j] = acc[i * kNR + t + j];
+    }
+  });
 }
 
 /// Compute the kMChunk-row M chunk at row i0 against the shared packed B
@@ -216,18 +227,31 @@ void run_m_chunk(const GemmI8Args& g, std::size_t i0, std::size_t jc,
 /// Unpacked fallback for problems too small to amortize panel copies (and
 /// for k == 0, where every accumulator is 0 and the epilogue still
 /// applies). Accumulates up to kNR columns of a row at a time and writes
-/// them through the same tile writeback as the blocked path.
+/// them through the same tile writeback as the blocked path. A conv view
+/// first gathers those columns' k rows into a row-major panel.
 void gemm_i8_small(const GemmI8Args& g) {
+  ByteScratch panel;
+  if (g.conv != nullptr) panel = Workspace::tls().take_bytes(g.k * kNR);
   std::int32_t acc[kNR];
-  for (std::size_t i = 0; i < g.m; ++i) {
-    const std::int8_t* HSCONAS_RESTRICT arow = g.a + i * g.k;
-    for (std::size_t j0 = 0; j0 < g.n; j0 += kNR) {
-      const std::size_t nr = std::min(kNR, g.n - j0);
+  for (std::size_t j0 = 0; j0 < g.n; j0 += kNR) {
+    const std::size_t nr = std::min(kNR, g.n - j0);
+    const std::uint8_t* b = panel.u8();
+    std::size_t ldb = kNR;
+    if (g.conv == nullptr) {
+      b = g.b + j0;
+      ldb = g.n;
+    } else {
+      gather_conv_rows<1>(*g.conv, 0, g.k, j0, nr, [&](std::size_t p) {
+        return panel.u8() + p * kNR;
+      });
+    }
+    for (std::size_t i = 0; i < g.m; ++i) {
+      const std::int8_t* HSCONAS_RESTRICT arow = g.a + i * g.k;
       for (std::size_t j = 0; j < nr; ++j) {
         std::int32_t sum = 0;
         for (std::size_t p = 0; p < g.k; ++p) {
           sum += static_cast<std::int32_t>(arow[p]) *
-                 static_cast<std::int32_t>(g.b[p * g.n + j0 + j]);
+                 static_cast<std::int32_t>(b[p * ldb + j]);
         }
         acc[j] = sum;
       }
@@ -251,8 +275,8 @@ void gemm_i8_blocked(const GemmI8Args& g, bool parallel) {
     const std::size_t npanels = (nc + kNR - 1) / kNR;
     ByteScratch bp = ws.take_bytes(npanels * kq * kNR * kQuad);
     auto pack_panel = [&](std::size_t t) {
-      pack_b_panel(g.b, g.n, jc, t * kNR, std::min(kNR, nc - t * kNR), g.k,
-                   kq, bp.u8() + t * kq * kNR * kQuad);
+      pack_b_panel(g, jc + t * kNR, std::min(kNR, nc - t * kNR), kq,
+                   bp.u8() + t * kq * kNR * kQuad);
     };
     auto run_chunk = [&](std::size_t t) {
       run_m_chunk(g, t * kMChunk, jc, nc, kq, bp.u8());
@@ -288,7 +312,7 @@ void gemm_i8(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
              const std::uint8_t* b, std::int32_t* c) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls");
   count_entry(calls, m, n, k);
-  gemm_i8_dispatch({m, n, k, a, b, c, nullptr, nullptr});
+  gemm_i8_dispatch({m, n, k, a, b, c, nullptr, nullptr, nullptr, n, 0});
 }
 
 void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,
@@ -296,7 +320,17 @@ void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,
                      const QuantEpilogue& ep) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_requant");
   count_entry(calls, m, n, k);
-  gemm_i8_dispatch({m, n, k, a, b, nullptr, c, &ep});
+  gemm_i8_dispatch({m, n, k, a, b, nullptr, c, &ep, nullptr, n, 0});
+}
+
+void gemm_i8_requant(std::size_t m, const std::int8_t* a,
+                     const ConvInput<std::uint8_t>& b, const ConvOutput& c,
+                     const QuantEpilogue& ep) {
+  static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_conv");
+  const GemmI8Args g{m, b.n(), b.k(), a, nullptr, nullptr, c.y, &ep, &b,
+                     b.ohw(), c.sample_stride};
+  count_entry(calls, g.m, g.n, g.k);
+  gemm_i8_dispatch(g);
 }
 
 }  // namespace hsconas::tensor

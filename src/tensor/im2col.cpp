@@ -62,42 +62,6 @@ void im2col(const float* img, const ConvGeom& g, float* cols) {
   }
 }
 
-// The u8 twin of im2col, not a template shared with it: the fp32 kernel's
-// code generation stays independent of the int8 path.
-void im2col_u8(const std::uint8_t* img, const ConvGeom& g, std::uint8_t pad,
-               std::uint8_t* cols, std::size_t ld) {
-  static obs::Counter& calls = obs::counter("hsconas.im2col.calls");
-  calls.add();
-  const long oh = g.out_h(), ow = g.out_w();
-  const long hw = g.in_h * g.in_w;
-  long row = 0;
-  for (long c = 0; c < g.in_channels; ++c) {
-    const std::uint8_t* chan = img + c * hw;
-    for (long ki = 0; ki < g.kernel; ++ki) {
-      for (long kj = 0; kj < g.kernel; ++kj, ++row) {
-        std::uint8_t* out = cols + static_cast<std::size_t>(row) * ld;
-        const long off = kj - g.pad;
-        long x_lo, x_hi;
-        x_bounds(off, g.stride, g.in_w, ow, &x_lo, &x_hi);
-        for (long y = 0; y < oh; ++y) {
-          std::uint8_t* dst = out + y * ow;
-          const long iy = y * g.stride + ki - g.pad;
-          if (iy < 0 || iy >= g.in_h) {
-            std::fill(dst, dst + ow, pad);
-            continue;
-          }
-          const std::uint8_t* src_row = chan + iy * g.in_w;
-          std::fill(dst, dst + x_lo, pad);
-          for (long x = x_lo; x < x_hi; ++x) {
-            dst[x] = src_row[x * g.stride + off];
-          }
-          std::fill(dst + x_hi, dst + ow, pad);
-        }
-      }
-    }
-  }
-}
-
 void col2im(const float* cols, const ConvGeom& g, float* img_grad) {
   static obs::Counter& calls = obs::counter("hsconas.col2im.calls");
   calls.add();

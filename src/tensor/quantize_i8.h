@@ -11,8 +11,8 @@ namespace hsconas::tensor {
 /// The int8 activation kernels. Every float <-> integer crossing of the
 /// quantized forward happens here, at two sanctioned sites: quantize_u8
 /// on the way in and requant_rows on the way out. The integer work
-/// between them — depthwise_i8 (tensor/depthwise.h), im2col_u8 and the
-/// int8 GEMM — never touches a float. Built with HSCONAS_NATIVE_KERNELS like the
+/// between them — depthwise_i8 (tensor/depthwise.h) and the int8 GEMM,
+/// whose conv packer gathers u8 windows — never touches a float. Built with HSCONAS_NATIVE_KERNELS like the
 /// int8 GEMM, so both crossings run as vector code. See
 /// docs/QUANTIZATION.md.
 

@@ -144,7 +144,7 @@ class ByteScratch {
 };
 
 /// The calling thread's scratch leases. The hot compute paths (GEMM
-/// packing, im2col panels, conv scatter staging) lease buffers through
+/// packing, the conv backward's im2col panels) lease buffers through
 /// Workspace::tls() instead of constructing a std::vector per call; the
 /// blocks come from the pool above, so after warm-up a forward/backward
 /// pass performs zero scratch allocations. Each worker in a

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 
+#include "obs/timing.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -16,7 +16,7 @@ namespace {
 std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_mutex;  // guards stderr AND the sink: records never interleave
 std::ofstream g_sink;
-const auto g_start = std::chrono::steady_clock::now();
+const std::uint64_t g_start_ns = obs::monotonic_ns();
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -61,9 +61,7 @@ void log_message(LogLevel level, const std::string& msg,
                  const LogFields& fields) {
   if (level < g_level.load()) return;
   const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    g_start)
-          .count();
+      static_cast<double>(obs::monotonic_ns() - g_start_ns) / 1e9;
 
   std::string text = msg;
   for (const auto& [key, value] : fields) {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/timing.h"
 #include "util/error.h"
 
 namespace hsconas::util {
@@ -322,11 +322,9 @@ void ThreadPool::worker_loop() {
       queue_.pop();
       queue_depth_gauge().set(static_cast<double>(queue_.size()));
     }
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t t0 = obs::monotonic_ns();
     task.fn();
-    task_ms.record(std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count());
+    task_ms.record(static_cast<double>(obs::monotonic_ns() - t0) / 1e6);
     executed.add();
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -21,7 +21,7 @@ namespace hsconas::util {
 inline constexpr std::size_t kParallelWorkFloor = std::size_t{1} << 18;
 
 /// Fixed-size worker pool with a parallel_for helper. Used by the tensor
-/// GEMM, the Conv2d im2col packing loops, and batch evaluation of
+/// GEMM, the conv backward's im2col packing loops, and batch evaluation of
 /// architecture populations. Raw submit() tasks must not throw (an
 /// exception escaping one terminates); parallel_for bodies MAY throw —
 /// see below.

@@ -3,7 +3,8 @@
 // length, alignment and edge value; the requantizing writeback equals the
 // scalar requant formula (epilogue_affine's two roundings, then the
 // activation) for every activation, including partial vector tails; the
-// depthwise kernel and the u8 window gather equal naive integer loops.
+// depthwise kernel equals a naive integer loop (the int8 GEMM's u8 window
+// gather is pinned in conv_view_i8_test.cpp).
 // This file is built without the native-ISA flag, so every reference
 // below runs the plain scalar libm / IEEE path.
 
@@ -210,40 +211,6 @@ TEST(DepthwiseI8, MatchesNaiveIntegerSum) {
                 }
               }
             }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(Im2colU8, GathersWindowsWithZeroPointPadding) {
-  util::Rng rng(65);
-  const std::uint8_t z = 201;
-  for (const long stride : {1L, 2L}) {
-    const ConvGeom g{2, 6, 5, 3, stride, 1};
-    const long ohw = g.out_h() * g.out_w();
-    const auto plane = static_cast<std::size_t>(g.in_h * g.in_w);
-    std::vector<std::uint8_t> codes(2 * plane);
-    for (auto& v : codes) v = static_cast<std::uint8_t>(rng.randint(0, 255));
-    const std::size_t ld = static_cast<std::size_t>(ohw) + 3;
-    std::vector<std::uint8_t> cols(18 * ld, 0xEE);
-    im2col_u8(codes.data(), g, z, cols.data(), ld);
-    for (long c = 0; c < 2; ++c) {
-      for (long ky = 0; ky < 3; ++ky) {
-        for (long kx = 0; kx < 3; ++kx) {
-          const auto row = static_cast<std::size_t>((c * 3 + ky) * 3 + kx);
-          for (long oy = 0; oy < g.out_h(); ++oy) {
-            for (long ox = 0; ox < g.out_w(); ++ox) {
-              const std::int32_t want =
-                  padded_code(codes, plane, c, g, z, oy * stride + ky,
-                              ox * stride + kx);
-              ASSERT_EQ(want, cols[row * ld + static_cast<std::size_t>(
-                                                  oy * g.out_w() + ox)]);
-            }
-          }
-          for (std::size_t j = static_cast<std::size_t>(ohw); j < ld; ++j) {
-            ASSERT_EQ(0xEE, cols[row * ld + j]);
           }
         }
       }

@@ -209,6 +209,20 @@ TEST(LintFile, ThreadDisciplineTokenBoundaries) {
   EXPECT_TRUE(lint::lint_file("src/util/thread_pool.cpp", bad).empty());
 }
 
+TEST(LintFile, TimingDisciplineCoversSrcOutsideObs) {
+  // Every library directory takes its clocks from obs/timing.h; src/obs,
+  // which implements them, and code outside src/ may read std::chrono.
+  const std::string bad_clock = "auto t = std::chrono::steady_clock::now();\n";
+  for (const char* path : {"src/util/thread_pool.cpp", "src/util/logging.cpp",
+                           "src/core/pipeline.cpp", "src/eval/runner.cpp"}) {
+    const auto vs = lint::lint_file(path, bad_clock);
+    ASSERT_EQ(vs.size(), 1u) << path;
+    EXPECT_EQ(vs[0].rule, "timing-discipline") << path;
+  }
+  EXPECT_TRUE(lint::lint_file("src/obs/timing.cpp", bad_clock).empty());
+  EXPECT_TRUE(lint::lint_file("tools/bench_tool.cpp", bad_clock).empty());
+}
+
 TEST(LintFile, ServingLanesObeyThreadAndTimingDiscipline) {
   // src/serve is bound to the same hot-path disciplines as the kernels.
   const std::string bad_thread = "std::thread lane;\n";

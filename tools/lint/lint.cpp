@@ -172,19 +172,21 @@ void rule_thread_discipline(const FileContext& ctx, const Options& opts,
 
 void rule_timing_discipline(const FileContext& ctx, const Options& opts,
                             std::vector<Violation>* out) {
-  // Kernel and serving code must take timestamps through obs/timing.h so
-  // every reading shares one epoch/clock (and shows up coherently in
-  // traces and the profiler). Direct std::chrono / clock_gettime use in
-  // src/tensor, src/nn, or src/serve silently forks the time base —
-  // serving deadlines and latency percentiles must come off the same
-  // clock the kernels are profiled on (obs::wait_for_ns exists for
-  // deadline waits).
-  if (!is_discipline_dir(ctx.path)) return;
+  // Library code must take timestamps through obs/timing.h so every
+  // reading shares one epoch/clock (and shows up coherently in traces and
+  // the profiler). Direct std::chrono / clock_gettime use anywhere in
+  // src/ silently forks the time base — serving deadlines, pool task
+  // timers and log stamps must come off the same clock the kernels are
+  // profiled on (obs::wait_for_ns exists for deadline waits). src/obs
+  // implements those clocks and is the one directory exempt.
+  if (!starts_with(ctx.path, "src/") || starts_with(ctx.path, "src/obs/")) {
+    return;
+  }
   for (std::size_t i = 0; i < ctx.code.size(); ++i) {
     if (find_identifier(ctx.code[i], "chrono") != std::string::npos ||
         has_call(ctx.code[i], "clock_gettime")) {
       report(ctx, out, opts, i + 1, kTimingDiscipline,
-             "direct std::chrono/clock_gettime in a kernel/serving path; "
+             "direct std::chrono/clock_gettime in library code; "
              "take timestamps via obs/timing.h (monotonic_ns, "
              "process_cpu_ms, wait_for_ns) so all readings share one clock "
              "and epoch");
@@ -378,7 +380,7 @@ const std::vector<Rule>& rules() {
        "no rand()/std::random_device/std::mt19937 outside util/rng "
        "(seeded util::Rng streams only)"},
       {kTimingDiscipline,
-       "no direct std::chrono/clock_gettime in tensor/nn kernels "
+       "no direct std::chrono/clock_gettime in src/ outside src/obs "
        "(obs/timing.h clocks only)"},
       {kQuantDtypeDiscipline,
        "no int<->float conversions in src/tensor quant kernels outside the "
