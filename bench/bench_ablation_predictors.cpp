@@ -11,6 +11,7 @@
 #include "core/latency_regression.h"
 #include "core/lowering.h"
 #include "core/search_space.h"
+#include "eval/latency_report.h"
 #include "hwsim/registry.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -42,14 +43,6 @@ int main(int argc, char** argv) {
         core::lower_network(eval_archs.back(), space), batch));
   }
 
-  const auto evaluate = [&](const std::vector<double>& pred) {
-    struct Metrics {
-      double rmse, pearson, kendall;
-    };
-    return Metrics{util::rmse(pred, truth), util::pearson(pred, truth),
-                   util::kendall_tau(pred, truth)};
-  };
-
   util::Table table({"predictor", "measurements", "RMSE (ms)", "pearson",
                      "kendall tau"});
 
@@ -60,15 +53,15 @@ int main(int argc, char** argv) {
                                                         true});
     std::vector<double> pred;
     for (const auto& arch : eval_archs) pred.push_back(model.predict_ms(arch));
-    const auto m = evaluate(pred);
+    const eval::LatencyStats m = eval::latency_stats(pred, truth);
     const int lut_entries = space.num_layers() * space.config().num_ops *
                             static_cast<int>(
                                 space.config().channel_factors.size());
     table.add_row({"LUT + bias (Eq. 2-3)",
                    util::format("%d op profiles + 50 runs", lut_entries),
-                   util::format("%.3f", m.rmse),
+                   util::format("%.3f", m.rmse_ms),
                    util::format("%.4f", m.pearson),
-                   util::format("%.4f", m.kendall)});
+                   util::format("%.4f", m.kendall_tau)});
   }
 
   // (b) Ridge regression at several measurement budgets.
@@ -82,12 +75,12 @@ int main(int argc, char** argv) {
     for (const auto& arch : eval_archs) {
       pred.push_back(regressor.predict_ms(arch));
     }
-    const auto m = evaluate(pred);
+    const eval::LatencyStats m = eval::latency_stats(pred, truth);
     table.add_row({"layer-wise regression",
                    util::format("%d end-to-end runs", budget),
-                   util::format("%.3f", m.rmse),
+                   util::format("%.3f", m.rmse_ms),
                    util::format("%.4f", m.pearson),
-                   util::format("%.4f", m.kendall)});
+                   util::format("%.4f", m.kendall_tau)});
   }
 
   // (c) FLOPs-proportional baseline (scale fitted on 50 runs).
@@ -106,11 +99,11 @@ int main(int argc, char** argv) {
       pred.push_back(fit.intercept +
                      fit.slope * core::arch_macs(arch, space) / 1e9);
     }
-    const auto m = evaluate(pred);
+    const eval::LatencyStats m = eval::latency_stats(pred, truth);
     table.add_row({"FLOPs-linear baseline", "50 end-to-end runs",
-                   util::format("%.3f", m.rmse),
+                   util::format("%.3f", m.rmse_ms),
                    util::format("%.4f", m.pearson),
-                   util::format("%.4f", m.kendall)});
+                   util::format("%.4f", m.kendall_tau)});
   }
 
   std::printf(

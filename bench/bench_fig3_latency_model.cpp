@@ -9,7 +9,7 @@
 
 #include "core/latency_model.h"
 #include "core/search_space.h"
-#include "eval/latency_eval.h"
+#include "eval/latency_report.h"
 #include "hwsim/registry.h"
 #include "util/cli.h"
 #include "util/csv.h"
@@ -56,12 +56,12 @@ int main(int argc, char** argv) {
     }
     table.add_row({name, util::format("%d", cfg.batch),
                    util::format("%.2f", report.bias_ms),
-                   util::format("%.2f", report.rmse_ms),
+                   util::format("%.2f", report.stats.rmse_ms),
                    util::format("%.2f", report.rmse_uncorrected_ms),
                    util::format("%.1f", paper_rmse.at(name)),
-                   util::format("%.3f", report.pearson),
-                   util::format("%.3f", report.spearman),
-                   util::format("%.3f", report.kendall_tau)});
+                   util::format("%.3f", report.stats.pearson),
+                   util::format("%.3f", report.stats.spearman),
+                   util::format("%.3f", report.stats.kendall_tau)});
   }
 
   std::printf(

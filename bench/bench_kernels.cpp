@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,6 @@
 #include "nn/batchnorm.h"
 #include "nn/blocks.h"
 #include "nn/conv2d.h"
-#include "nn/fused_conv.h"
 #include "nn/quantize.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -213,16 +213,18 @@ void BM_ConvBnReluUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvBnReluUnfused);
 
-// Same computation, bias/BN/ReLU folded into the GEMM writeback epilogue.
+// Same computation as a kEvalFused Sequential: bias/BN/ReLU folded into
+// the GEMM writeback epilogue.
 void BM_ConvBnReluFused(benchmark::State& state) {
   util::Rng rng(2);
-  nn::Conv2d conv(16, 32, 3, 1, 1, 1, false, rng);
-  nn::BatchNorm2d bn(32);
-  conv.set_mode(nn::Mode::kEval);
-  bn.set_mode(nn::Mode::kEval);
+  nn::Sequential seq;
+  seq.add(std::make_unique<nn::Conv2d>(16, 32, 3, 1, 1, 1, false, rng));
+  seq.add(std::make_unique<nn::BatchNorm2d>(32));
+  seq.add(std::make_unique<nn::ReLU>());
+  seq.set_mode(nn::Mode::kEvalFused);
   const Tensor x = Tensor::uniform({4, 16, 16, 16}, -1, 1, rng);
   for (auto _ : state) {
-    Tensor y = nn::fused_conv_bn_act(conv, bn, tensor::EpilogueAct::kReLU, x);
+    Tensor y = seq.forward(x);
     benchmark::DoNotOptimize(y.data());
   }
 }

@@ -9,7 +9,7 @@
 #include "core/latency_model.h"
 #include "core/lowering.h"
 #include "core/search_space.h"
-#include "eval/latency_eval.h"
+#include "eval/latency_report.h"
 #include "hwsim/registry.h"
 #include "util/cli.h"
 
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   const auto report = eval::evaluate_latency_model(model, 100, cfg.seed);
   std::printf("over 100 fresh archs: RMSE %.2f ms (%.2f without B), "
               "pearson %.3f, kendall %.3f\n",
-              report.rmse_ms, report.rmse_uncorrected_ms, report.pearson,
-              report.kendall_tau);
+              report.stats.rmse_ms, report.rmse_uncorrected_ms,
+              report.stats.pearson, report.stats.kendall_tau);
   return 0;
 }

@@ -1,13 +1,14 @@
-#include "hwsim/calibration.h"
+#include "eval/latency_report.h"
 
 #include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <string>
 
+#include "obs/trace.h"
 #include "util/stats.h"
 
-namespace hsconas::hwsim {
+namespace hsconas::eval {
 
 namespace {
 
@@ -18,7 +19,19 @@ bool ends_with(const std::string& s, const char* suffix) {
 
 }  // namespace
 
-bool op_from_key(const obs::OpKey& key, OpDescriptor* out) {
+LatencyStats latency_stats(std::span<const double> predicted,
+                           std::span<const double> measured) {
+  LatencyStats s;
+  s.rmse_ms = util::rmse(predicted, measured);
+  s.mae_ms = util::mae(predicted, measured);
+  s.pearson = util::pearson(predicted, measured);
+  s.spearman = util::spearman(predicted, measured);
+  s.kendall_tau = util::kendall_tau(predicted, measured);
+  return s;
+}
+
+bool op_from_key(const obs::OpKey& key, hwsim::OpDescriptor* out) {
+  using hwsim::OpDescriptor;
   // Backward passes have no forward-inference analogue in the device
   // model (it prices deployment, not training) — leave them unpriced.
   if (ends_with(key.op, ".bwd")) return false;
@@ -59,8 +72,7 @@ bool op_from_key(const obs::OpKey& key, OpDescriptor* out) {
   return false;
 }
 
-std::vector<OpComparison> CalibrationReport::worst_offenders(
-    std::size_t top_n) const {
+std::vector<OpComparison> OpTable::worst_offenders(std::size_t top_n) const {
   std::vector<OpComparison> priced;
   for (const OpComparison& op : ops) {
     if (op.priced) priced.push_back(op);
@@ -74,10 +86,10 @@ std::vector<OpComparison> CalibrationReport::worst_offenders(
   return priced;
 }
 
-CalibrationReport compare_profile(const std::vector<obs::OpStats>& stats,
-                                  const DeviceSimulator& device) {
-  CalibrationReport report;
-  const DeviceProfile& profile = device.profile();
+OpTable compare_profile(const std::vector<obs::OpStats>& stats,
+                        const hwsim::DeviceSimulator& device) {
+  OpTable table;
+  const hwsim::DeviceProfile& profile = device.profile();
   const double ridge =
       profile.mem_bandwidth_gbs > 0.0
           ? profile.peak_gflops / profile.mem_bandwidth_gbs
@@ -89,25 +101,24 @@ CalibrationReport compare_profile(const std::vector<obs::OpStats>& stats,
     OpComparison cmp;
     cmp.measured = st;
     cmp.compute_bound = st.arithmetic_intensity() >= ridge;
-    OpDescriptor desc;
+    hwsim::OpDescriptor desc;
     if (op_from_key(st.key, &desc)) {
       cmp.priced = true;
-      cmp.descriptor = desc;
       const int batch = static_cast<int>(std::max<long>(1, st.key.batch));
       cmp.predicted_ms = device.op_latency_ms(desc, batch);
       if (cmp.predicted_ms > 0.0) {
         cmp.ratio = st.wall_ms_mean() / cmp.predicted_ms;
       }
-      report.measured_total_ms += st.wall_ms_total;
-      report.predicted_total_ms +=
+      table.measured_total_ms += st.wall_ms_total;
+      table.predicted_total_ms +=
           cmp.predicted_ms * static_cast<double>(st.calls);
       priced.push_back(std::move(cmp));
     } else {
       unpriced.push_back(std::move(cmp));
     }
   }
-  report.priced_ops = priced.size();
-  report.unpriced_ops = unpriced.size();
+  table.priced_ops = priced.size();
+  table.unpriced_ops = unpriced.size();
 
   // Global host-vs-device scale: the median measured/predicted ratio.
   // Per-op drift is distance from it in log space, so a predictor that is
@@ -117,31 +128,62 @@ CalibrationReport compare_profile(const std::vector<obs::OpStats>& stats,
     if (op.ratio > 0.0) ratios.push_back(op.ratio);
   }
   if (!ratios.empty()) {
-    report.median_ratio = util::percentile(ratios, 50.0);
+    table.median_ratio = util::percentile(ratios, 50.0);
   }
   for (OpComparison& op : priced) {
-    if (op.ratio > 0.0 && report.median_ratio > 0.0) {
-      op.drift = std::abs(std::log(op.ratio / report.median_ratio));
+    if (op.ratio > 0.0 && table.median_ratio > 0.0) {
+      op.drift = std::abs(std::log(op.ratio / table.median_ratio));
     }
   }
 
-  if (priced.size() >= 2) {
-    std::vector<double> measured, predicted;
-    measured.reserve(priced.size());
-    predicted.reserve(priced.size());
-    for (const OpComparison& op : priced) {
-      measured.push_back(op.measured.wall_ms_mean());
-      predicted.push_back(op.predicted_ms);
-    }
-    report.kendall_tau = util::kendall_tau(measured, predicted);
-    report.spearman_rho = util::spearman(measured, predicted);
+  std::vector<double> predicted, measured;
+  predicted.reserve(priced.size());
+  measured.reserve(priced.size());
+  for (const OpComparison& op : priced) {
+    predicted.push_back(op.predicted_ms);
+    measured.push_back(op.measured.wall_ms_mean());
   }
+  const LatencyStats s = latency_stats(predicted, measured);
+  table.kendall_tau = s.kendall_tau;
+  table.spearman_rho = s.spearman;
 
-  report.ops = std::move(priced);
-  report.ops.insert(report.ops.end(),
-                    std::make_move_iterator(unpriced.begin()),
-                    std::make_move_iterator(unpriced.end()));
+  table.ops = std::move(priced);
+  table.ops.insert(table.ops.end(), std::make_move_iterator(unpriced.begin()),
+                   std::make_move_iterator(unpriced.end()));
+  return table;
+}
+
+void LatencyReport::summarize() {
+  std::vector<double> predicted, uncorrected, measured;
+  predicted.reserve(points.size());
+  uncorrected.reserve(points.size());
+  measured.reserve(points.size());
+  for (const LatencyPoint& p : points) {
+    predicted.push_back(p.predicted_ms);
+    uncorrected.push_back(p.predicted_uncorrected_ms);
+    measured.push_back(p.measured_ms);
+  }
+  stats = latency_stats(predicted, measured);
+  rmse_uncorrected_ms = latency_stats(uncorrected, measured).rmse_ms;
+}
+
+LatencyReport evaluate_latency_model(core::LatencyModel& model, int num_archs,
+                                     std::uint64_t seed) {
+  HSCONAS_TRACE_SCOPE("eval.latency_model");
+  util::Rng rng(seed);
+  LatencyReport report;
+  report.bias_ms = model.bias_ms();
+  report.points.reserve(static_cast<std::size_t>(num_archs));
+  for (int i = 0; i < num_archs; ++i) {
+    LatencyPoint p;
+    p.arch = core::Arch::random(model.space(), rng);
+    p.predicted_ms = model.predict_ms(p.arch);
+    p.predicted_uncorrected_ms = model.predict_uncorrected_ms(p.arch);
+    p.measured_ms = model.measure_ms(p.arch);
+    report.points.push_back(std::move(p));
+  }
+  report.summarize();
   return report;
 }
 
-}  // namespace hsconas::hwsim
+}  // namespace hsconas::eval

@@ -45,7 +45,7 @@ void merge_stats(std::unordered_map<std::string, obs::OpStats>& pooled,
   }
 }
 
-util::Json op_row_json(const hwsim::OpComparison& cmp) {
+util::Json op_row_json(const OpComparison& cmp) {
   const obs::OpStats& st = cmp.measured;
   util::Json o = util::Json::object();
   o["signature"] = st.signature;
@@ -73,26 +73,36 @@ util::Json op_row_json(const hwsim::OpComparison& cmp) {
   return o;
 }
 
-util::Json calibration_json(const hwsim::CalibrationReport& report) {
+util::Json calibration_json(const OpTable& table) {
   util::Json c = util::Json::object();
-  c["op_kendall_tau"] = report.kendall_tau;
-  c["op_spearman_rho"] = report.spearman_rho;
-  c["median_ratio"] = report.median_ratio;
-  c["measured_total_ms"] = report.measured_total_ms;
-  c["predicted_total_ms"] = report.predicted_total_ms;
-  c["priced_ops"] = static_cast<unsigned long long>(report.priced_ops);
-  c["unpriced_ops"] = static_cast<unsigned long long>(report.unpriced_ops);
+  c["op_kendall_tau"] = table.kendall_tau;
+  c["op_spearman_rho"] = table.spearman_rho;
+  c["median_ratio"] = table.median_ratio;
+  c["measured_total_ms"] = table.measured_total_ms;
+  c["predicted_total_ms"] = table.predicted_total_ms;
+  c["priced_ops"] = static_cast<unsigned long long>(table.priced_ops);
+  c["unpriced_ops"] = static_cast<unsigned long long>(table.unpriced_ops);
   util::Json ops = util::Json::array();
-  for (const hwsim::OpComparison& cmp : report.ops) {
+  for (const OpComparison& cmp : table.ops) {
     ops.push_back(op_row_json(cmp));
   }
   c["ops"] = std::move(ops);
   return c;
 }
 
+/// Int8 runs price against the int8 LUT, so the space must carry the
+/// quantization axis and the sampled archs the quant gene.
+core::SearchSpace profile_space(const ProfileConfig& config) {
+  core::SearchSpaceConfig space_cfg = config.space;
+  if (config.dtype == nn::InferenceDType::kI8) {
+    space_cfg.search_quantization = true;
+  }
+  return core::SearchSpace(space_cfg);
+}
+
 }  // namespace
 
-ProfileReport run_profile(const ProfileConfig& config) {
+LatencyReport run_profile(const ProfileConfig& config) {
   if (config.num_archs < 1) {
     throw InvalidArgument("profile: need at least one architecture");
   }
@@ -115,15 +125,7 @@ ProfileReport run_profile(const ProfileConfig& config) {
   }
   config.space.validate();
 
-  ProfileReport report;
-  report.config = config;
-  report.profiler_compiled_in = obs::Profiler::compiled_in();
-
-  // Int8 runs price against the int8 LUT, so the space must carry the
-  // quantization axis and the sampled archs the quant gene.
-  core::SearchSpaceConfig space_cfg = config.space;
-  if (int8) space_cfg.search_quantization = true;
-  const core::SearchSpace space(space_cfg);
+  const core::SearchSpace space = profile_space(config);
   const hwsim::DeviceSimulator device(hwsim::device_by_name(config.device));
   core::LatencyModel::Config model_cfg;
   model_cfg.batch = config.batch;
@@ -131,6 +133,8 @@ ProfileReport run_profile(const ProfileConfig& config) {
   model_cfg.seed = config.seed;
   model_cfg.measurement_noise = false;
   core::LatencyModel model(space, device, model_cfg);
+  LatencyReport report;
+  report.bias_ms = model.bias_ms();
 
   util::Rng rng(config.seed);
   const nn::Mode mode = config.backward ? nn::Mode::kTrain
@@ -141,12 +145,11 @@ ProfileReport run_profile(const ProfileConfig& config) {
   std::unordered_map<std::string, obs::OpStats> pooled;
   try {
     for (int a = 0; a < config.num_archs; ++a) {
-      ArchProfile ap;
-      ap.arch = core::Arch::random(space, rng);
-      ap.arch.quant = int8 ? 1 : 0;
-      ap.arch_string = ap.arch.to_string(space);
+      LatencyPoint p;
+      p.arch = core::Arch::random(space, rng);
+      p.arch.quant = int8 ? 1 : 0;
       core::Supernet net(space, config.seed + static_cast<std::uint64_t>(a),
-                         ap.arch);
+                         p.arch);
       net.set_mode(mode);
 
       Tensor images = Tensor::uniform(
@@ -186,15 +189,13 @@ ProfileReport run_profile(const ProfileConfig& config) {
       obs::Profiler::clear();
       merge_stats(pooled, stats);
 
-      double sum = 0.0;
-      for (double ms : iter_ms) sum += ms;
-      ap.measured_ms = sum / static_cast<double>(iter_ms.size());
-      ap.measured_p50_ms = util::percentile(iter_ms, 50.0);
-      ap.measured_p95_ms = util::percentile(iter_ms, 95.0);
-      ap.predicted_ms = model.predict_ms(ap.arch);
-      ap.predicted_uncorrected_ms = model.predict_uncorrected_ms(ap.arch);
-      ap.ops = hwsim::compare_profile(stats, device);
-      report.archs.push_back(std::move(ap));
+      p.measured_ms = util::mean(iter_ms);
+      p.measured_p50_ms = util::percentile(iter_ms, 50.0);
+      p.measured_p95_ms = util::percentile(iter_ms, 95.0);
+      p.predicted_ms = model.predict_ms(p.arch);
+      p.predicted_uncorrected_ms = model.predict_uncorrected_ms(p.arch);
+      p.ops = compare_profile(stats, device);
+      report.points.push_back(std::move(p));
     }
   } catch (...) {
     obs::Profiler::disable();
@@ -211,87 +212,82 @@ ProfileReport run_profile(const ProfileConfig& config) {
               }
               return x.signature < y.signature;
             });
-  report.overall = hwsim::compare_profile(pooled_vec, device);
-
-  if (report.archs.size() >= 2) {
-    std::vector<double> predicted, measured;
-    for (const ArchProfile& ap : report.archs) {
-      predicted.push_back(ap.predicted_ms);
-      measured.push_back(ap.measured_ms);
-    }
-    report.arch_kendall_tau = util::kendall_tau(predicted, measured);
-    report.arch_spearman_rho = util::spearman(predicted, measured);
-  }
+  report.ops = compare_profile(pooled_vec, device);
+  report.summarize();
   return report;
 }
 
-util::Json profile_report_json(const ProfileReport& report) {
+util::Json profile_report_json(const ProfileConfig& config,
+                               const LatencyReport& report) {
   util::Json doc = util::Json::object();
   doc["schema"] = "hsconas.profile.v1";
-  doc["device"] = report.config.device;
-  doc["batch"] = static_cast<double>(report.config.batch);
-  doc["iters"] = static_cast<double>(report.config.iters);
-  doc["warmup"] = static_cast<double>(report.config.warmup);
-  doc["fused"] = report.config.fused;
-  doc["backward"] = report.config.backward;
-  doc["dtype"] = std::string(nn::inference_dtype_name(report.config.dtype));
-  doc["profiler_compiled_in"] = report.profiler_compiled_in;
+  doc["device"] = config.device;
+  doc["batch"] = static_cast<double>(config.batch);
+  doc["iters"] = static_cast<double>(config.iters);
+  doc["warmup"] = static_cast<double>(config.warmup);
+  doc["fused"] = config.fused;
+  doc["backward"] = config.backward;
+  doc["dtype"] = std::string(nn::inference_dtype_name(config.dtype));
+  doc["profiler_compiled_in"] = obs::Profiler::compiled_in();
 
+  const core::SearchSpace space = profile_space(config);
   util::Json archs = util::Json::array();
-  for (const ArchProfile& ap : report.archs) {
+  for (const LatencyPoint& p : report.points) {
     util::Json a = util::Json::object();
-    a["arch"] = ap.arch_string;
-    a["measured_ms"] = ap.measured_ms;
-    a["measured_p50_ms"] = ap.measured_p50_ms;
-    a["measured_p95_ms"] = ap.measured_p95_ms;
-    a["predicted_ms"] = ap.predicted_ms;
-    a["predicted_uncorrected_ms"] = ap.predicted_uncorrected_ms;
-    a["calibration"] = calibration_json(ap.ops);
+    a["arch"] = p.arch.to_string(space);
+    a["measured_ms"] = p.measured_ms;
+    a["measured_p50_ms"] = p.measured_p50_ms;
+    a["measured_p95_ms"] = p.measured_p95_ms;
+    a["predicted_ms"] = p.predicted_ms;
+    a["predicted_uncorrected_ms"] = p.predicted_uncorrected_ms;
+    a["calibration"] = calibration_json(p.ops);
     archs.push_back(std::move(a));
   }
   doc["archs"] = std::move(archs);
-  doc["overall"] = calibration_json(report.overall);
+  doc["overall"] = calibration_json(report.ops);
 
   util::Json corr = util::Json::object();
-  corr["arch_kendall_tau"] = report.arch_kendall_tau;
-  corr["arch_spearman_rho"] = report.arch_spearman_rho;
-  corr["op_kendall_tau"] = report.overall.kendall_tau;
-  corr["op_spearman_rho"] = report.overall.spearman_rho;
+  corr["arch_kendall_tau"] = report.stats.kendall_tau;
+  corr["arch_spearman_rho"] = report.stats.spearman;
+  corr["arch_rmse_ms"] = report.stats.rmse_ms;
+  corr["bias_ms"] = report.bias_ms;
+  corr["op_kendall_tau"] = report.ops.kendall_tau;
+  corr["op_spearman_rho"] = report.ops.spearman_rho;
   doc["correlation"] = std::move(corr);
 
   util::Json worst = util::Json::array();
-  for (const hwsim::OpComparison& cmp : report.overall.worst_offenders()) {
+  for (const OpComparison& cmp : report.ops.worst_offenders()) {
     worst.push_back(op_row_json(cmp));
   }
   doc["worst_offenders"] = std::move(worst);
   return doc;
 }
 
-std::string render_profile_report(const ProfileReport& report) {
+std::string render_profile_report(const ProfileConfig& config,
+                                  const LatencyReport& report) {
   std::string out;
   out += util::format(
       "profile: device=%s batch=%d iters=%d warmup=%d fused=%d backward=%d "
       "dtype=%s\n",
-      report.config.device.c_str(), report.config.batch, report.config.iters,
-      report.config.warmup, report.config.fused ? 1 : 0,
-      report.config.backward ? 1 : 0,
-      nn::inference_dtype_name(report.config.dtype));
-  if (!report.profiler_compiled_in) {
+      config.device.c_str(), config.batch, config.iters, config.warmup,
+      config.fused ? 1 : 0, config.backward ? 1 : 0,
+      nn::inference_dtype_name(config.dtype));
+  if (!obs::Profiler::compiled_in()) {
     out += "note: profiler compiled out (HSCONAS_ENABLE_TRACING=OFF) — "
            "per-op sections are empty\n";
   }
 
   util::Table archs({"arch", "measured (ms)", "p50", "p95",
                      "predicted (ms)", "uncorrected", "op τ"});
-  for (std::size_t i = 0; i < report.archs.size(); ++i) {
-    const ArchProfile& ap = report.archs[i];
+  for (std::size_t i = 0; i < report.points.size(); ++i) {
+    const LatencyPoint& p = report.points[i];
     archs.add_row({util::format("#%zu", i),
-                   util::format("%.3f", ap.measured_ms),
-                   util::format("%.3f", ap.measured_p50_ms),
-                   util::format("%.3f", ap.measured_p95_ms),
-                   util::format("%.4f", ap.predicted_ms),
-                   util::format("%.4f", ap.predicted_uncorrected_ms),
-                   util::format("%.3f", ap.ops.kendall_tau)});
+                   util::format("%.3f", p.measured_ms),
+                   util::format("%.3f", p.measured_p50_ms),
+                   util::format("%.3f", p.measured_p95_ms),
+                   util::format("%.4f", p.predicted_ms),
+                   util::format("%.4f", p.predicted_uncorrected_ms),
+                   util::format("%.3f", p.ops.kendall_tau)});
   }
   out += "\nper-arch predicted vs measured:\n" + archs.render();
 
@@ -300,7 +296,7 @@ std::string render_profile_report(const ProfileReport& report) {
                         "GB/s", "AI", "bound", "ws peak (KiB)",
                         "pred (ms)", "ratio"});
   std::size_t shown = 0;
-  for (const hwsim::OpComparison& cmp : report.overall.ops) {
+  for (const OpComparison& cmp : report.ops.ops) {
     if (shown++ >= kTopOps) break;
     const obs::OpStats& st = cmp.measured;
     roofline.add_row(
@@ -315,19 +311,19 @@ std::string render_profile_report(const ProfileReport& report) {
          cmp.priced ? util::format("%.4f", cmp.predicted_ms) : "-",
          cmp.priced ? util::format("%.1f", cmp.ratio) : "-"});
   }
-  if (!report.overall.ops.empty()) {
+  if (!report.ops.ops.empty()) {
     out += util::format("\nroofline, pooled across archs (top %zu of %zu by "
                         "wall time):\n",
-                        std::min(kTopOps, report.overall.ops.size()),
-                        report.overall.ops.size());
+                        std::min(kTopOps, report.ops.ops.size()),
+                        report.ops.ops.size());
     out += roofline.render();
   }
 
-  const auto offenders = report.overall.worst_offenders();
+  const auto offenders = report.ops.worst_offenders();
   if (!offenders.empty()) {
     util::Table worst(
         {"op signature", "measured (ms)", "pred (ms)", "ratio", "drift"});
-    for (const hwsim::OpComparison& cmp : offenders) {
+    for (const OpComparison& cmp : offenders) {
       worst.add_row({cmp.measured.signature,
                      util::format("%.4f", cmp.measured.wall_ms_mean()),
                      util::format("%.4f", cmp.predicted_ms),
@@ -343,13 +339,13 @@ std::string render_profile_report(const ProfileReport& report) {
       "\ncorrelation: arch kendall_tau=%.3f spearman_rho=%.3f (n=%zu) | "
       "per-op kendall_tau=%.3f spearman_rho=%.3f (n=%zu priced, %zu "
       "unpriced)\n",
-      report.arch_kendall_tau, report.arch_spearman_rho, report.archs.size(),
-      report.overall.kendall_tau, report.overall.spearman_rho,
-      report.overall.priced_ops, report.overall.unpriced_ops);
+      report.stats.kendall_tau, report.stats.spearman, report.points.size(),
+      report.ops.kendall_tau, report.ops.spearman_rho, report.ops.priced_ops,
+      report.ops.unpriced_ops);
   out += util::format(
       "scale: median measured/predicted ratio=%.2f (host kernels vs "
       "simulated device; ordering, not scale, is what the search needs)\n",
-      report.overall.median_ratio);
+      report.ops.median_ratio);
   return out;
 }
 

@@ -2,11 +2,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "core/arch.h"
 #include "core/search_space.h"
-#include "hwsim/calibration.h"
+#include "eval/latency_report.h"
 #include "nn/quantize.h"
 #include "util/json.h"
 
@@ -37,42 +35,22 @@ struct ProfileConfig {
   nn::InferenceDType dtype = nn::InferenceDType::kF32;
 };
 
-struct ArchProfile {
-  core::Arch arch;
-  std::string arch_string;
-  double measured_ms = 0.0;  ///< mean per-iteration wall time
-  double measured_p50_ms = 0.0;
-  double measured_p95_ms = 0.0;
-  double predicted_ms = 0.0;  ///< LatencyModel Eq. 2: LUT sum + B
-  double predicted_uncorrected_ms = 0.0;
-  hwsim::CalibrationReport ops;  ///< per-op predicted vs measured
-};
-
-struct ProfileReport {
-  ProfileConfig config;
-  bool profiler_compiled_in = false;
-  std::vector<ArchProfile> archs;
-  /// Per-op comparison pooled across every arch's iterations.
-  hwsim::CalibrationReport overall;
-  /// Rank correlation of (predicted, measured) at the *architecture*
-  /// level — the quantity that decides whether the LUT model can steer
-  /// the search (needs >= 2 archs).
-  double arch_kendall_tau = 0.0;
-  double arch_spearman_rho = 0.0;
-};
-
-/// Throws InvalidArgument on nonsense configs (fused training, zero
-/// iterations, unknown device). Works with the profiler compiled out:
-/// arch-level timings and correlations still fill in, op sections are
-/// empty and `profiler_compiled_in` is false.
-ProfileReport run_profile(const ProfileConfig& config);
+/// Fills the report from host timing: one point per sampled arch (mean,
+/// p50 and p95 wall time per iteration, its per-op table) plus the per-op
+/// table pooled across archs. Throws InvalidArgument on nonsense configs
+/// (fused training, zero iterations, unknown device). Works with the
+/// profiler compiled out: arch-level timings and statistics still fill
+/// in, the per-op tables stay empty.
+LatencyReport run_profile(const ProfileConfig& config);
 
 /// Schema "hsconas.profile.v1": config echo, per-arch op rooflines,
 /// pooled ops, worst offenders, correlation block.
-util::Json profile_report_json(const ProfileReport& report);
+util::Json profile_report_json(const ProfileConfig& config,
+                               const LatencyReport& report);
 
 /// Human-readable tables: per-arch predicted-vs-measured, the pooled
 /// roofline, worst offenders, correlation summary.
-std::string render_profile_report(const ProfileReport& report);
+std::string render_profile_report(const ProfileConfig& config,
+                                  const LatencyReport& report);
 
 }  // namespace hsconas::eval

@@ -108,7 +108,7 @@ double network_params(const NetworkDesc& net);
 /// Epilogue-fusion post-pass: drops every kElementwise op that directly
 /// follows a kConv/kDepthwiseConv whose output geometry it matches,
 /// modeling a runtime whose conv kernels apply bias/BN/activation during
-/// the C-writeback (nn::fused_conv_bn_act) instead of in a separate
+/// the C-writeback (a kEvalFused nn::Sequential) instead of in a separate
 /// memory pass. Decisions are made against the original op sequence, so
 /// a residual-add elementwise sitting behind a fused BN elementwise is
 /// preserved. Returns the number of ops removed. MACs are unchanged

@@ -35,7 +35,7 @@ class BatchNorm2d : public Module {
   const tensor::Tensor& running_var() const { return running_var_; }
 
   /// Variance stabilizer, needed to fold eval-mode BN into a conv
-  /// epilogue scale/shift (see nn/fused_conv.h).
+  /// epilogue scale/shift (a kEvalFused Sequential does this).
   double eps() const { return eps_; }
 
   /// Reset running statistics to (0, 1) — used when re-calibrating BN after

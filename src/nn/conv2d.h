@@ -34,10 +34,11 @@ class Conv2d : public Module {
   /// + BN + activation). `scale`/`shift` have
   /// out_channels entries and must already fold the conv bias and any
   /// BatchNorm terms — this layer's own bias_ is intentionally ignored
-  /// (see nn/fused_conv.h for the folding helper). Null scale means 1,
-  /// null shift means 0. Keeps nothing for backward(): call it in an eval
-  /// mode, where set_mode() has released the layer's backward state, so
-  /// backward() after it fails its "before forward" check.
+  /// (a kEvalFused Sequential folds its conv→BN runs this way). Null
+  /// scale means 1, null shift means 0. Keeps nothing for backward():
+  /// call it in an eval mode, where set_mode() has released the layer's
+  /// backward state, so backward() after it fails its "before forward"
+  /// check.
   tensor::Tensor forward_fused(const tensor::Tensor& x, const float* scale,
                                const float* shift, tensor::EpilogueAct act);
 

@@ -1,12 +1,63 @@
 #include "nn/module.h"
 
+#include <cmath>
+#include <string>
+
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
-#include "nn/fused_conv.h"
 #include "obs/metrics.h"
+#include "tensor/workspace.h"
+#include "util/error.h"
 
 namespace hsconas::nn {
+
+namespace {
+
+/// y = act(bn(conv(x))) in one pass, with eval-mode (running-statistic)
+/// BN: folds the conv bias and BN into a per-channel affine
+///   scale[c] = gamma[c] / sqrt(running_var[c] + eps)
+///   shift[c] = beta[c] + scale[c] * (bias[c] - running_mean[c])
+/// that Conv2d::forward_fused applies, with the activation, in its output
+/// writeback. In the gamma == 1, running_mean == 0, bias-free case the
+/// fold is arithmetically identical to the composed modules; otherwise it
+/// differs only by float rounding of the refactored affine.
+tensor::Tensor fused_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,
+                                 tensor::EpilogueAct act,
+                                 const tensor::Tensor& x) {
+  static obs::Counter& calls = obs::counter("hsconas.nn.fused_conv_calls");
+  const long c = conv.out_channels();
+  if (bn.channels() != c) {
+    throw InvalidArgument("fused_conv_bn_act: conv out_channels " +
+                          std::to_string(c) + " != bn channels " +
+                          std::to_string(bn.channels()));
+  }
+  calls.add();
+
+  tensor::Scratch fold =
+      tensor::Workspace::tls().take(static_cast<std::size_t>(2 * c));
+  float* scale = fold.data();
+  float* shift = fold.data() + c;
+  const float* gamma = bn.gamma().value.data();
+  const float* beta = bn.beta().value.data();
+  const float* mean = bn.running_mean().data();
+  const float* var = bn.running_var().data();
+  const Parameter* bias = conv.bias();
+  for (long i = 0; i < c; ++i) {
+    // Same double-precision inv_std as BatchNorm2d's eval forward, so the
+    // gamma==1 / mean==0 / bias-free fold is bit-identical to composing
+    // the modules.
+    const float inv_std = static_cast<float>(
+        1.0 / std::sqrt(static_cast<double>(var[i]) + bn.eps()));
+    const float s = gamma[i] * inv_std;
+    const float b0 = bias != nullptr ? bias->value.data()[i] : 0.0f;
+    scale[i] = s;
+    shift[i] = beta[i] + s * (b0 - mean[i]);
+  }
+  return conv.forward_fused(x, scale, shift, act);
+}
+
+}  // namespace
 
 void Module::collect_params(std::vector<Parameter*>& out) { (void)out; }
 

@@ -49,7 +49,8 @@ struct Parameter {
 ///           compute in int8, every other layer in fp32. Serving and int8
 ///           calibration run here.
 ///   kEvalFused: kEval, plus Sequential's conv→BN→act peephole runs each
-///           such chain as one fused epilogue pass (nn/fused_conv.h).
+///           such chain as one fused epilogue pass (the BN fold is in
+///           nn/module.cpp; Conv2d::forward_fused applies it).
 enum class Mode { kTrain, kScore, kEval, kEvalFused };
 
 /// True for both eval flavours: what every layer but Sequential keys on.

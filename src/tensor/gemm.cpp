@@ -343,8 +343,8 @@ void gemm_small(const GemmArgs& g) {
     for (std::size_t p = 0; p < g.k; ++p) {
       const float av =
           g.alpha * (g.atrans ? g.a[p * g.lda + i] : g.a[i * g.lda + p]);
-      // Worth a branch at these sizes: conv column matrices are full of
-      // im2col padding zeros, and skipping one saves a whole j sweep.
+      // Worth a branch at these sizes: a zero element of A adds nothing
+      // to row i, and skipping it saves a whole j sweep.
       if (av == 0.0f) continue;
       if (!g.btrans) {
         const float* HSCONAS_RESTRICT brow = g.b + p * g.ldb;

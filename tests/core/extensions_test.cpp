@@ -10,10 +10,10 @@
 #include "core/checkpoint.h"
 #include "core/energy_model.h"
 #include "core/evolution.h"
+#include "core/latency_model.h"
 #include "core/latency_regression.h"
 #include "core/pareto.h"
 #include "core/supernet.h"
-#include "eval/latency_eval.h"
 #include "hwsim/registry.h"
 #include "util/error.h"
 #include "util/stats.h"

@@ -11,7 +11,7 @@
 #include "core/evolution.h"
 #include "core/latency_model.h"
 #include "core/lowering.h"
-#include "eval/latency_eval.h"
+#include "eval/latency_report.h"
 #include "hwsim/registry.h"
 
 namespace hsconas::core {
@@ -38,12 +38,12 @@ TEST_P(FamilyDeviceSweep, LatencyModelTracksGroundTruth) {
                      LatencyModel::Config{
                          device.profile().default_batch, 30, 61, true});
   const auto report = eval::evaluate_latency_model(model, 60, 62);
-  EXPECT_GT(report.pearson, 0.95) << "bias " << report.bias_ms;
-  EXPECT_LT(report.rmse_ms, report.rmse_uncorrected_ms);
+  EXPECT_GT(report.stats.pearson, 0.95) << "bias " << report.bias_ms;
+  EXPECT_LT(report.stats.rmse_ms, report.rmse_uncorrected_ms);
   double mean_measured = 0.0;
   for (const auto& p : report.points) mean_measured += p.measured_ms;
   mean_measured /= static_cast<double>(report.points.size());
-  EXPECT_LT(report.rmse_ms / mean_measured, 0.1);
+  EXPECT_LT(report.stats.rmse_ms / mean_measured, 0.1);
 }
 
 TEST_P(FamilyDeviceSweep, ChannelFactorMonotoneInLut) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/latency_eval.h"
+#include "eval/latency_report.h"
 #include "hwsim/registry.h"
 #include "util/error.h"
 
@@ -50,9 +50,9 @@ TEST(LatencyModel, BiasCorrectionShrinksRmse) {
   Fixture f;
   LatencyModel model = f.make_model(40);
   const auto report = eval::evaluate_latency_model(model, 60, 3);
-  EXPECT_LT(report.rmse_ms, report.rmse_uncorrected_ms);
-  EXPECT_GT(report.pearson, 0.95);
-  EXPECT_GT(report.spearman, 0.9);
+  EXPECT_LT(report.stats.rmse_ms, report.rmse_uncorrected_ms);
+  EXPECT_GT(report.stats.pearson, 0.95);
+  EXPECT_GT(report.stats.spearman, 0.9);
 }
 
 TEST(LatencyModel, RelativeRmseIsSmall) {
@@ -64,7 +64,7 @@ TEST(LatencyModel, RelativeRmseIsSmall) {
   double mean_measured = 0.0;
   for (const auto& p : report.points) mean_measured += p.measured_ms;
   mean_measured /= static_cast<double>(report.points.size());
-  EXPECT_LT(report.rmse_ms / mean_measured, 0.08);
+  EXPECT_LT(report.stats.rmse_ms / mean_measured, 0.08);
 }
 
 TEST(LatencyModel, MeasurementNoiseCanBeDisabled) {
@@ -151,7 +151,7 @@ TEST(LatencyModel, KendallTauHighOnProxySpace) {
   Fixture f;
   LatencyModel model = f.make_model(40);
   const auto report = eval::evaluate_latency_model(model, 50, 5);
-  EXPECT_GT(report.kendall_tau, 0.75);
+  EXPECT_GT(report.stats.kendall_tau, 0.75);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Calibration bridge tests: obs::OpKey -> hwsim::OpDescriptor mapping and
-// the profile-vs-simulator comparison report (ratios, drift, rank
-// correlation, worst offenders) over synthetic profiler snapshots.
+// Per-op table tests: obs::OpKey -> hwsim::OpDescriptor mapping and the
+// profile-vs-simulator comparison (ratios, drift, rank correlation, worst
+// offenders) over synthetic profiler snapshots.
 
-#include "hwsim/calibration.h"
+#include "eval/latency_report.h"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "hwsim/device.h"
 #include "hwsim/registry.h"
 
+namespace eval = hsconas::eval;
 namespace hwsim = hsconas::hwsim;
 namespace obs = hsconas::obs;
 
@@ -53,31 +54,31 @@ obs::OpStats stats_for(const obs::OpKey& k, double wall_ms, double flops,
 TEST(OpFromKey, MapsEveryPricedKind) {
   hwsim::OpDescriptor desc;
 
-  ASSERT_TRUE(hwsim::op_from_key(key("conv2d", "conv", 16, 32, 14), &desc));
+  ASSERT_TRUE(eval::op_from_key(key("conv2d", "conv", 16, 32, 14), &desc));
   EXPECT_EQ(desc.kind, hwsim::OpKind::kConv);
   EXPECT_EQ(desc.in_channels, 16);
   EXPECT_EQ(desc.out_channels, 32);
   EXPECT_EQ(desc.kernel, 3);
 
-  ASSERT_TRUE(hwsim::op_from_key(
+  ASSERT_TRUE(eval::op_from_key(
       key("conv2d", "dwconv", 32, 32, 14, 5, 2, 32), &desc));
   EXPECT_EQ(desc.kind, hwsim::OpKind::kDepthwiseConv);
   EXPECT_EQ(desc.kernel, 5);
   EXPECT_EQ(desc.stride, 2);
 
-  ASSERT_TRUE(hwsim::op_from_key(key("linear", "linear", 128, 10, 1), &desc));
+  ASSERT_TRUE(eval::op_from_key(key("linear", "linear", 128, 10, 1), &desc));
   EXPECT_EQ(desc.kind, hwsim::OpKind::kLinear);
   EXPECT_EQ(desc.in_channels, 128);
   EXPECT_EQ(desc.out_channels, 10);
 
-  ASSERT_TRUE(hwsim::op_from_key(key("gap", "pool", 64, 64, 7, 7, 7), &desc));
+  ASSERT_TRUE(eval::op_from_key(key("gap", "pool", 64, 64, 7, 7, 7), &desc));
   EXPECT_EQ(desc.kind, hwsim::OpKind::kPool);
 
-  ASSERT_TRUE(hwsim::op_from_key(key("relu", "eltwise", 64, 64, 7), &desc));
+  ASSERT_TRUE(eval::op_from_key(key("relu", "eltwise", 64, 64, 7), &desc));
   EXPECT_EQ(desc.kind, hwsim::OpKind::kElementwise);
 
   ASSERT_TRUE(
-      hwsim::op_from_key(key("channel_shuffle", "shuffle", 64, 64, 7), &desc));
+      eval::op_from_key(key("channel_shuffle", "shuffle", 64, 64, 7), &desc));
   EXPECT_EQ(desc.kind, hwsim::OpKind::kShuffle);
 }
 
@@ -85,14 +86,14 @@ TEST(OpFromKey, BackwardAndMalformedOpsAreUnpriced) {
   hwsim::OpDescriptor desc;
   // Training-only ops: the device model prices inference.
   EXPECT_FALSE(
-      hwsim::op_from_key(key("conv2d.bwd", "conv", 16, 32, 14), &desc));
-  EXPECT_FALSE(hwsim::op_from_key(key("relu.bwd", "eltwise", 64, 64, 7),
+      eval::op_from_key(key("conv2d.bwd", "conv", 16, 32, 14), &desc));
+  EXPECT_FALSE(eval::op_from_key(key("relu.bwd", "eltwise", 64, 64, 7),
                                   &desc));
   // Unknown pricing category.
-  EXPECT_FALSE(hwsim::op_from_key(key("mystery", "other", 16, 16, 8), &desc));
+  EXPECT_FALSE(eval::op_from_key(key("mystery", "other", 16, 16, 8), &desc));
   // Degenerate geometry.
-  EXPECT_FALSE(hwsim::op_from_key(key("conv2d", "conv", 0, 32, 14), &desc));
-  EXPECT_FALSE(hwsim::op_from_key(key("conv2d", "conv", 16, 32, 0), &desc));
+  EXPECT_FALSE(eval::op_from_key(key("conv2d", "conv", 0, 32, 14), &desc));
+  EXPECT_FALSE(eval::op_from_key(key("conv2d", "conv", 16, 32, 0), &desc));
 }
 
 TEST(CompareProfile, PerfectRankingGivesUnitTau) {
@@ -108,8 +109,7 @@ TEST(CompareProfile, PerfectRankingGivesUnitTau) {
   stats.push_back(
       stats_for(key("conv2d", "conv", 64, 64, 32), 7.0, 1e9, 1e7));
 
-  const hwsim::CalibrationReport report =
-      hwsim::compare_profile(stats, device);
+  const eval::OpTable report = eval::compare_profile(stats, device);
   EXPECT_EQ(report.priced_ops, 3u);
   EXPECT_EQ(report.unpriced_ops, 0u);
   EXPECT_DOUBLE_EQ(report.kendall_tau, 1.0);
@@ -132,8 +132,7 @@ TEST(CompareProfile, InvertedRankingGivesNegativeTau) {
       stats_for(key("conv2d", "conv", 32, 32, 16), 0.5, 6e7, 2e6));
   stats.push_back(
       stats_for(key("conv2d", "conv", 64, 64, 32), 0.02, 1e9, 1e7));
-  const hwsim::CalibrationReport report =
-      hwsim::compare_profile(stats, device);
+  const eval::OpTable report = eval::compare_profile(stats, device);
   EXPECT_DOUBLE_EQ(report.kendall_tau, -1.0);
 }
 
@@ -146,8 +145,7 @@ TEST(CompareProfile, UnpricedOpsAreKeptButExcludedFromCorrelation) {
   stats.push_back(
       stats_for(key("conv2d.bwd", "conv", 32, 32, 16), 1.5, 1e8, 4e6));
 
-  const hwsim::CalibrationReport report =
-      hwsim::compare_profile(stats, device);
+  const eval::OpTable report = eval::compare_profile(stats, device);
   EXPECT_EQ(report.priced_ops, 2u);
   EXPECT_EQ(report.unpriced_ops, 1u);
   EXPECT_EQ(report.ops.size(), 3u);
@@ -165,13 +163,12 @@ TEST(CompareProfile, WorstOffendersRankByDriftFromMedianRatio) {
   for (long c : sizes) {
     hwsim::OpDescriptor desc;
     obs::OpKey k = key("conv2d", "conv", c, c, 14);
-    ASSERT_TRUE(hwsim::op_from_key(k, &desc));
+    ASSERT_TRUE(eval::op_from_key(k, &desc));
     double ms = device.op_latency_ms(desc, 1);
     if (c == 16) ms *= 50.0;
     stats.push_back(stats_for(k, ms, 1e6, 1e5));
   }
-  const hwsim::CalibrationReport report =
-      hwsim::compare_profile(stats, device);
+  const eval::OpTable report = eval::compare_profile(stats, device);
   const auto worst = report.worst_offenders(2);
   ASSERT_EQ(worst.size(), 2u);
   EXPECT_EQ(worst[0].measured.key.in_ch, 16);
@@ -188,8 +185,7 @@ TEST(CompareProfile, ComputeBoundFlagFollowsRidgePoint) {
                             ridge * 2.0 * 1e6, 1e6));  // AI = 2*ridge
   stats.push_back(stats_for(key("conv2d", "conv", 16, 16, 8), 0.1,
                             ridge * 0.5 * 1e6, 1e6));  // AI = ridge/2
-  const hwsim::CalibrationReport report =
-      hwsim::compare_profile(stats, device);
+  const eval::OpTable report = eval::compare_profile(stats, device);
   ASSERT_EQ(report.ops.size(), 2u);
   bool saw_compute = false, saw_memory = false;
   for (const auto& cmp : report.ops) {
@@ -205,7 +201,7 @@ TEST(CompareProfile, ComputeBoundFlagFollowsRidgePoint) {
 
 TEST(CompareProfile, EmptySnapshotYieldsEmptyReport) {
   const hwsim::DeviceSimulator device(hwsim::device_by_name("xavier"));
-  const hwsim::CalibrationReport report = hwsim::compare_profile({}, device);
+  const eval::OpTable report = eval::compare_profile({}, device);
   EXPECT_TRUE(report.ops.empty());
   EXPECT_EQ(report.priced_ops, 0u);
   EXPECT_DOUBLE_EQ(report.kendall_tau, 0.0);

@@ -1,12 +1,11 @@
-// Fused conv→BN→activation epilogue parity suite. The fused path folds
-// eval-mode BN (and the conv bias) into a per-channel affine applied
-// inside the GEMM writeback; these tests pin it against the composed
-// module pipeline across strides, padding, groups, depthwise and both
-// activations — including the case where the fold is arithmetically
-// exact (gamma == 1, running_mean == 0, no conv bias: tolerance 0) —
-// plus the Sequential eval-mode peephole and thread-count determinism.
-
-#include "nn/fused_conv.h"
+// Fused conv→BN→activation epilogue parity suite. A kEvalFused
+// Sequential — the one fusion entry point — folds eval-mode BN (and the
+// conv bias) into a per-channel affine applied inside the GEMM writeback;
+// these tests pin it against the composed module pipeline across strides,
+// padding, groups, depthwise and both activations — including the case
+// where the fold is arithmetically exact (gamma == 1, running_mean == 0,
+// no conv bias: tolerance 0) — plus which modes fuse and thread-count
+// determinism.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +14,9 @@
 #include <vector>
 
 #include "nn/activation.h"
+#include "nn/batchnorm.h"
+#include "nn/conv2d.h"
+#include "nn/module.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -55,6 +57,18 @@ Tensor composed_forward(Conv2d& conv, BatchNorm2d& bn, EpilogueAct act,
   return y;
 }
 
+/// Append the activation of a conv → BN [→ act] chain to `seq`.
+void add_act(Sequential& seq, EpilogueAct act) {
+  if (act == EpilogueAct::kReLU) seq.add(std::make_unique<ReLU>());
+  if (act == EpilogueAct::kHSwish) seq.add(std::make_unique<HSwish>());
+}
+
+/// The fused path: the whole chain in kEvalFused.
+Tensor fused_forward(Sequential& seq, const Tensor& x) {
+  seq.set_mode(Mode::kEvalFused);
+  return seq.forward(x);
+}
+
 struct ConvCase {
   long in_ch, out_ch, kernel, stride, pad, groups;
   bool bias;
@@ -76,20 +90,22 @@ TEST(FusedConv, MatchesComposedModulesAcrossGeometries) {
   std::uint64_t seed = 200;
   for (const ConvCase& c : kCases) {
     util::Rng rng(++seed);
-    Conv2d conv(c.in_ch, c.out_ch, c.kernel, c.stride, c.pad, c.groups,
-                c.bias, rng);
+    Sequential seq;
+    Conv2d& conv = *seq.add(std::make_unique<Conv2d>(
+        c.in_ch, c.out_ch, c.kernel, c.stride, c.pad, c.groups, c.bias, rng));
     if (c.bias) {
       for (long i = 0; i < c.out_ch; ++i) {
         conv.bias()->value.at(i) = static_cast<float>(rng.uniform(-0.3, 0.3));
       }
     }
-    BatchNorm2d bn(c.out_ch);
+    BatchNorm2d& bn = *seq.add(std::make_unique<BatchNorm2d>(c.out_ch));
+    add_act(seq, c.act);
     conv.set_mode(Mode::kEval);
     const Tensor x = Tensor::uniform({3, c.in_ch, 9, 9}, -1, 1, rng);
     randomize_bn(bn, conv.forward(x), rng);
 
     const Tensor want = composed_forward(conv, bn, c.act, x);
-    const Tensor got = fused_conv_bn_act(conv, bn, c.act, x);
+    const Tensor got = fused_forward(seq, x);
     ASSERT_EQ(got.shape(), want.shape());
     for (long i = 0; i < got.numel(); ++i) {
       // The fold refactors (x - m)*inv_std*g + b into s*x + t; only float
@@ -106,19 +122,23 @@ TEST(FusedConv, ExactWhenFoldIsArithmeticallyNeutral) {
   // gamma == 1, running_mean == 0, no conv bias: scale = inv_std and
   // shift = beta with no refactoring, so fused and composed execute the
   // same float ops — the parity is bit-exact, tolerance 0.
-  util::Rng rng(300);
-  Conv2d conv(8, 12, 3, 1, 1, 1, /*bias=*/false, rng);
-  conv.set_mode(Mode::kEval);
-  BatchNorm2d bn(12);
-  bn.set_mode(Mode::kEval);
-  for (long c = 0; c < 12; ++c) {
-    bn.beta().value.at(c) = static_cast<float>(rng.uniform(-0.5, 0.5));
-  }
-  const Tensor x = Tensor::uniform({2, 8, 9, 9}, -1, 1, rng);
   for (const EpilogueAct act :
        {EpilogueAct::kNone, EpilogueAct::kReLU, EpilogueAct::kHSwish}) {
+    // Same seed per activation: same weights, beta and input each time.
+    util::Rng rng(300);
+    Sequential seq;
+    Conv2d& conv = *seq.add(
+        std::make_unique<Conv2d>(8, 12, 3, 1, 1, 1, /*bias=*/false, rng));
+    BatchNorm2d& bn = *seq.add(std::make_unique<BatchNorm2d>(12));
+    add_act(seq, act);
+    seq.set_mode(Mode::kEval);
+    for (long c = 0; c < 12; ++c) {
+      bn.beta().value.at(c) = static_cast<float>(rng.uniform(-0.5, 0.5));
+    }
+    const Tensor x = Tensor::uniform({2, 8, 9, 9}, -1, 1, rng);
+
     const Tensor want = composed_forward(conv, bn, act, x);
-    const Tensor got = fused_conv_bn_act(conv, bn, act, x);
+    const Tensor got = fused_forward(seq, x);
     ASSERT_EQ(got.shape(), want.shape());
     for (long i = 0; i < got.numel(); ++i) {
       ASSERT_EQ(got.data()[i], want.data()[i]) << "act mismatch at " << i;
@@ -128,18 +148,21 @@ TEST(FusedConv, ExactWhenFoldIsArithmeticallyNeutral) {
 
 TEST(FusedConv, BitIdenticalAcrossThreadCounts) {
   util::Rng rng(400);
-  Conv2d conv(16, 32, 3, 1, 1, 1, /*bias=*/true, rng);
+  Sequential seq;
+  Conv2d& conv = *seq.add(
+      std::make_unique<Conv2d>(16, 32, 3, 1, 1, 1, /*bias=*/true, rng));
+  BatchNorm2d& bn = *seq.add(std::make_unique<BatchNorm2d>(32));
+  add_act(seq, EpilogueAct::kReLU);
   conv.set_mode(Mode::kEval);
-  BatchNorm2d bn(32);
   const Tensor x = Tensor::uniform({4, 16, 16, 16}, -1, 1, rng);
   randomize_bn(bn, conv.forward(x), rng);
 
   const std::size_t prev = util::ThreadPool::global().size();
   util::ThreadPool::configure_global(1);
-  const Tensor base = fused_conv_bn_act(conv, bn, EpilogueAct::kReLU, x);
+  const Tensor base = fused_forward(seq, x);
   for (const std::size_t threads : {2u, 8u}) {
     util::ThreadPool::configure_global(threads);
-    const Tensor y = fused_conv_bn_act(conv, bn, EpilogueAct::kReLU, x);
+    const Tensor y = fused_forward(seq, x);
     ASSERT_EQ(0, std::memcmp(base.data(), y.data(),
                              static_cast<std::size_t>(base.numel()) *
                                  sizeof(float)))
@@ -197,13 +220,12 @@ TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
 
 TEST(FusedConv, ChannelMismatchThrows) {
   util::Rng rng(600);
-  Conv2d conv(4, 6, 3, 1, 1, 1, false, rng);
-  conv.set_mode(Mode::kEval);
-  BatchNorm2d bn(8);  // wrong width
-  bn.set_mode(Mode::kEval);
+  Sequential seq;
+  seq.add(std::make_unique<Conv2d>(4, 6, 3, 1, 1, 1, false, rng));
+  seq.add(std::make_unique<BatchNorm2d>(8));  // wrong width
+  add_act(seq, EpilogueAct::kReLU);
   const Tensor x = Tensor::uniform({1, 4, 5, 5}, -1, 1, rng);
-  EXPECT_THROW(fused_conv_bn_act(conv, bn, EpilogueAct::kReLU, x),
-               hsconas::Error);
+  EXPECT_THROW(fused_forward(seq, x), hsconas::InvalidArgument);
 }
 
 }  // namespace

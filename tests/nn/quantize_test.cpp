@@ -20,7 +20,6 @@
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
-#include "nn/fused_conv.h"
 #include "nn/linear.h"
 #include "tensor/quantize_i8.h"
 #include "util/error.h"

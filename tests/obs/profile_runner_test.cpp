@@ -29,35 +29,36 @@ eval::ProfileConfig tiny_config() {
   return cfg;
 }
 
-TEST(ProfileRunner, ThreeArchReportHasFullShape) {
-  const eval::ProfileReport report = eval::run_profile(tiny_config());
+bool profiler_compiled_in() { return hsconas::obs::Profiler::compiled_in(); }
 
-  ASSERT_EQ(report.archs.size(), 3u);
-  for (const eval::ArchProfile& ap : report.archs) {
-    EXPECT_FALSE(ap.arch_string.empty());
-    EXPECT_GT(ap.measured_ms, 0.0);
-    EXPECT_GT(ap.measured_p50_ms, 0.0);
-    EXPECT_GE(ap.measured_p95_ms, ap.measured_p50_ms);
-    EXPECT_GT(ap.predicted_ms, 0.0);
-    if (report.profiler_compiled_in) {
-      EXPECT_GT(ap.ops.priced_ops, 0u);
-      EXPECT_GE(ap.ops.kendall_tau, -1.0);
-      EXPECT_LE(ap.ops.kendall_tau, 1.0);
+TEST(ProfileRunner, ThreeArchReportHasFullShape) {
+  const eval::LatencyReport report = eval::run_profile(tiny_config());
+
+  ASSERT_EQ(report.points.size(), 3u);
+  for (const eval::LatencyPoint& p : report.points) {
+    EXPECT_GT(p.measured_ms, 0.0);
+    EXPECT_GT(p.measured_p50_ms, 0.0);
+    EXPECT_GE(p.measured_p95_ms, p.measured_p50_ms);
+    EXPECT_GT(p.predicted_ms, 0.0);
+    if (profiler_compiled_in()) {
+      EXPECT_GT(p.ops.priced_ops, 0u);
+      EXPECT_GE(p.ops.kendall_tau, -1.0);
+      EXPECT_LE(p.ops.kendall_tau, 1.0);
     } else {
-      EXPECT_TRUE(ap.ops.ops.empty());
+      EXPECT_TRUE(p.ops.ops.empty());
     }
   }
 
-  EXPECT_GE(report.arch_kendall_tau, -1.0);
-  EXPECT_LE(report.arch_kendall_tau, 1.0);
-  EXPECT_GE(report.arch_spearman_rho, -1.0);
-  EXPECT_LE(report.arch_spearman_rho, 1.0);
+  EXPECT_GE(report.stats.kendall_tau, -1.0);
+  EXPECT_LE(report.stats.kendall_tau, 1.0);
+  EXPECT_GE(report.stats.spearman, -1.0);
+  EXPECT_LE(report.stats.spearman, 1.0);
 
-  if (report.profiler_compiled_in) {
-    EXPECT_GT(report.overall.priced_ops, 0u);
-    EXPECT_GT(report.overall.median_ratio, 0.0);
+  if (profiler_compiled_in()) {
+    EXPECT_GT(report.ops.priced_ops, 0u);
+    EXPECT_GT(report.ops.median_ratio, 0.0);
     // Backward was off, so every op has an inference-side price.
-    EXPECT_EQ(report.overall.unpriced_ops, 0u);
+    EXPECT_EQ(report.ops.unpriced_ops, 0u);
   }
 
   // The runner must leave the profiler off for whoever runs next.
@@ -68,11 +69,11 @@ TEST(ProfileRunner, BackwardOpsStayUnpriced) {
   eval::ProfileConfig cfg = tiny_config();
   cfg.num_archs = 1;
   cfg.backward = true;
-  const eval::ProfileReport report = eval::run_profile(cfg);
-  if (!report.profiler_compiled_in) GTEST_SKIP();
-  EXPECT_GT(report.overall.unpriced_ops, 0u);
+  const eval::LatencyReport report = eval::run_profile(cfg);
+  if (!profiler_compiled_in()) GTEST_SKIP();
+  EXPECT_GT(report.ops.unpriced_ops, 0u);
   bool saw_bwd = false;
-  for (const auto& cmp : report.overall.ops) {
+  for (const auto& cmp : report.ops.ops) {
     const bool is_bwd =
         cmp.measured.key.op.size() > 4 &&
         cmp.measured.key.op.compare(cmp.measured.key.op.size() - 4, 4,
@@ -89,10 +90,10 @@ TEST(ProfileRunner, FusedVariantCoversFusedConvPath) {
   eval::ProfileConfig cfg = tiny_config();
   cfg.num_archs = 1;
   cfg.fused = true;
-  const eval::ProfileReport report = eval::run_profile(cfg);
-  if (!report.profiler_compiled_in) GTEST_SKIP();
+  const eval::LatencyReport report = eval::run_profile(cfg);
+  if (!profiler_compiled_in()) GTEST_SKIP();
   bool saw_fused = false;
-  for (const auto& cmp : report.overall.ops) {
+  for (const auto& cmp : report.ops.ops) {
     if (cmp.measured.key.op == "conv2d.fused") saw_fused = true;
   }
   EXPECT_TRUE(saw_fused);
@@ -101,19 +102,23 @@ TEST(ProfileRunner, FusedVariantCoversFusedConvPath) {
 TEST(ProfileRunner, JsonRoundTripsAndCarriesSchema) {
   eval::ProfileConfig cfg = tiny_config();
   cfg.iters = 2;
-  const eval::ProfileReport report = eval::run_profile(cfg);
-  const hsconas::util::Json doc = eval::profile_report_json(report);
+  const eval::LatencyReport report = eval::run_profile(cfg);
+  const hsconas::util::Json doc = eval::profile_report_json(cfg, report);
 
   const hsconas::util::Json reparsed = hsconas::util::Json::parse(doc.dump());
   ASSERT_NE(reparsed.find("schema"), nullptr);
   EXPECT_EQ(reparsed.find("schema")->as_string(), "hsconas.profile.v1");
   ASSERT_NE(reparsed.find("archs"), nullptr);
   EXPECT_EQ(reparsed.find("archs")->items().size(), 3u);
+  for (const hsconas::util::Json& a : reparsed.find("archs")->items()) {
+    ASSERT_NE(a.find("arch"), nullptr);
+    EXPECT_FALSE(a.find("arch")->as_string().empty());
+  }
   ASSERT_NE(reparsed.find("correlation"), nullptr);
   ASSERT_NE(reparsed.find("overall"), nullptr);
   ASSERT_NE(reparsed.find("worst_offenders"), nullptr);
 
-  const std::string rendered = eval::render_profile_report(report);
+  const std::string rendered = eval::render_profile_report(cfg, report);
   EXPECT_NE(rendered.find("per-arch predicted vs measured"),
             std::string::npos);
   EXPECT_NE(rendered.find("kendall_tau"), std::string::npos);
@@ -139,12 +144,12 @@ TEST(ProfileRunner, RejectsNonsenseConfigs) {
 }
 
 TEST(ProfileRunner, SameSeedIsDeterministicInStructure) {
-  const eval::ProfileReport a = eval::run_profile(tiny_config());
-  const eval::ProfileReport b = eval::run_profile(tiny_config());
-  ASSERT_EQ(a.archs.size(), b.archs.size());
-  for (std::size_t i = 0; i < a.archs.size(); ++i) {
-    EXPECT_EQ(a.archs[i].arch_string, b.archs[i].arch_string);
-    EXPECT_DOUBLE_EQ(a.archs[i].predicted_ms, b.archs[i].predicted_ms);
+  const eval::LatencyReport a = eval::run_profile(tiny_config());
+  const eval::LatencyReport b = eval::run_profile(tiny_config());
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    EXPECT_EQ(a.points[i].arch, b.points[i].arch);
+    EXPECT_DOUBLE_EQ(a.points[i].predicted_ms, b.points[i].predicted_ms);
   }
 }
 

@@ -303,12 +303,12 @@ int cmd_profile(int argc, char** argv) {
   cfg.backward = cli.get_bool("backward");
   cfg.dtype = nn::parse_inference_dtype(cli.get("dtype"));
 
-  const eval::ProfileReport report = eval::run_profile(cfg);
-  std::fputs(eval::render_profile_report(report).c_str(), stdout);
+  const eval::LatencyReport report = eval::run_profile(cfg);
+  std::fputs(eval::render_profile_report(cfg, report).c_str(), stdout);
 
   const std::string out = cli.get("out");
   if (!out.empty()) {
-    eval::profile_report_json(report).save(out);
+    eval::profile_report_json(cfg, report).save(out);
     std::printf("profile report written to %s\n", out.c_str());
   }
   return 0;
