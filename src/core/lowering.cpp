@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/choice_block.h"
 #include "nn/mask.h"
 #include "util/error.h"
 #include "util/string_util.h"
@@ -145,13 +146,8 @@ LayerDesc lower_layer(const LayerInfo& info, nn::OpFamily family, int op,
       return lower_layer(info, static_cast<nn::BlockKind>(op),
                          channel_factor);
     case nn::OpFamily::kMbConv: {
-      // Keep this table in sync with nn/choice_block.cpp's kMbConvOps.
-      static constexpr struct {
-        double e;
-        long k;
-      } kOps[] = {{3, 3}, {6, 3}, {3, 5}, {6, 5}, {0, 3}};
-      HSCONAS_CHECK_MSG(op >= 0 && op < 5, "lower_layer: mbconv op range");
-      return lower_mbconv_layer(info, kOps[op].e, kOps[op].k,
+      const nn::MbConvShape shape = nn::mbconv_op_shape(op);
+      return lower_mbconv_layer(info, shape.expansion, shape.kernel,
                                 channel_factor);
     }
   }

@@ -13,14 +13,13 @@ namespace {
 
 /// MBConv family op table: (expansion, kernel); expansion <= 0 == skip.
 struct MbConvOp {
-  double expansion;
-  long kernel;
+  MbConvShape shape;
   const char* name;
 };
 
 constexpr MbConvOp kMbConvOps[] = {
-    {3.0, 3, "mb_e3k3"}, {6.0, 3, "mb_e6k3"}, {3.0, 5, "mb_e3k5"},
-    {6.0, 5, "mb_e6k5"}, {0.0, 3, "skip"},
+    {{3.0, 3}, "mb_e3k3"}, {{6.0, 3}, "mb_e6k3"}, {{3.0, 5}, "mb_e3k5"},
+    {{6.0, 5}, "mb_e6k5"}, {{0.0, 3}, "skip"},
 };
 
 }  // namespace
@@ -72,12 +71,18 @@ const char* family_op_name(OpFamily family, int op) {
   return "?";
 }
 
+MbConvShape mbconv_op_shape(int op) {
+  HSCONAS_CHECK_MSG(op >= 0 && op < family_num_ops(OpFamily::kMbConv),
+                    "mbconv_op_shape: op out of range");
+  return kMbConvOps[static_cast<std::size_t>(op)].shape;
+}
+
 bool family_op_is_skip(OpFamily family, int op) {
   switch (family) {
     case OpFamily::kShuffleV2:
       return static_cast<BlockKind>(op) == BlockKind::kSkip;
     case OpFamily::kMbConv:
-      return kMbConvOps[static_cast<std::size_t>(op)].expansion <= 0.0;
+      return mbconv_op_shape(op).expansion <= 0.0;
   }
   return false;
 }
@@ -95,9 +100,9 @@ std::unique_ptr<ChoiceBlock> make_family_block(OpFamily family, int op,
           static_cast<BlockKind>(op), in_channels, out_channels, stride, rng,
           std::move(display_name));
     case OpFamily::kMbConv: {
-      const MbConvOp& spec = kMbConvOps[static_cast<std::size_t>(op)];
+      const MbConvShape shape = mbconv_op_shape(op);
       return std::make_unique<MbConvChoiceBlock>(
-          spec.expansion, spec.kernel, in_channels, out_channels, stride,
+          shape.expansion, shape.kernel, in_channels, out_channels, stride,
           rng, std::move(display_name));
     }
   }

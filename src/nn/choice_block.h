@@ -61,6 +61,14 @@ int family_num_ops(OpFamily family);
 const char* family_name(OpFamily family);
 const char* family_op_name(OpFamily family, int op);
 
+/// An MBConv family op's block shape: expansion ratio (<= 0: skip) and
+/// depthwise kernel size.
+struct MbConvShape {
+  double expansion;
+  long kernel;
+};
+MbConvShape mbconv_op_shape(int op);
+
 /// True if `op` is the family's skip-connection operator.
 bool family_op_is_skip(OpFamily family, int op);
 

@@ -223,34 +223,31 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
   // which the full-row acc_bias cancels exactly.
   tensor::Workspace& ws = tensor::Workspace::tls();
   tensor::Scratch qscale = ws.take(static_cast<std::size_t>(out_channels_));
-  tensor::ByteScratch qbias = ws.take_bytes(
-      static_cast<std::size_t>(out_channels_) * sizeof(std::int32_t));
-  // int32 view of 64B-aligned pooled scratch, not wire decoding.
-  // hsconas-lint-allow(serial-pointer-cast)
-  std::int32_t* acc_bias = reinterpret_cast<std::int32_t*>(qbias.u8());
+  tensor::Scratch<std::int32_t> acc_bias =
+      ws.take<std::int32_t>(static_cast<std::size_t>(out_channels_));
   for (long c = 0; c < out_channels_; ++c) {
     const float es =
         (ep != nullptr && ep->scale != nullptr) ? ep->scale[c] : 1.0f;
-    qscale[static_cast<std::size_t>(c)] =
-        es * aq.scale * quant_.weight_scales[static_cast<std::size_t>(c)];
-    acc_bias[c] = -aq.zero_point *
-                  quant_.weight_row_sums[static_cast<std::size_t>(c)];
+    const auto ci = static_cast<std::size_t>(c);
+    qscale[ci] = es * aq.scale * quant_.weight_scales[ci];
+    acc_bias[ci] = -aq.zero_point * quant_.weight_row_sums[ci];
   }
   tensor::QuantEpilogue qep;
   qep.scale = qscale.data();
   qep.shift = ep != nullptr ? ep->shift : nullptr;
-  qep.acc_bias = acc_bias;
+  qep.acc_bias = acc_bias.data();
   qep.act = ep != nullptr ? ep->act : tensor::EpilogueAct::kNone;
 
   // Every path starts from the u8 codes of the whole batch, quantized once.
   const auto za = static_cast<std::uint8_t>(aq.zero_point);
   const long chw = in_channels_ * hw;
-  tensor::ByteScratch codes = ws.take_bytes(static_cast<std::size_t>(n * chw));
+  tensor::Scratch<std::uint8_t> codes =
+      ws.take<std::uint8_t>(static_cast<std::size_t>(n * chw));
   pool.parallel_for(static_cast<std::size_t>(n), static_cast<std::size_t>(chw),
                     [&](std::size_t si) {
     const long s = static_cast<long>(si);
     tensor::quantize_u8(x.data() + s * chw, static_cast<std::size_t>(chw), aq,
-                        codes.u8() + s * chw);
+                        codes.data() + s * chw);
   });
 
   if (cin_g == 1 && cout_g == 1) {
@@ -262,12 +259,11 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
                       static_cast<std::size_t>(n * ohw * k * k),
                       [&](std::size_t ci) {
       const long c = static_cast<long>(ci);
-      tensor::ByteScratch accs = tensor::Workspace::tls().take_bytes(
-          static_cast<std::size_t>(n * ohw) * sizeof(std::int32_t));
-      // int32 view of 64B-aligned pooled scratch, not wire decoding.
-      // hsconas-lint-allow(serial-pointer-cast)
-      std::int32_t* acc = reinterpret_cast<std::int32_t*>(accs.u8());
-      tensor::depthwise_i8(codes.u8() + c * hw,
+      tensor::Scratch<std::int32_t> accs =
+          tensor::Workspace::tls().take<std::int32_t>(
+              static_cast<std::size_t>(n * ohw));
+      std::int32_t* acc = accs.data();
+      tensor::depthwise_i8(codes.data() + c * hw,
                            static_cast<std::size_t>(in_channels_ * hw), n,
                            geom, za, qw + c * k * k, acc);
       const auto row = static_cast<std::size_t>(ohw);
@@ -284,7 +280,7 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
   // on its input element, so batched == sequential bit-identically.
   for (long g = 0; g < groups_; ++g) {
     const tensor::ConvInput<std::uint8_t> in{
-        codes.u8() + g * cin_g * hw, static_cast<std::size_t>(chw), geom,
+        codes.data() + g * cin_g * hw, static_cast<std::size_t>(chw), geom,
         static_cast<std::size_t>(n), za};
     const tensor::ConvOutput out{
         y.data() + g * cout_g * ohw,
@@ -320,13 +316,14 @@ Tensor Conv2d::backward(const Tensor& dy) {
 
   // Batch across samples: per group, build the concatenated column matrix
   // and output-gradient panel once, run two well-shaped GEMMs, then
-  // scatter the column gradients back per sample.
+  // scatter the column gradients back per sample. Sample s owns columns
+  // [s · ohw, (s + 1) · ohw) of the (col_rows × N·ohw) matrices, so
+  // im2col and col2im work on it in place at row stride N·ohw.
   tensor::Workspace& ws = tensor::Workspace::tls();
-  tensor::Scratch cols = ws.take(static_cast<std::size_t>(col_rows * n * ohw));
-  tensor::Scratch dy_panel =
-      ws.take(static_cast<std::size_t>(cout_g * n * ohw));
-  tensor::Scratch dcols =
-      ws.take(static_cast<std::size_t>(col_rows * n * ohw));
+  const auto ld = static_cast<std::size_t>(n * ohw);
+  tensor::Scratch cols = ws.take(static_cast<std::size_t>(col_rows) * ld);
+  tensor::Scratch dy_panel = ws.take(static_cast<std::size_t>(cout_g) * ld);
+  tensor::Scratch dcols = ws.take(static_cast<std::size_t>(col_rows) * ld);
   auto& pool = util::ThreadPool::global();
 
   for (long g = 0; g < groups_; ++g) {
@@ -334,14 +331,8 @@ Tensor Conv2d::backward(const Tensor& dy) {
                       static_cast<std::size_t>((col_rows + cout_g) * ohw),
                       [&](std::size_t si) {
       const long s = static_cast<long>(si);
-      tensor::Scratch panel =
-          tensor::Workspace::tls().take(static_cast<std::size_t>(col_rows * ohw));
       const float* img = x.data() + ((s * in_channels_ + g * cin_g) * h * w);
-      tensor::im2col(img, geom, panel.data());
-      for (long r = 0; r < col_rows; ++r) {
-        std::copy(panel.data() + r * ohw, panel.data() + (r + 1) * ohw,
-                  cols.data() + r * n * ohw + s * ohw);
-      }
+      tensor::im2col(img, geom, cols.data() + s * ohw, ld);
       for (long c = 0; c < cout_g; ++c) {
         const float* grad_out =
             dy.data() + ((s * out_channels_ + g * cout_g + c) * ohw);
@@ -357,31 +348,22 @@ Tensor Conv2d::backward(const Tensor& dy) {
 
     // dW += dY_panel · colsᵀ  — (cout_g × N·ohw) · (N·ohw × col_rows).
     tensor::gemm_a_bt(static_cast<std::size_t>(cout_g),
-                      static_cast<std::size_t>(col_rows),
-                      static_cast<std::size_t>(n * ohw), 1.0f,
+                      static_cast<std::size_t>(col_rows), ld, 1.0f,
                       dy_panel.data(), cols.data(), 1.0f, wgrad);
 
     // dcols = Wᵀ · dY_panel — (col_rows × cout_g) · (cout_g × N·ohw).
-    tensor::gemm_at_b(static_cast<std::size_t>(col_rows),
-                      static_cast<std::size_t>(n * ohw),
+    tensor::gemm_at_b(static_cast<std::size_t>(col_rows), ld,
                       static_cast<std::size_t>(cout_g), 1.0f, wgt,
                       dy_panel.data(), 0.0f, dcols.data());
 
-    // Each sample's image-gradient slab is disjoint, so the gather +
-    // col2im scatter runs per sample in parallel too.
+    // Each sample's image-gradient slab is disjoint, so the col2im
+    // scatter runs per sample in parallel too.
     pool.parallel_for(static_cast<std::size_t>(n),
                       static_cast<std::size_t>(col_rows * ohw),
                       [&](std::size_t si) {
       const long s = static_cast<long>(si);
-      tensor::Scratch sample_dcols =
-          tensor::Workspace::tls().take(static_cast<std::size_t>(col_rows * ohw));
-      for (long r = 0; r < col_rows; ++r) {
-        std::copy(dcols.data() + r * n * ohw + s * ohw,
-                  dcols.data() + r * n * ohw + (s + 1) * ohw,
-                  sample_dcols.data() + r * ohw);
-      }
       float* img_grad = dx.data() + ((s * in_channels_ + g * cin_g) * h * w);
-      tensor::col2im(sample_dcols.data(), geom, img_grad);
+      tensor::col2im(dcols.data() + s * ohw, geom, img_grad, ld);
     });
   }
 

@@ -95,36 +95,34 @@ Tensor Linear::forward_quant(const Tensor& x) {
   tensor::Workspace& ws = tensor::Workspace::tls();
   const tensor::QuantParams aq = quant_.input;
   const auto numel = static_cast<std::size_t>(n * in_features_);
-  tensor::ByteScratch qrows = ws.take_bytes(numel);
-  tensor::quantize_u8(x.data(), numel, aq, qrows.u8());
-  tensor::ByteScratch qx = ws.take_bytes(numel);
+  auto qrows = ws.take<std::uint8_t>(numel);
+  tensor::quantize_u8(x.data(), numel, aq, qrows.data());
+  auto qx = ws.take<std::uint8_t>(numel);
   for (long s = 0; s < n; ++s) {
     for (long t = 0; t < in_features_; ++t) {
-      qx.u8()[t * n + s] = qrows.u8()[s * in_features_ + t];
+      qx[static_cast<std::size_t>(t * n + s)] =
+          qrows[static_cast<std::size_t>(s * in_features_ + t)];
     }
   }
   tensor::Scratch qscale = ws.take(static_cast<std::size_t>(out_features_));
-  tensor::ByteScratch qbias = ws.take_bytes(
-      static_cast<std::size_t>(out_features_) * sizeof(std::int32_t));
-  // int32 view of 64B-aligned pooled scratch, not wire decoding.
-  // hsconas-lint-allow(serial-pointer-cast)
-  std::int32_t* acc_bias = reinterpret_cast<std::int32_t*>(qbias.u8());
+  auto acc_bias =
+      ws.take<std::int32_t>(static_cast<std::size_t>(out_features_));
   for (long o = 0; o < out_features_; ++o) {
     qscale[static_cast<std::size_t>(o)] =
         aq.scale * quant_.weight_scales[static_cast<std::size_t>(o)];
-    acc_bias[o] = -aq.zero_point *
-                  quant_.weight_row_sums[static_cast<std::size_t>(o)];
+    acc_bias[static_cast<std::size_t>(o)] =
+        -aq.zero_point * quant_.weight_row_sums[static_cast<std::size_t>(o)];
   }
   tensor::QuantEpilogue qep;
   qep.scale = qscale.data();
   qep.shift = bias_.value.data();
-  qep.acc_bias = acc_bias;
+  qep.acc_bias = acc_bias.data();
   tensor::Scratch out_panel =
       ws.take(static_cast<std::size_t>(out_features_ * n));
   tensor::gemm_i8_requant(static_cast<std::size_t>(out_features_),
                           static_cast<std::size_t>(n),
                           static_cast<std::size_t>(in_features_),
-                          quant_.qweight.i8_data(), qx.u8(),
+                          quant_.qweight.i8_data(), qx.data(),
                           out_panel.data(), qep);
   Tensor y({n, out_features_});
   for (long s = 0; s < n; ++s) {

@@ -100,13 +100,6 @@ Registry& registry() {
 
 }  // namespace
 
-std::size_t thread_ordinal() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t id =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
 Counter& counter(const std::string& name) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);

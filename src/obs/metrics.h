@@ -108,13 +108,6 @@ Counter& counter(const std::string& name);
 Gauge& gauge(const std::string& name);
 Histogram& histogram(const std::string& name);
 
-/// Stable small ordinal for the calling thread (0, 1, 2, … in first-call
-/// order), for naming per-thread metrics such as
-/// `hsconas.gemm.a_panels.t<id>` or `hsconas.workspace.peak_bytes.t<id>`.
-/// Ordinals are never reused within a process, so a long-lived pool
-/// thread keeps one identity across its whole life.
-std::size_t thread_ordinal();
-
 /// Point-in-time copy of every registered metric, sorted by name. Values
 /// read with relaxed atomics — per-metric exact, cross-metric slightly
 /// racy, which is fine for reporting.

@@ -178,9 +178,9 @@ void OpScope::begin(OpInfo info) noexcept {
   if (probe.reset_scope_peak != nullptr) probe.reset_scope_peak();
   if (Tracer::enabled()) {
     // Mirror TraceScope so profiled ops land on the Perfetto timeline at
-    // the right nesting depth, named by their signature.
+    // the right nesting depth, named by their signature. The span and
+    // the profile row share one wall reading at each edge.
     traced_ = true;
-    trace0_ns_ = detail::now_ns();
     ++detail::thread_depth();
   }
   cpu0_ms_ = process_cpu_ms();
@@ -199,10 +199,9 @@ void OpScope::end() noexcept {
       info_, static_cast<double>(wall1_ns - wall0_ns_) / 1e6,
       cpu1_ms - cpu0_ms_, ws_peak);
   if (traced_) {
-    const std::uint64_t t1 = detail::now_ns();
     --detail::thread_depth();
-    detail::record_span(info_.key.signature().c_str(), trace0_ns_,
-                        t1 - trace0_ns_, detail::thread_depth());
+    detail::record_span(info_.key.signature().c_str(), wall0_ns_,
+                        wall1_ns - wall0_ns_, detail::thread_depth());
   }
 }
 

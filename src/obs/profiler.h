@@ -164,7 +164,6 @@ class OpScope {
   bool traced_ = false;
   OpInfo info_;
   std::uint64_t wall0_ns_ = 0;
-  std::uint64_t trace0_ns_ = 0;
   double cpu0_ms_ = 0.0;
 };
 

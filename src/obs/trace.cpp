@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -12,12 +11,6 @@ namespace hsconas::obs {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-
-/// Common epoch for all threads: first use of the clock.
-std::chrono::steady_clock::time_point trace_epoch() {
-  static const auto epoch = std::chrono::steady_clock::now();
-  return epoch;
-}
 
 /// Fixed-capacity overwrite-oldest event ring. Each thread owns one; the
 /// per-ring mutex is uncontended on the record path (only a snapshot/clear
@@ -58,7 +51,6 @@ ThreadRing& tls_ring() {
 }  // namespace
 
 void Tracer::enable() {
-  trace_epoch();  // pin the epoch no later than the first enable
   g_enabled.store(true, std::memory_order_relaxed);
 }
 
@@ -119,13 +111,6 @@ void Tracer::clear() {
 }
 
 namespace detail {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - trace_epoch())
-          .count());
-}
 
 std::uint32_t& thread_depth() {
   thread_local std::uint32_t depth = 0;

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/timing.h"
+
 namespace hsconas::obs {
 
 /// Span tracer: RAII scopes record (name, thread, start, duration, depth)
@@ -27,7 +29,7 @@ namespace hsconas::obs {
 struct TraceEvent {
   static constexpr std::size_t kNameCapacity = 48;
   char name[kNameCapacity];
-  std::uint64_t start_ns = 0;  ///< steady-clock ns since process start
+  std::uint64_t start_ns = 0;  ///< monotonic_ns() at the span's start
   std::uint64_t dur_ns = 0;
   std::uint32_t tid = 0;       ///< small per-process thread index (from 1)
   std::uint32_t depth = 0;     ///< nesting depth within the thread
@@ -54,7 +56,6 @@ class Tracer {
 };
 
 namespace detail {
-std::uint64_t now_ns();
 void record_span(const char* name, std::uint64_t start_ns,
                  std::uint64_t dur_ns, std::uint32_t depth);
 std::uint32_t& thread_depth();
@@ -76,7 +77,7 @@ class TraceScope {
   }
   ~TraceScope() {
     if (!active_) return;
-    const std::uint64_t end = detail::now_ns();
+    const std::uint64_t end = monotonic_ns();
     --detail::thread_depth();
     detail::record_span(name_, start_ns_, end - start_ns_,
                         detail::thread_depth());
@@ -88,7 +89,7 @@ class TraceScope {
   void begin(const char* name) noexcept {
     active_ = true;
     name_ = name;
-    start_ns_ = detail::now_ns();
+    start_ns_ = monotonic_ns();
     ++detail::thread_depth();
   }
 

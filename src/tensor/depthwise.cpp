@@ -1,7 +1,6 @@
 #include "tensor/depthwise.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "tensor/workspace.h"
 #include "util/error.h"
@@ -120,28 +119,6 @@ void affine_row(const float* HSCONAS_RESTRICT v, long n, float scale,
   }
 }
 
-/// A pooled scratch lease holding n elements of T.
-template <class T>
-class Lease {
- public:
-  Lease(Workspace& ws, long n)
-      : base_(ws.take((static_cast<std::size_t>(n) * sizeof(T) +
-                       sizeof(float) - 1) /
-                      sizeof(float))) {}
-  T* get() {
-    if constexpr (std::is_same_v<T, float>) {
-      return base_.data();
-    } else {
-      // Typed view of 64B-aligned pooled scratch, not wire decoding.
-      // hsconas-lint-allow(serial-pointer-cast)
-      return reinterpret_cast<T*>(base_.data());
-    }
-  }
-
- private:
-  Scratch base_;
-};
-
 /// The one depthwise body: T = u8 codes summed in int32, or T = float
 /// summed in float.
 ///
@@ -179,8 +156,8 @@ void depthwise_stacked(const T* x, std::size_t plane_stride, long planes,
   const long wq = (w + 2 * pad + s - 1) / s;
   const long phase = planes * hq * wq;
   Workspace& ws = Workspace::tls();
-  Lease<T> phases(ws, s * s * phase);
-  T* ph = phases.get();
+  Scratch<T> phases = ws.take<T>(static_cast<std::size_t>(s * s * phase));
+  T* ph = phases.data();
   std::fill(ph, ph + s * s * phase, border);
   // Image column ix is padded column ix + pad: column phase
   // (ix + pad) % s, phase column (ix + pad) / s.
@@ -209,8 +186,8 @@ void depthwise_stacked(const T* x, std::size_t plane_stride, long planes,
     }
   }
   const long len = (planes - 1) * hq * wq + (oh - 1) * wq + ow;
-  Lease<Acc> sums(ws, len);
-  Acc* flat = sums.get();
+  Scratch<Acc> sums = ws.take<Acc>(static_cast<std::size_t>(len));
+  Acc* flat = sums.data();
   const T* taps[kMaxRow];
   Prod wrow[kMaxRow];
   for (long o0 = 0; o0 < len; o0 += kBlock) {

@@ -4,10 +4,8 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "tensor/conv_pack.h"
-#include "tensor/workspace.h"
+#include "tensor/gemm_driver.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 #if defined(__AVX512VNNI__) && defined(__AVX512F__) && defined(__AVX512BW__)
 #define HSCONAS_GEMM_I8_VNNI 1
@@ -16,114 +14,28 @@
 
 namespace hsconas::tensor {
 
-bool gemm_i8_vnni_enabled() {
 #ifdef HSCONAS_GEMM_I8_VNNI
-  return true;
+bool gemm_i8_vnni_enabled() { return true; }
 #else
-  return false;
+bool gemm_i8_vnni_enabled() { return false; }
 #endif
-}
 
 namespace {
 
-#if defined(__GNUC__) || defined(__clang__)
-#define HSCONAS_RESTRICT __restrict__
-#else
-#define HSCONAS_RESTRICT
-#endif
+using gemm_driver::kMR;
+using gemm_driver::kNR;
+using gemm_driver::Tile;
 
-// Register tile, mirroring the fp32 kernel's shape: MR×NR int32
-// accumulators live in registers across the whole k loop. The k axis is
-// consumed four bytes at a time (one VNNI dot-product step), so packed
-// panels interleave quads: a packed "k step" holds 4 consecutive k values
-// for each of the NR columns (B) / MR rows (A).
-constexpr std::size_t kMR = 6;
-constexpr std::size_t kNR = 16;
+// The k axis is consumed four bytes at a time (one VNNI dot-product step),
+// so packed panels interleave quads: a packed "k step" holds 4 consecutive
+// k values for each of the NR columns (B) / MR rows (A).
 constexpr std::size_t kQuad = 4;
-
-// N blocking only: the int8 kernel keeps the whole (quad-padded) k extent
-// in one pass — accumulators never leave registers, C is written exactly
-// once, and the packed B block for an NC stripe is k×kNC bytes, a quarter
-// of the fp32 footprint.
-constexpr std::size_t kNC = 512;
-
-// Parallel task granularity along M, MR-aligned like the fp32 kernel so
-// the packed-panel set is independent of the thread schedule (with exact
-// integer accumulation this is belt-and-braces: any schedule is
-// bit-identical anyway).
-constexpr std::size_t kMChunk = 2 * kMR;
-
-constexpr std::size_t kPackThresholdFlops = 1u << 14;
-constexpr std::size_t kParallelThresholdFlops = 1u << 21;
-
-constexpr std::size_t round_up(std::size_t x, std::size_t to) {
-  return (x + to - 1) / to * to;
-}
 
 void count_entry(obs::Counter& calls, std::size_t m, std::size_t n,
                  std::size_t k) {
   static obs::Counter& macs = obs::counter("hsconas.gemm_i8.macs");
   calls.add();
   macs.add(static_cast<std::uint64_t>(m) * n * k);
-}
-
-struct GemmI8Args {
-  std::size_t m, n, k;
-  const std::int8_t* a;   // m×k, lda == k
-  const std::uint8_t* b;  // k×n, ldb == n
-  std::int32_t* ci;       // raw int32 output (null when requantizing)
-  float* cf;              // requantized float output (null for raw)
-  const QuantEpilogue* ep;
-  const ConvInput<std::uint8_t>* conv;  // set: B is this view (b unused)
-  // C column j is pixel j % plane of sample j / plane, at sample ·
-  // c_stride + row · plane + pixel. A dense C is one sample: plane == n.
-  std::size_t plane, c_stride;
-};
-
-/// Pack the M chunk [i0, i0+mc) of A into MR-row, quad-interleaved panels:
-/// panel ip holds kq steps of MR×4 bytes — rows column-adjacent, each
-/// row's 4 consecutive k bytes contiguous — zero-padded past mc and past
-/// k (zero weight bytes contribute nothing to any dot product).
-void pack_a_block(const std::int8_t* a, std::size_t lda, std::size_t i0,
-                  std::size_t mc, std::size_t k, std::size_t kq,
-                  std::int8_t* HSCONAS_RESTRICT ap) {
-  for (std::size_t ip = 0; ip < mc; ip += kMR) {
-    const std::size_t mr = std::min(kMR, mc - ip);
-    for (std::size_t q = 0; q < kq; ++q) {
-      for (std::size_t i = 0; i < kMR; ++i) {
-        const std::int8_t* src = a + (i0 + ip + i) * lda + q * kQuad;
-        for (std::size_t t = 0; t < kQuad; ++t) {
-          const std::size_t p = q * kQuad + t;
-          ap[(q * kMR + i) * kQuad + t] =
-              (i < mr && p < k) ? src[t] : std::int8_t{0};
-        }
-      }
-    }
-    ap += kq * kMR * kQuad;
-  }
-}
-
-/// Pack one k×NR panel of B (columns [j0, j0+nr)) quad-interleaved:
-/// step q holds, for each of the NR columns, that column's 4 consecutive
-/// k bytes — one 64-byte VNNI vector per step. Zero-padded past nr and
-/// past k. A conv view gathers its windows (padded taps read the zero
-/// point) straight from the codes. Panels are disjoint, so an N block's
-/// panels pack concurrently.
-void pack_b_panel(const GemmI8Args& g, std::size_t j0, std::size_t nr,
-                  std::size_t kq, std::uint8_t* HSCONAS_RESTRICT bp) {
-  std::memset(bp, 0, kq * kNR * kQuad);
-  const auto row = [&](std::size_t p) {
-    return bp + (p / kQuad * kNR) * kQuad + p % kQuad;
-  };
-  if (g.conv != nullptr) {
-    gather_conv_rows<kQuad>(*g.conv, 0, g.k, j0, nr, row);
-    return;
-  }
-  for (std::size_t p = 0; p < g.k; ++p) {
-    const std::uint8_t* src = g.b + p * g.n + j0;
-    std::uint8_t* dst = row(p);
-    for (std::size_t j = 0; j < nr; ++j) dst[j * kQuad] = src[j];
-  }
 }
 
 /// acc (kMR×kNR int32) = Ap_panel · Bp_panel over the full quad-padded k.
@@ -181,129 +93,139 @@ void micro_kernel(std::size_t kq, const std::int8_t* HSCONAS_RESTRICT ap,
 }
 #endif
 
-/// Write the finished mr×nr accumulator tile at C rows [i0+ip, ...) and
-/// columns [jc+jp, ...): raw int32 store, or the requantizing writeback.
-/// Each element is written exactly once.
-void write_tile(const GemmI8Args& g, std::size_t row0, std::size_t col0,
-                std::size_t mr, std::size_t nr,
-                const std::int32_t* HSCONAS_RESTRICT acc) {
-  for_each_sample_piece(col0, nr, g.plane, [&](std::size_t s, std::size_t pix,
-                                               std::size_t t, std::size_t len) {
-    const std::size_t at = s * g.c_stride + row0 * g.plane + pix;
-    if (g.ep != nullptr) {
-      requant_rows(*g.ep, row0, mr, len, acc + t, kNR, g.cf + at, g.plane);
-      return;
-    }
-    for (std::size_t i = 0; i < mr; ++i) {
-      std::int32_t* HSCONAS_RESTRICT crow = g.ci + at + i * g.plane;
-      for (std::size_t j = 0; j < len; ++j) crow[j] = acc[i * kNR + t + j];
-    }
-  });
-}
+/// The int8 kernel of the blocked driver (tensor/gemm_driver.h). The
+/// whole quad-padded k extent is one K block (k <= kGemmI8MaxK is checked
+/// at entry), so accumulators never leave registers, C is written exactly
+/// once, and the packed B block of an NC stripe is k×kNC bytes, a quarter
+/// of the fp32 footprint. Integer accumulation makes every schedule
+/// bit-identical.
+struct I8Gemm : gemm_driver::GemmDims {
+  using APack = std::int8_t;
+  using BPack = std::uint8_t;
+  static constexpr std::size_t kKC = kGemmI8MaxK;
+  static constexpr std::size_t kKStep = kQuad;
 
-/// Compute the kMChunk-row M chunk at row i0 against the shared packed B
-/// block `bp` (kq steps per panel, panels at logical column jc): pack this
-/// chunk's A panels from the calling thread's workspace, then run the
-/// microkernel over every (MR, NR) tile and write each C tile once.
-void run_m_chunk(const GemmI8Args& g, std::size_t i0, std::size_t jc,
-                 std::size_t nc, std::size_t kq,
-                 const std::uint8_t* HSCONAS_RESTRICT bp) {
-  const std::size_t mc = std::min(kMChunk, g.m - i0);
-  Workspace& ws = Workspace::tls();
-  ByteScratch ap = ws.take_bytes(round_up(mc, kMR) * kq * kQuad);
-  pack_a_block(g.a, g.k, i0, mc, g.k, kq, ap.i8());
-  std::int32_t acc[kMR * kNR];
-  for (std::size_t jp = 0; jp < nc; jp += kNR) {
-    const std::size_t nr = std::min(kNR, nc - jp);
-    const std::uint8_t* bpanel = bp + (jp / kNR) * kq * kNR * kQuad;
-    for (std::size_t ip = 0; ip < mc; ip += kMR) {
+  const std::int8_t* a;   // m×k, lda == k
+  const std::uint8_t* b;  // k×n, ldb == n
+  std::int32_t* ci;       // raw int32 output (null when requantizing)
+  float* cf;              // requantized float output (null for raw)
+  const QuantEpilogue* ep;
+  const ConvInput<std::uint8_t>* conv;  // set: B is this view (b unused)
+
+  /// Pack the M chunk [i0, i0+mc) of A into MR-row, quad-interleaved
+  /// panels: panel ip holds kq steps of MR×4 bytes — rows column-adjacent,
+  /// each row's 4 consecutive k bytes contiguous — zero-padded past mc and
+  /// past k (zero weight bytes contribute nothing to any dot product).
+  void pack_a(std::size_t i0, std::size_t, std::size_t mc, std::size_t,
+              std::int8_t* HSCONAS_RESTRICT ap) const {
+    const std::size_t kq = gemm_driver::round_up(k, kQuad) / kQuad;
+    for (std::size_t ip = 0; ip < mc; ip += kMR, ap += kq * kMR * kQuad) {
       const std::size_t mr = std::min(kMR, mc - ip);
-      micro_kernel(kq, ap.i8() + (ip / kMR) * kq * kMR * kQuad, bpanel, acc);
-      write_tile(g, i0 + ip, jc + jp, mr, nr, acc);
+      for (std::size_t q = 0; q < kq; ++q) {
+        for (std::size_t i = 0; i < kMR; ++i) {
+          const std::int8_t* src = a + (i0 + ip + i) * k + q * kQuad;
+          for (std::size_t t = 0; t < kQuad; ++t) {
+            const std::size_t p = q * kQuad + t;
+            ap[(q * kMR + i) * kQuad + t] =
+                (i < mr && p < k) ? src[t] : std::int8_t{0};
+          }
+        }
+      }
     }
   }
-}
 
-/// Unpacked fallback for problems too small to amortize panel copies (and
-/// for k == 0, where every accumulator is 0 and the epilogue still
-/// applies). Accumulates up to kNR columns of a row at a time and writes
-/// them through the same tile writeback as the blocked path. A conv view
-/// first gathers those columns' k rows into a row-major panel.
-void gemm_i8_small(const GemmI8Args& g) {
-  ByteScratch panel;
-  if (g.conv != nullptr) panel = Workspace::tls().take_bytes(g.k * kNR);
-  std::int32_t acc[kNR];
-  for (std::size_t j0 = 0; j0 < g.n; j0 += kNR) {
-    const std::size_t nr = std::min(kNR, g.n - j0);
-    const std::uint8_t* b = panel.u8();
-    std::size_t ldb = kNR;
-    if (g.conv == nullptr) {
-      b = g.b + j0;
-      ldb = g.n;
-    } else {
-      gather_conv_rows<1>(*g.conv, 0, g.k, j0, nr, [&](std::size_t p) {
-        return panel.u8() + p * kNR;
-      });
+  /// Pack one k×NR panel of B (columns [j0, j0+nr)) quad-interleaved:
+  /// step q holds, for each of the NR columns, that column's 4 consecutive
+  /// k bytes — one 64-byte VNNI vector per step. Zero-padded past nr and
+  /// past k. A conv view gathers its windows (padded taps read the zero
+  /// point) straight from the codes.
+  void pack_b(std::size_t, std::size_t, std::size_t j0, std::size_t nr,
+              std::uint8_t* HSCONAS_RESTRICT bp) const {
+    std::memset(bp, 0, gemm_driver::round_up(k, kQuad) * kNR);
+    const auto row = [&](std::size_t p) {
+      return bp + (p / kQuad * kNR) * kQuad + p % kQuad;
+    };
+    if (conv != nullptr) {
+      gather_conv_rows<kQuad>(*conv, 0, k, j0, nr, row);
+      return;
     }
-    for (std::size_t i = 0; i < g.m; ++i) {
-      const std::int8_t* HSCONAS_RESTRICT arow = g.a + i * g.k;
+    for (std::size_t p = 0; p < k; ++p) {
+      const std::uint8_t* src = b + p * n + j0;
+      std::uint8_t* dst = row(p);
+      for (std::size_t j = 0; j < nr; ++j) dst[j * kQuad] = src[j];
+    }
+  }
+
+  void tile(std::size_t, const std::int8_t* ap, const std::uint8_t* bp,
+            const Tile& t, bool, bool) const {
+    std::int32_t acc[kMR * kNR];
+    micro_kernel(gemm_driver::round_up(k, kQuad) / kQuad, ap, bp, acc);
+    write_tile(t.row0, t.j0, t.mr, t.nr, acc);
+  }
+
+  /// Write a finished mr×nr accumulator tile (row stride kNR) at C rows
+  /// [row0, ...) and columns [col0, ...): raw int32 store, or the
+  /// requantizing writeback. Each element is written exactly once.
+  void write_tile(std::size_t row0, std::size_t col0, std::size_t mr,
+                  std::size_t nr,
+                  const std::int32_t* HSCONAS_RESTRICT acc) const {
+    for_each_sample_piece(col0, nr, plane, [&](std::size_t s,
+                                               std::size_t pix,
+                                               std::size_t at,
+                                               std::size_t len) {
+      const std::size_t to = s * c_stride + row0 * plane + pix;
+      if (ep != nullptr) {
+        requant_rows(*ep, row0, mr, len, acc + at, kNR, cf + to, plane);
+        return;
+      }
+      for (std::size_t i = 0; i < mr; ++i) {
+        std::int32_t* HSCONAS_RESTRICT crow = ci + to + i * plane;
+        for (std::size_t j = 0; j < len; ++j) crow[j] = acc[i * kNR + at + j];
+      }
+    });
+  }
+
+  /// Unpacked fallback for problems too small to amortize panel copies (and
+  /// for k == 0, where every accumulator is 0 and the epilogue still
+  /// applies): sums up to kNR columns of a row at a time and writes them
+  /// through the tile writeback.
+  void small() const {
+    if (conv != nullptr) {
+      gemm_driver::for_each_conv_panel(
+          *conv, [&](std::size_t j0, std::size_t nr, const std::uint8_t* bp) {
+            small_panel(bp, kNR, j0, nr);
+          });
+      return;
+    }
+    for (std::size_t j0 = 0; j0 < n; j0 += kNR) {
+      small_panel(b + j0, n, j0, std::min(kNR, n - j0));
+    }
+  }
+
+  /// Columns [j0, j0 + nr) of every row, their B rows at bj + p · ldb.
+  void small_panel(const std::uint8_t* bj, std::size_t ldb, std::size_t j0,
+                   std::size_t nr) const {
+    std::int32_t acc[kNR];
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::int8_t* HSCONAS_RESTRICT arow = a + i * k;
       for (std::size_t j = 0; j < nr; ++j) {
         std::int32_t sum = 0;
-        for (std::size_t p = 0; p < g.k; ++p) {
+        for (std::size_t p = 0; p < k; ++p) {
           sum += static_cast<std::int32_t>(arow[p]) *
-                 static_cast<std::int32_t>(b[p * ldb + j]);
+                 static_cast<std::int32_t>(bj[p * ldb + j]);
         }
         acc[j] = sum;
       }
-      write_tile(g, i, j0, 1, nr, acc);
+      write_tile(i, j0, 1, nr, acc);
     }
   }
-}
+};
 
-/// Macro-kernel: per NC stripe, pack B panels once into a shared read-only
-/// buffer (concurrently — panels are disjoint — with the parallel_for
-/// join publishing them), then distribute MR-aligned M chunks over the
-/// pool. C rows are partitioned by chunk, so no two threads write the
-/// same element; integer accumulation makes every schedule bit-identical.
-void gemm_i8_blocked(const GemmI8Args& g, bool parallel) {
-  auto& pool = util::ThreadPool::global();
-  const std::size_t kq = round_up(g.k, kQuad) / kQuad;
-  const std::size_t mchunks = (g.m + kMChunk - 1) / kMChunk;
-  Workspace& ws = Workspace::tls();
-  for (std::size_t jc = 0; jc < g.n; jc += kNC) {
-    const std::size_t nc = std::min(kNC, g.n - jc);
-    const std::size_t npanels = (nc + kNR - 1) / kNR;
-    ByteScratch bp = ws.take_bytes(npanels * kq * kNR * kQuad);
-    auto pack_panel = [&](std::size_t t) {
-      pack_b_panel(g, jc + t * kNR, std::min(kNR, nc - t * kNR), kq,
-                   bp.u8() + t * kq * kNR * kQuad);
-    };
-    auto run_chunk = [&](std::size_t t) {
-      run_m_chunk(g, t * kMChunk, jc, nc, kq, bp.u8());
-    };
-    if (!parallel) {
-      for (std::size_t t = 0; t < npanels; ++t) pack_panel(t);
-      for (std::size_t t = 0; t < mchunks; ++t) run_chunk(t);
-      continue;
-    }
-    pool.parallel_for(npanels, pack_panel);
-    pool.parallel_for(mchunks, run_chunk);
-  }
-}
-
-void gemm_i8_dispatch(const GemmI8Args& g) {
+void gemm_i8_dispatch(const I8Gemm& g) {
   if (g.k > kGemmI8MaxK) {
     throw InvalidArgument("gemm_i8: k exceeds the int32 accumulator bound");
   }
-  if (g.m == 0 || g.n == 0) return;
-  const std::size_t flops = 2 * g.m * g.n * g.k;
-  if (flops < kPackThresholdFlops || g.m < kMR / 2) {  // includes k == 0
-    gemm_i8_small(g);
-    return;
-  }
-  auto& pool = util::ThreadPool::global();
-  const bool parallel = pool.size() > 1 && flops >= kParallelThresholdFlops;
-  gemm_i8_blocked(g, parallel);
+  gemm_driver::run(g);
 }
 
 }  // namespace
@@ -312,7 +234,7 @@ void gemm_i8(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
              const std::uint8_t* b, std::int32_t* c) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls");
   count_entry(calls, m, n, k);
-  gemm_i8_dispatch({m, n, k, a, b, c, nullptr, nullptr, nullptr, n, 0});
+  gemm_i8_dispatch({{m, n, k, n, 0}, a, b, c, nullptr, nullptr, nullptr});
 }
 
 void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,
@@ -320,15 +242,15 @@ void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,
                      const QuantEpilogue& ep) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_requant");
   count_entry(calls, m, n, k);
-  gemm_i8_dispatch({m, n, k, a, b, nullptr, c, &ep, nullptr, n, 0});
+  gemm_i8_dispatch({{m, n, k, n, 0}, a, b, nullptr, c, &ep, nullptr});
 }
 
 void gemm_i8_requant(std::size_t m, const std::int8_t* a,
                      const ConvInput<std::uint8_t>& b, const ConvOutput& c,
                      const QuantEpilogue& ep) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_conv");
-  const GemmI8Args g{m, b.n(), b.k(), a, nullptr, nullptr, c.y, &ep, &b,
-                     b.ohw(), c.sample_stride};
+  const I8Gemm g{{m, b.n(), b.k(), b.ohw(), c.sample_stride}, a, nullptr,
+                 nullptr, c.y, &ep, &b};
   count_entry(calls, g.m, g.n, g.k);
   gemm_i8_dispatch(g);
 }

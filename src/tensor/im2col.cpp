@@ -23,17 +23,19 @@ void x_bounds(long off, long stride, long in_w, long ow, long* x_lo,
 
 }  // namespace
 
-void im2col(const float* img, const ConvGeom& g, float* cols) {
+void im2col(const float* img, const ConvGeom& g, float* cols,
+            std::size_t ld) {
   static obs::Counter& calls = obs::counter("hsconas.im2col.calls");
   calls.add();
   const long oh = g.out_h(), ow = g.out_w();
+  const long row_len = ld == 0 ? oh * ow : static_cast<long>(ld);
   const long hw = g.in_h * g.in_w;
   long row = 0;
   for (long c = 0; c < g.in_channels; ++c) {
     const float* chan = img + c * hw;
     for (long ki = 0; ki < g.kernel; ++ki) {
       for (long kj = 0; kj < g.kernel; ++kj, ++row) {
-        float* out = cols + row * oh * ow;
+        float* out = cols + row * row_len;
         const long off = kj - g.pad;
         long x_lo, x_hi;
         x_bounds(off, g.stride, g.in_w, ow, &x_lo, &x_hi);
@@ -62,17 +64,19 @@ void im2col(const float* img, const ConvGeom& g, float* cols) {
   }
 }
 
-void col2im(const float* cols, const ConvGeom& g, float* img_grad) {
+void col2im(const float* cols, const ConvGeom& g, float* img_grad,
+            std::size_t ld) {
   static obs::Counter& calls = obs::counter("hsconas.col2im.calls");
   calls.add();
   const long oh = g.out_h(), ow = g.out_w();
+  const long row_len = ld == 0 ? oh * ow : static_cast<long>(ld);
   const long hw = g.in_h * g.in_w;
   long row = 0;
   for (long c = 0; c < g.in_channels; ++c) {
     float* chan = img_grad + c * hw;
     for (long ki = 0; ki < g.kernel; ++ki) {
       for (long kj = 0; kj < g.kernel; ++kj, ++row) {
-        const float* in = cols + row * oh * ow;
+        const float* in = cols + row * row_len;
         const long off = kj - g.pad;
         long x_lo, x_hi;
         x_bounds(off, g.stride, g.in_w, ow, &x_lo, &x_hi);

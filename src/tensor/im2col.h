@@ -52,14 +52,17 @@ struct ConvOutput {
 };
 
 /// Expand one image (C,H,W slice at `img`) into a (C*k*k) × (outH*outW)
-/// column matrix for GEMM-based convolution. `cols` must hold
-/// C*k*k*outH*outW floats. The conv backward uses it; the forward reads
-/// the same matrix through a ConvInput.
-void im2col(const float* img, const ConvGeom& g, float* cols);
+/// column matrix for GEMM-based convolution, row r at cols + r · ld
+/// (ld 0: outH*outW, a dense matrix). The conv backward uses it, writing
+/// each sample's columns into one batch-wide matrix; the forward reads the
+/// same matrix through a ConvInput.
+void im2col(const float* img, const ConvGeom& g, float* cols,
+            std::size_t ld = 0);
 
-/// Inverse scatter-add of im2col: accumulate the column matrix back into the
-/// (C,H,W) image gradient. `img_grad` must be pre-zeroed by the caller if a
-/// fresh gradient is wanted.
-void col2im(const float* cols, const ConvGeom& g, float* img_grad);
+/// Inverse scatter-add of im2col: accumulate the column matrix (row stride
+/// ld, as for im2col) back into the (C,H,W) image gradient. `img_grad`
+/// must be pre-zeroed by the caller if a fresh gradient is wanted.
+void col2im(const float* cols, const ConvGeom& g, float* img_grad,
+            std::size_t ld = 0);
 
 }  // namespace hsconas::tensor

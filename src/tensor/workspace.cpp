@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <new>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -165,8 +163,7 @@ ThreadBlocks& thread_blocks() {
   obs::WorkspaceProbe probe;
   probe.reset_scope_peak = [] { Workspace::tls().reset_scope_peak(); };
   probe.scope_peak_bytes = []() -> std::uint64_t {
-    return static_cast<std::uint64_t>(Workspace::tls().scope_peak_floats()) *
-           sizeof(float);
+    return static_cast<std::uint64_t>(Workspace::tls().scope_peak_bytes());
   };
   obs::set_workspace_probe(probe);
   return true;
@@ -210,61 +207,27 @@ void pool_release_thread_memory() {
   if (!t_blocks_gone) thread_blocks().release();
 }
 
-Scratch& Scratch::operator=(Scratch&& other) noexcept {
-  if (this != &other) {
-    release();
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-  }
-  return *this;
-}
-
-void Scratch::release() noexcept {
-  if (data_ == nullptr) return;
-  Workspace& ws = Workspace::tls();
-  ws.outstanding_floats_ -= std::min(ws.outstanding_floats_, size_);
-  pool_deallocate(data_, size_ * sizeof(float));
-  data_ = nullptr;
-  size_ = 0;
-}
-
 Workspace& Workspace::tls() {
   thread_local Workspace ws;
   return ws;
 }
 
-Scratch Workspace::take(std::size_t n) {
+void* Workspace::lease(std::size_t bytes) {
   static obs::Counter& leases = obs::counter("hsconas.workspace.leases");
   static obs::Gauge& peak = obs::gauge("hsconas.workspace.peak_bytes");
-  if (n == 0) n = 1;
   leases.add();
-  if (thread_peak_gauge_ == nullptr) {
-    // Lazy per-thread registration: one registry lookup per thread, then
-    // every lease updates the thread's own high-water gauge.
-    thread_peak_gauge_ =
-        &obs::gauge("hsconas.workspace.peak_bytes.t" +
-                    std::to_string(obs::thread_ordinal()));
-  }
-  Scratch s(static_cast<float*>(pool_allocate(n * sizeof(float))), n);
+  void* p = pool_allocate(bytes);
   // High-water mark of scratch leased out by this thread; the shared
   // gauge keeps the max across all threads for bench/report context.
-  outstanding_floats_ += n;
-  scope_peak_floats_ = std::max(scope_peak_floats_, outstanding_floats_);
-  const double bytes = static_cast<double>(outstanding_floats_) *
-                       static_cast<double>(sizeof(float));
-  peak.update_max(bytes);
-  thread_peak_gauge_->update_max(bytes);
-  return s;
+  outstanding_bytes_ += bytes;
+  scope_peak_bytes_ = std::max(scope_peak_bytes_, outstanding_bytes_);
+  peak.update_max(static_cast<double>(outstanding_bytes_));
+  return p;
 }
 
-Scratch Workspace::take_zeroed(std::size_t n) {
-  Scratch s = take(n);
-  std::memset(s.data(), 0, s.size() * sizeof(float));
-  return s;
-}
-
-ByteScratch Workspace::take_bytes(std::size_t n) {
-  return ByteScratch(take((n + sizeof(float) - 1) / sizeof(float)), n);
+void Workspace::end_lease(void* p, std::size_t bytes) noexcept {
+  outstanding_bytes_ -= std::min(outstanding_bytes_, bytes);
+  pool_deallocate(p, bytes);
 }
 
 }  // namespace hsconas::tensor

@@ -2,11 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
-
-namespace hsconas::obs {
-class Gauge;
-}
 
 namespace hsconas::tensor {
 
@@ -79,68 +76,44 @@ class PooledAllocator {
   }
 };
 
-/// RAII lease on a float scratch buffer from the pool. Returns the block
-/// to the releasing thread's pool on destruction, so the next lease of the
-/// same size class reuses it instead of hitting the heap. Contents are
-/// uninitialized unless acquired via Workspace::take_zeroed().
+/// RAII lease on a scratch buffer of n elements of T from the pool.
+/// Returns the block to the releasing thread's pool on destruction, so the
+/// next lease of the same size class reuses it instead of hitting the
+/// heap. Contents are uninitialized.
+template <class T = float>
 class Scratch {
+  static_assert(std::is_trivial_v<T>, "a lease holds raw, unconstructed T");
+
  public:
   Scratch() = default;
   Scratch(Scratch&& other) noexcept
       : data_(std::exchange(other.data_, nullptr)),
         size_(std::exchange(other.size_, 0)) {}
-  Scratch& operator=(Scratch&& other) noexcept;
+  Scratch& operator=(Scratch&& other) noexcept {
+    if (this != &other) {
+      release();
+      data_ = std::exchange(other.data_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
   Scratch(const Scratch&) = delete;
   Scratch& operator=(const Scratch&) = delete;
   ~Scratch() { release(); }
 
-  float* data() { return data_; }
-  const float* data() const { return data_; }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
   std::size_t size() const { return size_; }
-  float& operator[](std::size_t i) { return data_[i]; }
-  float operator[](std::size_t i) const { return data_[i]; }
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
 
  private:
   friend class Workspace;
-  Scratch(float* data, std::size_t size) : data_(data), size_(size) {}
+  Scratch(T* data, std::size_t size) : data_(data), size_(size) {}
   void release() noexcept;
 
-  float* data_ = nullptr;  ///< null when empty
+  T* data_ = nullptr;  ///< null when empty
   std::size_t size_ = 0;
-};
-
-/// RAII lease on a byte-typed scratch buffer for the quantized kernels
-/// (int8 packing panels, u8 activation staging). Backed by a float lease —
-/// reinterpreted, which byte types may do — so the int8 path shares the
-/// pool and the lease accounting with the fp32 path.
-class ByteScratch {
- public:
-  ByteScratch() = default;
-
-  // The views below pun the pooled float block to byte types, which the
-  // aliasing rules permit for char-family pointers; this is buffer
-  // reinterpretation, not wire-format decoding.
-  // hsconas-lint-allow(serial-pointer-cast)
-  std::uint8_t* u8() { return reinterpret_cast<std::uint8_t*>(base_.data()); }
-  const std::uint8_t* u8() const {
-    // hsconas-lint-allow(serial-pointer-cast)
-    return reinterpret_cast<const std::uint8_t*>(base_.data());
-  }
-  // hsconas-lint-allow(serial-pointer-cast)
-  std::int8_t* i8() { return reinterpret_cast<std::int8_t*>(base_.data()); }
-  const std::int8_t* i8() const {
-    // hsconas-lint-allow(serial-pointer-cast)
-    return reinterpret_cast<const std::int8_t*>(base_.data());
-  }
-  std::size_t size() const { return size_; }
-
- private:
-  friend class Workspace;
-  ByteScratch(Scratch base, std::size_t size)
-      : base_(std::move(base)), size_(size) {}
-
-  Scratch base_;
-  std::size_t size_ = 0;  ///< requested bytes
 };
 
 /// The calling thread's scratch leases. The hot compute paths (GEMM
@@ -161,37 +134,44 @@ class Workspace {
   /// Calling thread's instance (lazily constructed, lives for the thread).
   static Workspace& tls();
 
-  /// Lease a buffer of n floats, 64-byte aligned, uninitialized.
-  Scratch take(std::size_t n);
+  /// Lease a buffer of n elements of T, 64-byte aligned, uninitialized.
+  template <class T = float>
+  Scratch<T> take(std::size_t n) {
+    if (n == 0) n = 1;
+    return Scratch<T>(static_cast<T*>(lease(n * sizeof(T))), n);
+  }
 
-  /// Lease a buffer of n floats with every element set to 0.0f.
-  Scratch take_zeroed(std::size_t n);
-
-  /// Lease at least n bytes, 64-byte aligned, uninitialized — a float
-  /// lease rounded up to whole floats and viewed as bytes.
-  ByteScratch take_bytes(std::size_t n);
-
-  /// Floats currently leased out on this thread. The cross-thread peak in
-  /// bytes is published to the `hsconas.workspace.peak_bytes` gauge and
-  /// each thread's own high-water mark to
-  /// `hsconas.workspace.peak_bytes.t<id>`, so per-thread packing-buffer
-  /// sizing is observable.
-  std::size_t outstanding_floats() const { return outstanding_floats_; }
+  /// Bytes currently leased out on this thread. The cross-thread peak is
+  /// published to the `hsconas.workspace.peak_bytes` gauge.
+  std::size_t outstanding_bytes() const { return outstanding_bytes_; }
 
   /// Resettable watermark window for per-operator attribution: the
   /// profiler (obs::OpScope) calls reset_scope_peak() when a profiled op
-  /// opens and reads scope_peak_floats() when it closes, giving the op's
+  /// opens and reads scope_peak_bytes() when it closes, giving the op's
   /// own scratch high-water mark without disturbing the lifetime peak.
-  void reset_scope_peak() { scope_peak_floats_ = outstanding_floats_; }
-  std::size_t scope_peak_floats() const { return scope_peak_floats_; }
+  void reset_scope_peak() { scope_peak_bytes_ = outstanding_bytes_; }
+  std::size_t scope_peak_bytes() const { return scope_peak_bytes_; }
 
  private:
+  template <class T>
   friend class Scratch;
   Workspace() = default;
 
-  std::size_t outstanding_floats_ = 0;
-  std::size_t scope_peak_floats_ = 0;
-  obs::Gauge* thread_peak_gauge_ = nullptr;
+  /// A pooled block of `bytes`, counted as leased out on this thread.
+  void* lease(std::size_t bytes);
+  /// Returns a lease's block to the pool and ends its count here.
+  void end_lease(void* p, std::size_t bytes) noexcept;
+
+  std::size_t outstanding_bytes_ = 0;
+  std::size_t scope_peak_bytes_ = 0;
 };
+
+template <class T>
+void Scratch<T>::release() noexcept {
+  if (data_ == nullptr) return;
+  Workspace::tls().end_lease(data_, size_ * sizeof(T));
+  data_ = nullptr;
+  size_ = 0;
+}
 
 }  // namespace hsconas::tensor

@@ -88,5 +88,38 @@ TEST(Col2im, AdjointProperty) {
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
+TEST(Im2col, RowStrideWritesOneSampleOfABatchMatrix) {
+  // With a row stride, im2col fills one sample's columns of a batch-wide
+  // matrix (rows of ld floats) and leaves the other samples' columns alone;
+  // col2im with the same stride reads back only those columns.
+  util::Rng rng(5);
+  const ConvGeom g{2, 5, 4, 3, 2, 1};
+  const std::size_t rows = static_cast<std::size_t>(g.in_channels * 9);
+  const std::size_t plane = static_cast<std::size_t>(g.out_h() * g.out_w());
+  const std::size_t ld = 3 * plane;  // a batch of 3, this sample at column 1·plane
+  std::vector<float> x(static_cast<std::size_t>(g.in_channels * g.in_h * g.in_w));
+  for (float& v : x) v = static_cast<float>(rng.uniform(-1, 1));
+
+  std::vector<float> dense(rows * plane);
+  im2col(x.data(), g, dense.data());
+  const float sentinel = -7.0f;
+  std::vector<float> batch(rows * ld, sentinel);
+  im2col(x.data(), g, batch.data() + plane, ld);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < ld; ++j) {
+      const float want = (j >= plane && j < 2 * plane)
+                             ? dense[r * plane + (j - plane)]
+                             : sentinel;
+      EXPECT_EQ(batch[r * ld + j], want) << "row " << r << " col " << j;
+    }
+  }
+
+  std::vector<float> from_dense(x.size(), 0.0f);
+  col2im(dense.data(), g, from_dense.data());
+  std::vector<float> from_batch(x.size(), 0.0f);
+  col2im(batch.data() + plane, g, from_batch.data(), ld);
+  EXPECT_EQ(from_batch, from_dense);
+}
+
 }  // namespace
 }  // namespace hsconas::tensor

@@ -1,5 +1,5 @@
 // Unit contracts for the one thread-local block pool behind Tensor storage
-// and Workspace scratch leases: alignment, zeroed leases, recycling and
+// and Workspace scratch leases: alignment of typed leases, recycling and
 // granule rounding, move semantics, per-thread pools, cross-thread block
 // fungibility, frees during thread exit, the parked-bytes bound and its
 // eviction order, counter semantics, and Tensor integration. Part of the `serving` label, so the
@@ -25,27 +25,25 @@ bool aligned(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p) % kBlockAlign == 0;
 }
 
-TEST(Workspace, TakeReturnsAlignedWritableBuffer) {
-  Scratch s = Workspace::tls().take(1000);
+template <class T>
+void expect_aligned_writable_lease() {
+  Workspace& ws = Workspace::tls();
+  const std::size_t before = ws.outstanding_bytes();
+  Scratch<T> s = ws.take<T>(1000);
   ASSERT_NE(s.data(), nullptr);
   EXPECT_GE(s.size(), 1000u);
   EXPECT_TRUE(aligned(s.data()));
-  for (std::size_t i = 0; i < 1000; ++i) s[i] = static_cast<float>(i);
+  EXPECT_EQ(ws.outstanding_bytes() - before, 1000 * sizeof(T));
+  for (std::size_t i = 0; i < 1000; ++i) s[i] = static_cast<T>(i % 100);
   for (std::size_t i = 0; i < 1000; ++i) {
-    EXPECT_EQ(s[i], static_cast<float>(i));
+    EXPECT_EQ(s[i], static_cast<T>(i % 100));
   }
 }
 
-TEST(Workspace, TakeZeroedIsZero) {
-  Workspace& ws = Workspace::tls();
-  {
-    // Dirty a buffer, return it to the pool...
-    Scratch s = ws.take(256);
-    for (std::size_t i = 0; i < 256; ++i) s[i] = 7.0f;
-  }
-  // ...then the zeroed lease of the same size must not see the residue.
-  Scratch z = ws.take_zeroed(256);
-  for (std::size_t i = 0; i < 256; ++i) EXPECT_EQ(z[i], 0.0f);
+TEST(Workspace, TakeReturnsAlignedWritableBuffer) {
+  expect_aligned_writable_lease<float>();
+  expect_aligned_writable_lease<std::int8_t>();
+  expect_aligned_writable_lease<std::int32_t>();
 }
 
 TEST(Workspace, LeaseReturnsToPoolAndIsReused) {
@@ -56,10 +54,10 @@ TEST(Workspace, LeaseReturnsToPoolAndIsReused) {
     Scratch s = ws.take(512);
     first = s.data();
     EXPECT_EQ(pool_parked_bytes(), 0u);  // leased out, not parked
-    EXPECT_EQ(ws.outstanding_floats(), 512u);
+    EXPECT_EQ(ws.outstanding_bytes(), 512 * sizeof(float));
   }
   EXPECT_EQ(pool_parked_bytes(), 512 * sizeof(float));
-  EXPECT_EQ(ws.outstanding_floats(), 0u);
+  EXPECT_EQ(ws.outstanding_bytes(), 0u);
   {
     Scratch s = ws.take(512);  // same size: must reuse, not reallocate
     EXPECT_EQ(s.data(), first);
@@ -84,13 +82,13 @@ TEST(Workspace, MoveTransfersOwnership) {
   EXPECT_EQ(b.data(), p);
   EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move): asserted
   EXPECT_EQ(pool_parked_bytes(), 0u);  // still leased, via b
-  EXPECT_EQ(ws.outstanding_floats(), 128u);
+  EXPECT_EQ(ws.outstanding_bytes(), 128 * sizeof(float));
 
   Scratch c = ws.take(128);
   c = std::move(b);  // c's own block goes back to the pool
   EXPECT_EQ(c.data(), p);
   EXPECT_EQ(pool_parked_bytes(), 128 * sizeof(float));
-  EXPECT_EQ(ws.outstanding_floats(), 128u);
+  EXPECT_EQ(ws.outstanding_bytes(), 128 * sizeof(float));
 }
 
 TEST(Workspace, ReleaseMemoryDropsPool) {

@@ -27,8 +27,9 @@
 #      suites exercise every integer accumulation/requantize path under
 #      the overflow checkers (skipped with --fast).
 #   9. TSan build + full ctest, then explicit `ctest -L kernels`,
-#      `ctest -L obs`, `ctest -L serving` and `ctest -L search` re-runs
-#      (GEMM/fused-conv/depthwise determinism, tracer/profiler and pool
+#      `ctest -L quant`, `ctest -L obs`, `ctest -L serving` and
+#      `ctest -L search` re-runs (GEMM/fused-conv/depthwise determinism,
+#      the int8 GEMM on the shared blocked driver, tracer/profiler and pool
 #      work-floor, batch-serving plus thread-local block pool suites,
 #      whose blocks are freed on other threads than the ones that took
 #      them, and candidates scored concurrently on one shared supernet)
@@ -145,6 +146,13 @@ stage "kernel determinism suites under TSan (ctest -L kernels)"
 # the score-mode suite compares forward-only candidate scoring with a
 # train-mode forward at the same two pool sizes.
 (cd "$root/ci-build-tsan" && ctest --output-on-failure -L kernels)
+
+stage "quantization suites under TSan (ctest -L quant)"
+# The int8 GEMM runs the same blocked driver as fp32 (tensor/
+# gemm_driver.h): B panels packed concurrently into one shared buffer,
+# then M chunks fanned out over the pool. The serial -L quant re-run gives
+# TSan clean interleavings of that hand-off on the integer path.
+(cd "$root/ci-build-tsan" && ctest --output-on-failure -L quant)
 
 stage "tracer/profiler suites under TSan (ctest -L obs)"
 # Same reasoning: the trace-ring and per-op profiler tests hammer the
