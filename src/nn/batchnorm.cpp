@@ -66,24 +66,24 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   obs::OpScope prof([&] {
     return detail::elementwise_op_info("bn", "eltwise", x, 4.0, 12.0);
   });
-  if (x.ndim() != 4 || x.dim(1) != channels_) {
+  if (x.ndim() != 4 || x.dim(1) < 1 || x.dim(1) > channels_) {
     throw InvalidArgument("BatchNorm2d " + display_name_ +
                           ": bad input shape " + x.shape_str());
   }
+  // A width-sliced input normalizes its leading channels only.
+  const long channels = x.dim(1);
   const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const long spatial = h * w;
   const bool batch_statistics = !is_eval(mode());
   const bool keep = keeps_backward_state();
 
-  Tensor y(x.shape());
+  // Every element is written by the normalization below.
+  Tensor y = Tensor::for_overwrite(x.shape());
   if (keep) {
-    cached_xhat_ = Tensor(x.shape());
-    cached_inv_std_.assign(static_cast<std::size_t>(channels_), 0.0f);
+    cached_xhat_ = Tensor::for_overwrite(x.shape());
+    cached_inv_std_.assign(static_cast<std::size_t>(channels), 0.0f);
     note_backward_state(cached_xhat_);
     note_backward_state(cached_inv_std_.size() * sizeof(float));
-    cached_n_ = n;
-    cached_h_ = h;
-    cached_w_ = w;
   }
 
   // Statistics, then normalization, for one block of L channels; blocks
@@ -91,7 +91,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   auto block = [&]<long L>(long c0) {
     double mean[L], var[L];
     if (batch_statistics) {
-      batch_stats<L>(x.data(), n, channels_, spatial, c0, mean, var);
+      batch_stats<L>(x.data(), n, channels, spatial, c0, mean, var);
       // Only a train forward moves the running estimates: a score
       // forward writes no member.
       for (long l = 0; keep && l < L; ++l) {
@@ -115,7 +115,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
       const float fm = static_cast<float>(mean[l]);
       if (keep) cached_inv_std_[static_cast<std::size_t>(c)] = inv_std;
       for (long s = 0; s < n; ++s) {
-        const long off = (s * channels_ + c) * spatial;
+        const long off = (s * channels + c) * spatial;
         const float* chan = x.data() + off;
         float* out = y.data() + off;
         if (keep) {
@@ -134,8 +134,8 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
     }
   };
   long c = 0;
-  for (; c + 4 <= channels_; c += 4) block.template operator()<4>(c);
-  for (; c < channels_; ++c) block.template operator()<1>(c);
+  for (; c + 4 <= channels; c += 4) block.template operator()<4>(c);
+  for (; c < channels; ++c) block.template operator()<1>(c);
   return y;
 }
 
@@ -145,21 +145,22 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
   });
   HSCONAS_CHECK_MSG(!cached_xhat_.empty(),
                     "BatchNorm2d::backward before forward");
-  const long n = cached_n_, h = cached_h_, w = cached_w_;
+  const long n = cached_xhat_.dim(0), channels = cached_xhat_.dim(1);
+  const long h = cached_xhat_.dim(2), w = cached_xhat_.dim(3);
   const long spatial = h * w;
   const double count = static_cast<double>(n * spatial);
-  HSCONAS_CHECK_MSG(dy.ndim() == 4 && dy.dim(0) == n &&
-                        dy.dim(1) == channels_ && dy.dim(2) == h &&
-                        dy.dim(3) == w,
+  HSCONAS_CHECK_MSG(dy.shape() == cached_xhat_.shape(),
                     "BatchNorm2d::backward: dy shape mismatch");
 
-  Tensor dx(dy.shape());
-  for (long c = 0; c < channels_; ++c) {
+  // Every element is written below; the gradients of channels the
+  // forward did not run stay untouched.
+  Tensor dx = Tensor::for_overwrite(dy.shape());
+  for (long c = 0; c < channels; ++c) {
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
     for (long s = 0; s < n; ++s) {
-      const float* grad = dy.data() + ((s * channels_ + c) * spatial);
+      const float* grad = dy.data() + ((s * channels + c) * spatial);
       const float* xhat =
-          cached_xhat_.data() + ((s * channels_ + c) * spatial);
+          cached_xhat_.data() + ((s * channels + c) * spatial);
       for (long i = 0; i < spatial; ++i) {
         sum_dy += grad[i];
         sum_dy_xhat += static_cast<double>(grad[i]) * xhat[i];
@@ -174,10 +175,10 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
     const float mean_dy_xhat = static_cast<float>(sum_dy_xhat / count);
 
     for (long s = 0; s < n; ++s) {
-      const float* grad = dy.data() + ((s * channels_ + c) * spatial);
+      const float* grad = dy.data() + ((s * channels + c) * spatial);
       const float* xhat =
-          cached_xhat_.data() + ((s * channels_ + c) * spatial);
-      float* out = dx.data() + ((s * channels_ + c) * spatial);
+          cached_xhat_.data() + ((s * channels + c) * spatial);
+      float* out = dx.data() + ((s * channels + c) * spatial);
       for (long i = 0; i < spatial; ++i) {
         out[i] = g * inv_std * (grad[i] - mean_dy - xhat[i] * mean_dy_xhat);
       }

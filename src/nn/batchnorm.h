@@ -12,11 +12,11 @@ namespace hsconas::nn {
 /// therefore always differentiates through the batch statistics.
 /// gamma/beta are trainable and excluded from weight decay.
 ///
-/// Interaction with dynamic channel scaling: BN is strictly per-channel, so
-/// masking other channels never perturbs the statistics of active ones.
-/// Masked channels see all-zero batches (mean 0, var 0) and are re-masked
-/// downstream, so the `beta` they would leak is suppressed (see
-/// MaskedBranch).
+/// Interaction with dynamic channel scaling: BN is strictly per-channel. A
+/// width-sliced input (x.dim(1) < channels) normalizes its leading
+/// channels with their own statistics, affine terms and running
+/// estimates; the other channels' running estimates and gradients are
+/// left untouched (see SlicedBranch).
 class BatchNorm2d : public Module {
  public:
   explicit BatchNorm2d(long channels, double momentum = 0.1,
@@ -58,7 +58,6 @@ class BatchNorm2d : public Module {
   // Forward cache for backward (train mode only).
   tensor::Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;
-  long cached_n_ = 0, cached_h_ = 0, cached_w_ = 0;
 };
 
 }  // namespace hsconas::nn

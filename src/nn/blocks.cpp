@@ -99,32 +99,32 @@ ShuffleChoiceBlock::ShuffleChoiceBlock(BlockKind kind, long in_channels,
 
   BranchBuilder b{&main_.add_stage(display_name_ + ".main"), rng,
                   display_name_};
-  // The mid-width mask sits between this stage and the next one.
-  const auto mask = [&] {
+  // The mid width is sliced between this stage and the next one.
+  const auto next_stage = [&] {
     b.seq = &main_.add_stage(display_name_ + ".main");
   };
 
   if (kind == BlockKind::kXception) {
     b.dw(branch_in, 3, stride);
     b.pw(branch_in, mid_channels_, /*relu=*/true);
-    mask();
+    next_stage();
     b.dw(mid_channels_, 3, 1);
-    mask();
+    next_stage();
     b.pw(mid_channels_, mid_channels_, /*relu=*/true);
-    mask();
+    next_stage();
     b.dw(mid_channels_, 3, 1);
-    mask();
+    next_stage();
     b.pw(mid_channels_, branch_out, /*relu=*/true);
   } else {
     b.pw(branch_in, mid_channels_, /*relu=*/true);
-    mask();
+    next_stage();
     b.dw(mid_channels_, kernel, stride);
-    mask();
+    next_stage();
     b.pw(mid_channels_, branch_out, /*relu=*/true);
   }
 
   if (stride == 2) {
-    // The projection branch has fixed width (not searchable): no masks.
+    // The projection branch has fixed width (not searchable).
     const std::string proj_name = display_name_ + ".proj";
     proj_ = std::make_unique<Sequential>(proj_name);
     BranchBuilder p{proj_.get(), rng, proj_name};
@@ -149,17 +149,17 @@ Tensor ShuffleChoiceBlock::forward_at(const Tensor& x, long active) {
       concat_channels(proj_out, main_.forward(x, active)));
 }
 
-Tensor ShuffleChoiceBlock::backward_at(const Tensor& dy, long active) {
+Tensor ShuffleChoiceBlock::backward(const Tensor& dy) {
   if (pure_identity_) return dy;
-  if (kind_ == BlockKind::kSkip) return main_.backward(dy, active);
+  if (kind_ == BlockKind::kSkip) return main_.backward(dy);
   Tensor d = shuffle_->backward(dy);
   Tensor d_left, d_main;
   split_channels(d, split_left_, d_left, d_main);
   if (stride_ == 1) {
-    return concat_channels(d_left, main_.backward(d_main, active));
+    return concat_channels(d_left, main_.backward(d_main));
   }
   Tensor dx = proj_->backward(d_left);
-  dx.add_(main_.backward(d_main, active));
+  dx.add_(main_.backward(d_main));
   return dx;
 }
 

@@ -44,8 +44,8 @@ long block_kernel(BlockKind kind);
 /// K = 5 choices at every layer so |A| = (K·|C|)^L matches the paper's
 /// quoted 9.5e33.
 ///
-/// Dynamic channel scaling: forward(x, c) masks the branch's mid-channels
-/// down to round(c · S) where S = max_mid_channels().
+/// Dynamic channel scaling: forward(x, c) runs the branch's mid channels
+/// sliced to round(c · S) where S = max_mid_channels().
 class ShuffleChoiceBlock : public ChoiceBlock {
  public:
   ShuffleChoiceBlock(BlockKind kind, long in_channels, long out_channels,
@@ -65,16 +65,17 @@ class ShuffleChoiceBlock : public ChoiceBlock {
   /// skip ops, which have no searchable width).
   long max_mid_channels() const override { return mid_channels_; }
 
+  tensor::Tensor backward(const tensor::Tensor& dy) override;
+
  protected:
   tensor::Tensor forward_at(const tensor::Tensor& x, long active) override;
-  tensor::Tensor backward_at(const tensor::Tensor& dy, long active) override;
 
  private:
   BlockKind kind_;
   long in_channels_, out_channels_, stride_, mid_channels_;
   std::string display_name_;
 
-  MaskedBranch main_;                   // operator branch
+  SlicedBranch main_;                   // operator branch
   std::unique_ptr<Sequential> proj_;    // stride-2 projection branch
   std::unique_ptr<ChannelShuffle> shuffle_;
 

@@ -25,13 +25,7 @@ constexpr MbConvOp kMbConvOps[] = {
 }  // namespace
 
 tensor::Tensor ChoiceBlock::forward(const tensor::Tensor& x, double factor) {
-  const long active = active_mid_channels(factor);
-  if (keeps_backward_state()) backward_active_ = active;
-  return forward_at(x, active);
-}
-
-tensor::Tensor ChoiceBlock::backward(const tensor::Tensor& dy) {
-  return backward_at(dy, backward_active_);
+  return forward_at(x, active_mid_channels(factor));
 }
 
 long ChoiceBlock::active_mid_channels(double factor) const {

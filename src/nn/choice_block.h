@@ -13,20 +13,18 @@ namespace hsconas::nn {
 ///
 /// The factor is an argument of each forward, never block state: a score
 /// or eval forward writes no member, so one block may run forwards at
-/// different factors on several threads at once. A train forward keeps
-/// the width it ran at for backward(), like any other backward state.
+/// different factors on several threads at once. Backward needs no
+/// factor: the layers of a width-sliced train forward keep tensors of the
+/// width they ran at.
 class ChoiceBlock : public Module {
  public:
   /// Forward at channel factor c ∈ (0, 1]: the block's mid channels are
-  /// masked down to active_mid_channels(c) for this call (§III-B).
+  /// sliced to active_mid_channels(c) for this call (§III-B).
   tensor::Tensor forward(const tensor::Tensor& x, double factor);
   /// Forward at full width (c = 1).
   tensor::Tensor forward(const tensor::Tensor& x) override {
     return forward(x, 1.0);
   }
-  /// Backward through the last train forward, at the width it ran at.
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-
   /// Sˡ — the maximum searchable width (0 for widthless ops like skip).
   virtual long max_mid_channels() const = 0;
   /// round(c · Sˡ) (0 for widthless ops); throws InvalidArgument unless
@@ -40,12 +38,6 @@ class ChoiceBlock : public Module {
  protected:
   /// The block's arithmetic at `active` mid channels.
   virtual tensor::Tensor forward_at(const tensor::Tensor& x, long active) = 0;
-  virtual tensor::Tensor backward_at(const tensor::Tensor& dy,
-                                     long active) = 0;
-  void release_backward_state() override { backward_active_ = 0; }
-
- private:
-  long backward_active_ = 0;  ///< width of the last train forward
 };
 
 /// Operator families the search space can draw from. Both expose K = 5

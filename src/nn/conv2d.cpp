@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 
 #include "nn/op_profile.h"
 #include "tensor/depthwise.h"
@@ -19,11 +20,13 @@ using tensor::Tensor;
 
 namespace {
 
-/// Profiler describe callback payload. `work_mult` scales the analytic
+/// Profiler describe callback payload, keyed by the widths the call runs
+/// at (`out_channels` as for forward). `work_mult` scales the analytic
 /// single-pass work: 1 for forward, 2 for backward (dW and dX GEMMs).
 /// Defensive about shapes — forward_impl's own validation throws after
 /// the scope opens, so a malformed input must not crash the hook.
-obs::OpInfo conv_op_info(const Conv2d& conv, const Tensor& x, const char* op,
+obs::OpInfo conv_op_info(const Conv2d& conv, const Tensor& x,
+                         long out_channels, const char* op,
                          double work_mult) {
   obs::OpInfo info;
   info.key.op = op;
@@ -35,23 +38,24 @@ obs::OpInfo conv_op_info(const Conv2d& conv, const Tensor& x, const char* op,
   info.key.kernel = conv.kernel();
   info.key.stride = conv.stride();
   info.key.groups = conv.groups();
-  if (x.ndim() != 4 || x.dim(1) != conv.in_channels()) return info;
+  const Conv2d::Widths cw = conv.widths(x, out_channels);
+  if (!cw.valid) return info;
+  const long cin = cw.cin, cout = cw.cout, groups = cw.groups;
+  info.key.in_ch = cin;
+  info.key.out_ch = cout;
+  info.key.groups = groups;
   const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
   info.key.batch = n;
   info.key.in_h = h;
   info.key.in_w = w;
-  ConvGeom geom{conv.in_channels() / conv.groups(), h, w, conv.kernel(),
-                conv.stride(), conv.pad()};
+  ConvGeom geom{cin / groups, h, w, conv.kernel(), conv.stride(), conv.pad()};
   if (geom.out_h() <= 0 || geom.out_w() <= 0) return info;
   const double batch = static_cast<double>(n);
-  const double macs = static_cast<double>(conv.macs(h, w));
-  const double out_numel = batch * static_cast<double>(conv.out_channels()) *
-                           static_cast<double>(geom.out_h()) *
-                           static_cast<double>(geom.out_w());
-  const double weight_numel =
-      static_cast<double>(conv.out_channels()) *
-      static_cast<double>(conv.in_channels() / conv.groups()) *
-      static_cast<double>(conv.kernel() * conv.kernel());
+  const double out_plane = static_cast<double>(geom.out_h() * geom.out_w());
+  const double weight_numel = static_cast<double>(
+      cout * (cin / groups) * conv.kernel() * conv.kernel());
+  const double macs = weight_numel * out_plane;
+  const double out_numel = batch * static_cast<double>(cout) * out_plane;
   info.flops = work_mult * 2.0 * macs * batch;
   info.bytes = work_mult * 4.0 *
                (static_cast<double>(x.numel()) + out_numel + weight_numel);
@@ -92,38 +96,58 @@ Conv2d::Conv2d(long in_channels, long out_channels, long kernel, long stride,
   }
 }
 
-Tensor Conv2d::forward(const Tensor& x) {
-  obs::OpScope prof([&] { return conv_op_info(*this, x, "conv2d", 1.0); });
+Conv2d::Widths Conv2d::widths(const Tensor& x, long out_channels) const {
+  const bool depthwise = in_channels_ / groups_ == 1 &&
+                         out_channels_ / groups_ == 1;
+  const long cin = x.ndim() == 4 ? x.dim(1) : 0;
+  const long cout = depthwise ? cin
+                    : out_channels > 0 ? out_channels
+                                       : out_channels_;
+  const bool full = cin == in_channels_ && cout == out_channels_;
+  const bool sliced = (depthwise || groups_ == 1) && cin >= 1 &&
+                      cin <= in_channels_ && cout >= 1 &&
+                      cout <= out_channels_;
+  return {cin, cout, depthwise ? cin : groups_, full || sliced};
+}
+
+Tensor Conv2d::forward(const Tensor& x, long out_channels) {
+  obs::OpScope prof(
+      [&] { return conv_op_info(*this, x, out_channels, "conv2d", 1.0); });
   // Fold the bias into the GEMM epilogue (scale 1, shift b, no act): the
   // sum and the single bias add happen in the same order as a separate
   // bias pass would do them, so training numbers are unchanged — minus
   // one full pass over the output tensor.
   tensor::GemmEpilogue ep;
   if (has_bias_) ep.shift = bias_.value.data();
-  Tensor y = forward_impl(x, has_bias_ ? &ep : nullptr);
+  Tensor y = forward_impl(x, out_channels, has_bias_ ? &ep : nullptr);
   keep_for_backward(cached_input_, x);
   return y;
 }
 
 Tensor Conv2d::forward_fused(const Tensor& x, const float* scale,
-                             const float* shift, tensor::EpilogueAct act) {
-  obs::OpScope prof(
-      [&] { return conv_op_info(*this, x, "conv2d.fused", 1.0); });
+                             const float* shift, tensor::EpilogueAct act,
+                             long out_channels) {
+  obs::OpScope prof([&] {
+    return conv_op_info(*this, x, out_channels, "conv2d.fused", 1.0);
+  });
   tensor::GemmEpilogue ep;
   ep.scale = scale;
   ep.shift = shift;
   ep.act = act;
-  return forward_impl(x, &ep);
+  return forward_impl(x, out_channels, &ep);
 }
 
-Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
-  if (x.ndim() != 4 || x.dim(1) != in_channels_) {
+Tensor Conv2d::forward_impl(const Tensor& x, long out_channels,
+                            const tensor::GemmEpilogue* ep) {
+  const Widths cw = widths(x, out_channels);
+  if (!cw.valid) {
     throw InvalidArgument("Conv2d " + display_name_ + ": bad input shape " +
-                          x.shape_str());
+                          x.shape_str() + " for " + std::to_string(cw.cout) +
+                          " output channels");
   }
   const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const long cin_g = in_channels_ / groups_;
-  const long cout_g = out_channels_ / groups_;
+  const long cin_g = cw.cin / cw.groups;
+  const long cout_g = cw.cout / cw.groups;
   ConvGeom geom{cin_g, h, w, kernel_, stride_, pad_};
   const long oh = geom.out_h(), ow = geom.out_w();
   if (oh <= 0 || ow <= 0) {
@@ -134,20 +158,21 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
   if (is_eval(mode())) {
     // The dtype seam. An armed observer sees the fp32 input; the int8
     // path takes over only for calibrated layers (and only at reduction
-    // depths the int32 accumulators cover — others keep computing fp32,
-    // so mixed-readiness models stay correct).
+    // depths the int32 accumulators cover, judged on the full weight row
+    // so that every width of a layer computes in one dtype — others keep
+    // computing fp32, so mixed-readiness models stay correct).
     if (quant_.observing) {
       quant_.observer.observe(x.data(), static_cast<std::size_t>(x.numel()));
     }
     if (quant_.ready &&
-        static_cast<std::size_t>(cin_g * kernel_ * kernel_) <=
-            tensor::kGemmI8MaxK) {
-      return forward_quant_impl(x, ep);
+        static_cast<std::size_t>(weight_row()) <= tensor::kGemmI8MaxK) {
+      return forward_quant_impl(x, cw, ep);
     }
   }
 
-  Tensor y({n, out_channels_, oh, ow});
-  const long col_rows = cin_g * kernel_ * kernel_;
+  // Every element of y is written below: by the depthwise writeback, or
+  // by the conv GEMM's first K block.
+  Tensor y = Tensor::for_overwrite({n, cw.cout, oh, ow});
   const long ohw = oh * ow;
   auto& pool = util::ThreadPool::global();
 
@@ -156,31 +181,34 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
     // one batch-stacked pass, the epilogue (row c of `ep`) fused into its
     // writeback — the layout forward_quant_impl uses for int8.
     const long k = kernel_;
-    pool.parallel_for(static_cast<std::size_t>(out_channels_),
+    pool.parallel_for(static_cast<std::size_t>(cw.cout),
                       static_cast<std::size_t>(n * ohw * k * k),
                       [&](std::size_t ci) {
       const long c = static_cast<long>(ci);
       tensor::depthwise_f32(x.data() + c * h * w,
-                            static_cast<std::size_t>(in_channels_ * h * w), n,
-                            geom, weight_.value.data() + c * k * k, ep, ci,
+                            static_cast<std::size_t>(cw.cin * h * w), n, geom,
+                            weight_.value.data() + c * k * k, ep, ci,
                             y.data() + c * ohw,
-                            static_cast<std::size_t>(out_channels_ * ohw));
+                            static_cast<std::size_t>(cw.cout * ohw));
     });
     return y;
   }
 
-  // One GEMM per group over the whole batch: (cout_g × col_rows) weights
-  // times the group's conv view, whose column (sample, output pixel) the
-  // GEMM packs straight from x and writes straight into y's NCHW slots.
-  for (long g = 0; g < groups_; ++g) {
+  // One GEMM per group over the whole batch: the (cout_g × cin_g·k²)
+  // leading window of the group's weights (row stride weight_row()) times
+  // the group's conv view, whose column (sample, output pixel) the GEMM
+  // packs straight from x and writes straight into y's NCHW slots.
+  const long lda = weight_row();
+  for (long g = 0; g < cw.groups; ++g) {
     const tensor::ConvInput<float> in{
         x.data() + g * cin_g * h * w,
-        static_cast<std::size_t>(in_channels_ * h * w), geom,
+        static_cast<std::size_t>(cw.cin * h * w), geom,
         static_cast<std::size_t>(n)};
     const tensor::ConvOutput out{
         y.data() + g * cout_g * ohw,
-        static_cast<std::size_t>(out_channels_ * ohw)};
-    const float* wgt = weight_.value.data() + g * cout_g * col_rows;
+        static_cast<std::size_t>(cw.cout * ohw)};
+    const float* wgt = weight_.value.data() + g * cout_g * lda;
+    const auto m = static_cast<std::size_t>(cout_g);
     if (ep != nullptr) {
       // The GEMM row axis is the output channel within this group, so the
       // per-row epilogue is exactly the per-channel bias/BN/act — sliced
@@ -189,23 +217,25 @@ Tensor Conv2d::forward_impl(const Tensor& x, const tensor::GemmEpilogue* ep) {
       gep.scale = ep->scale != nullptr ? ep->scale + g * cout_g : nullptr;
       gep.shift = ep->shift != nullptr ? ep->shift + g * cout_g : nullptr;
       gep.act = ep->act;
-      tensor::gemm_fused(static_cast<std::size_t>(cout_g), wgt, in, out, gep);
+      tensor::gemm_fused(m, wgt, static_cast<std::size_t>(lda), in, out, gep);
     } else {
-      tensor::gemm(static_cast<std::size_t>(cout_g), wgt, in, out);
+      tensor::gemm(m, wgt, static_cast<std::size_t>(lda), in, out);
     }
   }
   return y;
 }
 
-Tensor Conv2d::forward_quant_impl(const Tensor& x,
+Tensor Conv2d::forward_quant_impl(const Tensor& x, const Widths& cw,
                                   const tensor::GemmEpilogue* ep) {
   const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const long cin_g = in_channels_ / groups_;
-  const long cout_g = out_channels_ / groups_;
+  const long cin_g = cw.cin / cw.groups;
+  const long cout_g = cw.cout / cw.groups;
   ConvGeom geom{cin_g, h, w, kernel_, stride_, pad_};
   const long oh = geom.out_h(), ow = geom.out_w();
-  Tensor y({n, out_channels_, oh, ow});
+  // Written in full: by the depthwise requantize or the GEMM writeback.
+  Tensor y = Tensor::for_overwrite({n, cw.cout, oh, ow});
   const long col_rows = cin_g * kernel_ * kernel_;
+  const long lda = weight_row();
   const long hw = h * w, ohw = oh * ow;
   auto& pool = util::ThreadPool::global();
 
@@ -217,20 +247,26 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
   // so  act(scale[c] * real_acc + shift[c])
   //   = act((scale[c] * s_a * s_w[c]) * (int_acc + acc_bias[c]) + shift[c])
   // with acc_bias[c] = -z_a * wsum[c] — exactly the QuantEpilogue form,
-  // applied by the requantizing writeback. Every input element is
-  // quantized exactly once; padding enters as z_a, the code of a real 0
-  // (the observer range always includes 0), so a padded tap adds w·z_a,
-  // which the full-row acc_bias cancels exactly.
+  // applied by the requantizing writeback. wsum[c] sums the row's window
+  // the GEMM reads (the whole row unless the input is width-sliced).
+  // Every input element is quantized exactly once; padding enters as z_a,
+  // the code of a real 0 (the observer range always includes 0), so a
+  // padded tap adds w·z_a, which the row's acc_bias cancels exactly.
   tensor::Workspace& ws = tensor::Workspace::tls();
-  tensor::Scratch qscale = ws.take(static_cast<std::size_t>(out_channels_));
+  tensor::Scratch qscale = ws.take(static_cast<std::size_t>(cw.cout));
   tensor::Scratch<std::int32_t> acc_bias =
-      ws.take<std::int32_t>(static_cast<std::size_t>(out_channels_));
-  for (long c = 0; c < out_channels_; ++c) {
+      ws.take<std::int32_t>(static_cast<std::size_t>(cw.cout));
+  for (long c = 0; c < cw.cout; ++c) {
     const float es =
         (ep != nullptr && ep->scale != nullptr) ? ep->scale[c] : 1.0f;
     const auto ci = static_cast<std::size_t>(c);
+    std::int32_t wsum = quant_.weight_row_sums[ci];
+    if (col_rows < lda) {
+      const std::int8_t* row = qw + c * lda;
+      wsum = std::accumulate(row, row + col_rows, std::int32_t{0});
+    }
     qscale[ci] = es * aq.scale * quant_.weight_scales[ci];
-    acc_bias[ci] = -aq.zero_point * quant_.weight_row_sums[ci];
+    acc_bias[ci] = -aq.zero_point * wsum;
   }
   tensor::QuantEpilogue qep;
   qep.scale = qscale.data();
@@ -240,7 +276,7 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
 
   // Every path starts from the u8 codes of the whole batch, quantized once.
   const auto za = static_cast<std::uint8_t>(aq.zero_point);
-  const long chw = in_channels_ * hw;
+  const long chw = cw.cin * hw;
   tensor::Scratch<std::uint8_t> codes =
       ws.take<std::uint8_t>(static_cast<std::size_t>(n * chw));
   pool.parallel_for(static_cast<std::size_t>(n), static_cast<std::size_t>(chw),
@@ -255,7 +291,7 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
     // channel of every sample in one int32 pass, then requantize each
     // sample's plane as one writeback row (row c of the epilogue).
     const long k = kernel_;
-    pool.parallel_for(static_cast<std::size_t>(out_channels_),
+    pool.parallel_for(static_cast<std::size_t>(cw.cout),
                       static_cast<std::size_t>(n * ohw * k * k),
                       [&](std::size_t ci) {
       const long c = static_cast<long>(ci);
@@ -263,13 +299,12 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
           tensor::Workspace::tls().take<std::int32_t>(
               static_cast<std::size_t>(n * ohw));
       std::int32_t* acc = accs.data();
-      tensor::depthwise_i8(codes.data() + c * hw,
-                           static_cast<std::size_t>(in_channels_ * hw), n,
-                           geom, za, qw + c * k * k, acc);
+      tensor::depthwise_i8(codes.data() + c * hw, static_cast<std::size_t>(chw),
+                           n, geom, za, qw + c * k * k, acc);
       const auto row = static_cast<std::size_t>(ohw);
       for (long s = 0; s < n; ++s) {
         tensor::requant_rows(qep, ci, 1, row, acc + s * ohw, row,
-                             y.data() + (s * out_channels_ + c) * ohw, row);
+                             y.data() + (s * cw.cout + c) * ohw, row);
       }
     });
     return y;
@@ -278,19 +313,19 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
   // One int8 GEMM per group over the conv view of the group's codes,
   // dequantizing in its writeback straight into y. Each code depends only
   // on its input element, so batched == sequential bit-identically.
-  for (long g = 0; g < groups_; ++g) {
+  for (long g = 0; g < cw.groups; ++g) {
     const tensor::ConvInput<std::uint8_t> in{
         codes.data() + g * cin_g * hw, static_cast<std::size_t>(chw), geom,
         static_cast<std::size_t>(n), za};
-    const tensor::ConvOutput out{
-        y.data() + g * cout_g * ohw,
-        static_cast<std::size_t>(out_channels_ * ohw)};
+    const tensor::ConvOutput out{y.data() + g * cout_g * ohw,
+                                 static_cast<std::size_t>(cw.cout * ohw)};
     tensor::QuantEpilogue gep = qep;
     gep.scale += g * cout_g;
     if (gep.shift != nullptr) gep.shift += g * cout_g;
     gep.acc_bias += g * cout_g;
     tensor::gemm_i8_requant(static_cast<std::size_t>(cout_g),
-                            qw + g * cout_g * col_rows, in, out, gep);
+                            qw + g * cout_g * lda,
+                            static_cast<std::size_t>(lda), in, out, gep);
   }
   return y;
 }
@@ -298,20 +333,23 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x,
 Tensor Conv2d::backward(const Tensor& dy) {
   const Tensor& x = cached_input_;
   HSCONAS_CHECK_MSG(!x.empty(), "Conv2d::backward before forward");
+  const long dy_ch = dy.ndim() == 4 ? dy.dim(1) : 0;
   obs::OpScope prof(
-      [&] { return conv_op_info(*this, x, "conv2d.bwd", 2.0); });
+      [&] { return conv_op_info(*this, x, dy_ch, "conv2d.bwd", 2.0); });
+  const Widths cw = widths(x, dy_ch);
   const long n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const long cin_g = in_channels_ / groups_;
-  const long cout_g = out_channels_ / groups_;
+  const long cin_g = cw.cin / cw.groups;
+  const long cout_g = cw.cout / cw.groups;
   ConvGeom geom{cin_g, h, w, kernel_, stride_, pad_};
   const long oh = geom.out_h(), ow = geom.out_w();
-  HSCONAS_CHECK_MSG(dy.ndim() == 4 && dy.dim(0) == n &&
-                        dy.dim(1) == out_channels_ && dy.dim(2) == oh &&
+  HSCONAS_CHECK_MSG(cw.valid && dy.ndim() == 4 && dy.dim(0) == n &&
+                        dy.dim(1) == cw.cout && dy.dim(2) == oh &&
                         dy.dim(3) == ow,
                     "Conv2d::backward: dy shape mismatch");
 
   Tensor dx(x.shape());
   const long col_rows = cin_g * kernel_ * kernel_;
+  const long lda = weight_row();
   const long ohw = oh * ow;
 
   // Batch across samples: per group, build the concatenated column matrix
@@ -326,35 +364,40 @@ Tensor Conv2d::backward(const Tensor& dy) {
   tensor::Scratch dcols = ws.take(static_cast<std::size_t>(col_rows) * ld);
   auto& pool = util::ThreadPool::global();
 
-  for (long g = 0; g < groups_; ++g) {
+  for (long g = 0; g < cw.groups; ++g) {
     pool.parallel_for(static_cast<std::size_t>(n),
                       static_cast<std::size_t>((col_rows + cout_g) * ohw),
                       [&](std::size_t si) {
       const long s = static_cast<long>(si);
-      const float* img = x.data() + ((s * in_channels_ + g * cin_g) * h * w);
+      const float* img = x.data() + ((s * cw.cin + g * cin_g) * h * w);
       tensor::im2col(img, geom, cols.data() + s * ohw, ld);
       for (long c = 0; c < cout_g; ++c) {
         const float* grad_out =
-            dy.data() + ((s * out_channels_ + g * cout_g + c) * ohw);
+            dy.data() + ((s * cw.cout + g * cout_g + c) * ohw);
         std::copy(grad_out, grad_out + ohw,
                   dy_panel.data() + (c * n + s) * ohw);
       }
     });
 
-    float* wgrad =
-        weight_.grad.data() + g * cout_g * cin_g * kernel_ * kernel_;
-    const float* wgt =
-        weight_.value.data() + g * cout_g * cin_g * kernel_ * kernel_;
+    // The group's active window of the weights and their gradient: its
+    // leading cout_g rows and col_rows columns, row stride lda.
+    float* wgrad = weight_.grad.data() + g * cout_g * lda;
+    const float* wgt = weight_.value.data() + g * cout_g * lda;
 
-    // dW += dY_panel · colsᵀ  — (cout_g × N·ohw) · (N·ohw × col_rows).
+    // dW += dY_panel · colsᵀ  — (cout_g × N·ohw) · (N·ohw × col_rows), on
+    // the path the group's whole gradient takes, so the window's sums are
+    // grouped as at full width.
     tensor::gemm_a_bt(static_cast<std::size_t>(cout_g),
                       static_cast<std::size_t>(col_rows), ld, 1.0f,
-                      dy_panel.data(), cols.data(), 1.0f, wgrad);
+                      dy_panel.data(), cols.data(), 1.0f, wgrad,
+                      static_cast<std::size_t>(lda),
+                      static_cast<std::size_t>(out_channels_ / groups_));
 
     // dcols = Wᵀ · dY_panel — (col_rows × cout_g) · (cout_g × N·ohw).
     tensor::gemm_at_b(static_cast<std::size_t>(col_rows), ld,
                       static_cast<std::size_t>(cout_g), 1.0f, wgt,
-                      dy_panel.data(), 0.0f, dcols.data());
+                      dy_panel.data(), 0.0f, dcols.data(),
+                      static_cast<std::size_t>(lda));
 
     // Each sample's image-gradient slab is disjoint, so the col2im
     // scatter runs per sample in parallel too.
@@ -362,15 +405,15 @@ Tensor Conv2d::backward(const Tensor& dy) {
                       static_cast<std::size_t>(col_rows * ohw),
                       [&](std::size_t si) {
       const long s = static_cast<long>(si);
-      float* img_grad = dx.data() + ((s * in_channels_ + g * cin_g) * h * w);
+      float* img_grad = dx.data() + ((s * cw.cin + g * cin_g) * h * w);
       tensor::col2im(dcols.data() + s * ohw, geom, img_grad, ld);
     });
   }
 
   if (has_bias_) {
     for (long s = 0; s < n; ++s) {
-      for (long c = 0; c < out_channels_; ++c) {
-        const float* grad_out = dy.data() + ((s * out_channels_ + c) * ohw);
+      for (long c = 0; c < cw.cout; ++c) {
+        const float* grad_out = dy.data() + ((s * cw.cout + c) * ohw);
         float acc = 0.0f;
         for (long i = 0; i < ohw; ++i) acc += grad_out[i];
         bias_.grad.at(c) += acc;

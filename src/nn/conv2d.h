@@ -16,6 +16,14 @@ namespace hsconas::nn {
 /// instead runs tensor::depthwise_f32 (or depthwise_i8 once calibrated)
 /// per channel over every sample at once. The backward is im2col + GEMM;
 /// gradients for weights, bias and input are exact.
+///
+/// Width slicing (dynamic channel scaling, §III-B): a call runs at the
+/// input's width x.dim(1) <= in_channels and produces the leading
+/// `out_channels` <= out_channels() output channels, reading only the
+/// leading window of the shared weights. A depthwise conv always runs at
+/// its input's width; any other conv runs sliced only with groups == 1.
+/// Backward takes its widths from the cached input and dy and writes
+/// gradients into the active window only.
 class Conv2d : public Module {
  public:
   /// Kaiming-normal weight init (fan_in, ReLU gain); zero bias.
@@ -23,7 +31,14 @@ class Conv2d : public Module {
          long pad, long groups, bool bias, util::Rng& rng,
          std::string display_name = "conv2d");
 
-  tensor::Tensor forward(const tensor::Tensor& x) override;
+  /// Forward producing every output channel.
+  tensor::Tensor forward(const tensor::Tensor& x) override {
+    return forward(x, 0);
+  }
+  /// Forward producing the leading `out_channels` output channels (0: all;
+  /// ignored by a depthwise conv). Throws InvalidArgument on an input the
+  /// layer cannot run.
+  tensor::Tensor forward(const tensor::Tensor& x, long out_channels);
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   void collect_params(std::vector<Parameter*>& out) override;
   std::string name() const override { return display_name_; }
@@ -31,16 +46,26 @@ class Conv2d : public Module {
   /// Inference-only fused forward: y = act(scale[c] * conv_raw + shift[c])
   /// per output channel, applied inside the GEMM's C-writeback or the
   /// depthwise kernel's output writeback (one memory pass for conv + bias
-  /// + BN + activation). `scale`/`shift` have
-  /// out_channels entries and must already fold the conv bias and any
-  /// BatchNorm terms — this layer's own bias_ is intentionally ignored
-  /// (a kEvalFused Sequential folds its conv→BN runs this way). Null
-  /// scale means 1, null shift means 0. Keeps nothing for backward():
+  /// + BN + activation). `scale`/`shift` have one entry per produced
+  /// channel (widths(x, out_channels).cout) and must already fold the conv
+  /// bias and any BatchNorm terms — this layer's own bias_ is intentionally
+  /// ignored (a kEvalFused Sequential folds its conv→BN runs this way).
+  /// Null scale means 1, null shift means 0. Keeps nothing for backward():
   /// call it in an eval mode, where set_mode() has released the layer's
   /// backward state, so backward() after it fails its "before forward"
   /// check.
   tensor::Tensor forward_fused(const tensor::Tensor& x, const float* scale,
-                               const float* shift, tensor::EpilogueAct act);
+                               const float* shift, tensor::EpilogueAct act,
+                               long out_channels = 0);
+
+  /// The channel counts and group count a call on `x` producing
+  /// `out_channels` (0: all) runs at; not `valid` for a shape the layer
+  /// cannot run.
+  struct Widths {
+    long cin, cout, groups;
+    bool valid;
+  };
+  Widths widths(const tensor::Tensor& x, long out_channels) const;
 
   long in_channels() const { return in_channels_; }
   long out_channels() const { return out_channels_; }
@@ -64,18 +89,24 @@ class Conv2d : public Module {
   void release_backward_state() override { cached_input_ = tensor::Tensor(); }
 
  private:
-  /// Shared forward body. `ep`, when non-null, spans all out_channels
-  /// (per-group slices are taken internally) and is applied during the
-  /// GEMM writeback / depthwise writeback (row c for channel c). Does not
-  /// touch cached_input_.
-  tensor::Tensor forward_impl(const tensor::Tensor& x,
+  /// (in_channels / groups) · kernel²: the length of a weight row, and so
+  /// the row stride of the weights' leading window.
+  long weight_row() const {
+    return in_channels_ / groups_ * kernel_ * kernel_;
+  }
+
+  /// Shared forward body. `ep`, when non-null, spans the produced
+  /// channels (per-group slices are taken internally) and is applied
+  /// during the GEMM writeback / depthwise writeback (row c for channel
+  /// c). Does not touch cached_input_.
+  tensor::Tensor forward_impl(const tensor::Tensor& x, long out_channels,
                               const tensor::GemmEpilogue* ep);
 
-  /// Int8 eval-mode body: same contract as forward_impl (`ep` spans all
-  /// out_channels and already folds bias/BN), but computes via uint8
-  /// activation quantization + the int8 GEMM, dequantizing inside the
-  /// requant epilogue. Requires quant_.ready.
-  tensor::Tensor forward_quant_impl(const tensor::Tensor& x,
+  /// Int8 eval-mode body: same contract as forward_impl (`ep` already
+  /// folds bias/BN), but computes via uint8 activation quantization + the
+  /// int8 GEMM, dequantizing inside the requant epilogue. Requires
+  /// quant_.ready.
+  tensor::Tensor forward_quant_impl(const tensor::Tensor& x, const Widths& cw,
                                     const tensor::GemmEpilogue* ep);
 
   long in_channels_, out_channels_, kernel_, stride_, pad_, groups_;

@@ -2,63 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <utility>
-
-#include "nn/op_profile.h"
 
 namespace hsconas::nn {
 
 using tensor::Tensor;
 
-Tensor mask_channels(Tensor x, long active, const char* op) {
-  obs::OpScope prof([&] {
-    return detail::elementwise_op_info(op, "eltwise", x, 1.0);
-  });
-  if (x.ndim() != 4) {
-    throw InvalidArgument("mask_channels: bad input shape " + x.shape_str());
-  }
-  const long channels = x.dim(1);
-  if (active < 1 || active > channels) {
-    throw InvalidArgument("mask_channels: active out of [1, channels]");
-  }
-  const long n = x.dim(0), spatial = x.dim(2) * x.dim(3);
-  for (long s = 0; active < channels && s < n; ++s) {
-    float* tail = x.data() + ((s * channels + active) * spatial);
-    std::memset(tail, 0,
-                static_cast<std::size_t>((channels - active) * spatial) *
-                    sizeof(float));
-  }
-  return x;
-}
-
-Sequential& MaskedBranch::add_stage(std::string display_name) {
+Sequential& SlicedBranch::add_stage(std::string display_name) {
   stages_.push_back(std::make_unique<Sequential>(std::move(display_name)));
   return *stages_.back();
 }
 
-Tensor MaskedBranch::forward(const Tensor& x, long active) {
-  Tensor h = stages_.at(0)->forward(x);
+Tensor SlicedBranch::forward(const Tensor& x, long active) {
+  const std::size_t last = stages_.size() - 1;
+  Tensor h = stages_.at(0)->forward(x, last == 0 ? 0 : active);
   for (std::size_t i = 1; i < stages_.size(); ++i) {
-    h = stages_[i]->forward(mask_channels(std::move(h), active));
+    h = stages_[i]->forward(h, i == last ? 0 : active);
   }
   return h;
 }
 
-Tensor MaskedBranch::backward(const Tensor& dy, long active) {
+Tensor SlicedBranch::backward(const Tensor& dy) {
   Tensor g = stages_.back()->backward(dy);
   for (std::size_t i = stages_.size() - 1; i-- > 0;) {
-    g = stages_[i]->backward(
-        mask_channels(std::move(g), active, "channel_mask.bwd"));
+    g = stages_[i]->backward(g);
   }
   return g;
 }
 
-void MaskedBranch::collect_params(std::vector<Parameter*>& out) {
+void SlicedBranch::collect_params(std::vector<Parameter*>& out) {
   for (auto& stage : stages_) stage->collect_params(out);
 }
 
-void MaskedBranch::visit(const std::function<void(Module&)>& fn) {
+void SlicedBranch::visit(const std::function<void(Module&)>& fn) {
   for (auto& stage : stages_) stage->visit(fn);
 }
 

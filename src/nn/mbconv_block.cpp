@@ -56,7 +56,7 @@ MbConvChoiceBlock::MbConvChoiceBlock(double expansion, long kernel,
                                         static_cast<double>(in_channels))));
   residual_ = (stride == 1 && in_channels == out_channels);
 
-  // Expand; the mid-width mask follows each of the first two stages.
+  // Expand; the mid width is sliced after each of the first two stages.
   Sequential& expand = body_.add_stage(display_name_ + ".expand");
   expand.add(std::make_unique<Conv2d>(in_channels, mid_channels_, 1, 1, 0, 1,
                                       false, rng, tag("pw")));
@@ -86,9 +86,9 @@ Tensor MbConvChoiceBlock::forward_at(const Tensor& x, long active) {
   return y;
 }
 
-Tensor MbConvChoiceBlock::backward_at(const Tensor& dy, long active) {
+Tensor MbConvChoiceBlock::backward(const Tensor& dy) {
   if (pure_identity_) return dy;
-  Tensor dx = body_.backward(dy, active);
+  Tensor dx = body_.backward(dy);
   if (residual_) dx.add_(dy);  // the identity path's gradient
   return dx;
 }

@@ -13,11 +13,11 @@ namespace hsconas::nn {
 /// inverted residuals with searchable expansion width.
 ///
 ///   x ── pw expand (in→mid) ── dw k×k (s) ── pw project (mid→out) ──(+x)── y
-///           BN ReLU mask        BN ReLU mask      BN
+///           BN ReLU             BN ReLU           BN
 ///
 /// mid = round(c · e·in) where e is the op's nominal expansion ratio and c
-/// is the paper's dynamic channel factor — masking the expansion channels
-/// is the exact analogue of masking the shuffle branch's mid channels.
+/// is the paper's dynamic channel factor — slicing the expansion channels
+/// is the exact analogue of slicing the shuffle branch's mid channels.
 /// The residual add applies at stride 1 with in == out. The skip op is
 /// Identity at stride 1 and a minimal dw+pw projection at stride 2
 /// (mirroring the shuffle family's convention so K stays 5 everywhere).
@@ -42,9 +42,10 @@ class MbConvChoiceBlock : public ChoiceBlock {
   long kernel() const { return kernel_; }
   bool has_residual() const { return residual_; }
 
+  tensor::Tensor backward(const tensor::Tensor& dy) override;
+
  protected:
   tensor::Tensor forward_at(const tensor::Tensor& x, long active) override;
-  tensor::Tensor backward_at(const tensor::Tensor& dy, long active) override;
 
  private:
   double expansion_;
@@ -54,7 +55,7 @@ class MbConvChoiceBlock : public ChoiceBlock {
   bool pure_identity_ = false;
   std::string display_name_;
 
-  MaskedBranch body_;
+  SlicedBranch body_;
 };
 
 }  // namespace hsconas::nn

@@ -15,7 +15,9 @@ namespace hsconas::nn {
 namespace {
 
 /// y = act(bn(conv(x))) in one pass, with eval-mode (running-statistic)
-/// BN: folds the conv bias and BN into a per-channel affine
+/// BN, the conv producing `out_channels` channels (0: all) and the BN
+/// normalizing that many: folds the conv bias and the BN's leading
+/// entries into a per-channel affine
 ///   scale[c] = gamma[c] / sqrt(running_var[c] + eps)
 ///   shift[c] = beta[c] + scale[c] * (bias[c] - running_mean[c])
 /// that Conv2d::forward_fused applies, with the activation, in its output
@@ -24,12 +26,12 @@ namespace {
 /// differs only by float rounding of the refactored affine.
 tensor::Tensor fused_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,
                                  tensor::EpilogueAct act,
-                                 const tensor::Tensor& x) {
+                                 const tensor::Tensor& x, long out_channels) {
   static obs::Counter& calls = obs::counter("hsconas.nn.fused_conv_calls");
-  const long c = conv.out_channels();
-  if (bn.channels() != c) {
-    throw InvalidArgument("fused_conv_bn_act: conv out_channels " +
-                          std::to_string(c) + " != bn channels " +
+  const long c = conv.widths(x, out_channels).cout;
+  if (c > bn.channels()) {
+    throw InvalidArgument("fused_conv_bn_act: conv output channels " +
+                          std::to_string(c) + " > bn channels " +
                           std::to_string(bn.channels()));
   }
   calls.add();
@@ -54,7 +56,7 @@ tensor::Tensor fused_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,
     scale[i] = s;
     shift[i] = beta[i] + s * (b0 - mean[i]);
   }
-  return conv.forward_fused(x, scale, shift, act);
+  return conv.forward_fused(x, scale, shift, act, out_channels);
 }
 
 }  // namespace
@@ -94,7 +96,8 @@ long Module::param_count() {
   return total;
 }
 
-tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
+tensor::Tensor Sequential::forward(const tensor::Tensor& x,
+                                   long out_channels) {
   if (children_.empty()) return x;
   // The first child reads x itself; h holds each later stage's input.
   tensor::Tensor h;
@@ -122,12 +125,15 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& x) {
             consumed = 3;
           }
         }
-        h = fused_conv_bn_act(*conv, *bn, act, in);
+        h = fused_conv_bn_act(*conv, *bn, act, in, out_channels);
         i += consumed - 1;
         continue;
       }
     }
-    h = children_[i]->forward(in);
+    auto* conv = out_channels > 0 ? dynamic_cast<Conv2d*>(children_[i].get())
+                                  : nullptr;
+    h = conv != nullptr ? conv->forward(in, out_channels)
+                        : children_[i]->forward(in);
   }
   return h;
 }

@@ -164,7 +164,14 @@ class Sequential : public Module {
     return raw;
   }
 
-  tensor::Tensor forward(const tensor::Tensor& x) override;
+  tensor::Tensor forward(const tensor::Tensor& x) override {
+    return forward(x, 0);
+  }
+  /// Forward with every non-depthwise Conv2d child producing its leading
+  /// `out_channels` output channels (0: all). Depthwise convs, BNs and
+  /// activations run at their input's width, so one call runs a stage of
+  /// a width-sliced branch (nn/mask.h).
+  tensor::Tensor forward(const tensor::Tensor& x, long out_channels);
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   void collect_params(std::vector<Parameter*>& out) override;
   void visit(const std::function<void(Module&)>& fn) override;

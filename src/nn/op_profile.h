@@ -6,7 +6,7 @@
 namespace hsconas::nn::detail {
 
 /// Shared obs::OpInfo builders for the leaf-module profiler hooks. Leaf
-/// modules (conv/linear/bn/act/pool/shuffle/mask) open an obs::OpScope at
+/// modules (conv/linear/bn/act/pool/shuffle) open an obs::OpScope at
 /// the top of forward/backward with one of these describe callbacks;
 /// container modules (Sequential, choice blocks) deliberately carry no
 /// hooks, so profiled scopes never nest and the per-op Workspace watermark

@@ -239,19 +239,35 @@ void depthwise_f32(const float* x, std::size_t plane_stride, long planes,
                    std::size_t out_plane_stride) {
   const auto write_row = [ep, row](const float* v, long n, float* dst) {
     if (ep == nullptr) return copy_row(v, n, dst);
-    const float scale = ep->scale != nullptr ? ep->scale[row] : 1.0f;
-    const float shift = ep->shift != nullptr ? ep->shift[row] : 0.0f;
-    switch (ep->act) {
-      case EpilogueAct::kNone:
-        return affine_row<EpilogueAct::kNone>(v, n, scale, shift, dst);
-      case EpilogueAct::kReLU:
-        return affine_row<EpilogueAct::kReLU>(v, n, scale, shift, dst);
-      case EpilogueAct::kHSwish:
-        return affine_row<EpilogueAct::kHSwish>(v, n, scale, shift, dst);
-    }
+    const auto len = static_cast<std::size_t>(n);
+    epilogue_rows(*ep, row, 1, len, v, len, dst, len);
   };
   depthwise_stacked(x, plane_stride, planes, g, 0.0f, wk, write_row, out,
                     out_plane_stride);
+}
+
+void epilogue_rows(const GemmEpilogue& ep, std::size_t row0, std::size_t rows,
+                   std::size_t n, const float* v, std::size_t ld_v, float* out,
+                   std::size_t ld_out) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t i = row0 + r;
+    const float scale = ep.scale != nullptr ? ep.scale[i] : 1.0f;
+    const float shift = ep.shift != nullptr ? ep.shift[i] : 0.0f;
+    const float* src = v + r * ld_v;
+    float* dst = out + r * ld_out;
+    const auto len = static_cast<long>(n);
+    switch (ep.act) {
+      case EpilogueAct::kNone:
+        affine_row<EpilogueAct::kNone>(src, len, scale, shift, dst);
+        break;
+      case EpilogueAct::kReLU:
+        affine_row<EpilogueAct::kReLU>(src, len, scale, shift, dst);
+        break;
+      case EpilogueAct::kHSwish:
+        affine_row<EpilogueAct::kHSwish>(src, len, scale, shift, dst);
+        break;
+    }
+  }
 }
 
 }  // namespace hsconas::tensor

@@ -25,13 +25,17 @@ void count_gemm_entry(obs::Counter& calls, std::size_t m, std::size_t n,
   flops.add(static_cast<std::uint64_t>(2) * m * n * k);
 }
 
-void scale_c(std::size_t m, std::size_t n, float beta, float* c) {
+/// C (m×n, row stride ldc) *= beta.
+void scale_c(std::size_t m, std::size_t n, std::size_t ldc, float beta,
+             float* c) {
   if (beta == 1.0f) return;
-  const std::size_t total = m * n;
-  if (beta == 0.0f) {
-    std::memset(c, 0, total * sizeof(float));
-  } else {
-    for (std::size_t i = 0; i < total; ++i) c[i] *= beta;
+  for (std::size_t i = 0; i < m; ++i) {
+    float* crow = c + i * ldc;
+    if (beta == 0.0f) {
+      std::fill(crow, crow + n, 0.0f);
+    } else {
+      for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
+    }
   }
 }
 
@@ -75,36 +79,34 @@ void micro_kernel(std::size_t kc, const float* HSCONAS_RESTRICT ap,
     const float* HSCONAS_RESTRICT arow = ap + p * kMR;
     for (std::size_t i = 0; i < kMR; ++i) acc[i] += arow[i] * bv;
   }
-  if (ep == nullptr && mr == kMR && nr == kNR) {
-    for (std::size_t i = 0; i < kMR; ++i) {
+  if (nr == kNR) {
+    // Full-width rows finish their sums as vectors.
+    for (std::size_t i = 0; i < mr; ++i) {
       float* crow = c + i * ldc;
       VecNR cv = {};
       // hsconas-lint-allow(serial-raw-memcpy) — vector load/store puns.
       if (!first) std::memcpy(&cv, crow, sizeof(cv));
-      cv += acc[i];
+      acc[i] += cv;
       // hsconas-lint-allow(serial-raw-memcpy)
-      std::memcpy(crow, &cv, sizeof(cv));
+      if (ep == nullptr) std::memcpy(crow, &acc[i], sizeof(cv));
     }
-    return;
-  }
-  // Partial tiles and the fused writeback go lane by lane. The epilogue
-  // finishes each sum and applies the per-row affine + activation while
-  // the tile is still in registers, so it costs no extra pass over C.
-  for (std::size_t i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    if (ep == nullptr) {
+  } else {
+    for (std::size_t i = 0; i < mr; ++i) {
+      float* crow = c + i * ldc;
       for (std::size_t j = 0; j < nr; ++j) {
-        crow[j] = (first ? 0.0f : crow[j]) + acc[i][j];
+        acc[i][j] += first ? 0.0f : crow[j];
+        if (ep == nullptr) crow[j] = acc[i][j];
       }
-      continue;
-    }
-    const float s = ep->scale != nullptr ? ep->scale[row0 + i] : 1.0f;
-    const float t = ep->shift != nullptr ? ep->shift[row0 + i] : 0.0f;
-    for (std::size_t j = 0; j < nr; ++j) {
-      crow[j] = epilogue_apply(
-          ep->act, epilogue_affine(s, (first ? 0.0f : crow[j]) + acc[i][j], t));
     }
   }
+  if (ep == nullptr) return;
+  // The fused writeback applies the per-row affine + activation to the
+  // finished sums while the tile is still hot, so it costs no extra pass
+  // over C; epilogue_rows runs each row as one vector pass.
+  alignas(64) float tile[kMR * kNR];
+  // hsconas-lint-allow(serial-raw-memcpy) — spill the register tile.
+  std::memcpy(tile, acc, sizeof(acc));
+  epilogue_rows(*ep, row0, mr, nr, tile, kNR, c, ldc);
 }
 
 /// The fp32 kernel of the blocked driver (tensor/gemm_driver.h). K runs
@@ -127,6 +129,7 @@ struct F32Gemm : gemm_driver::GemmDims {
   float* c;
   const GemmEpilogue* ep;        // null: plain accumulate
   const ConvInput<float>* conv;  // set: B is this view (b, ldb unused)
+  std::size_t path_m, path_n;    // the product the dispatch sizes
 
   /// Pack the (mc×kc) block of A at logical (i0, pc) into MR-row panels:
   /// panel ip holds kc runs of MR column-adjacent values, zero-padded past
@@ -214,10 +217,11 @@ struct F32Gemm : gemm_driver::GemmDims {
 
   void small() const { conv != nullptr ? small_conv() : small_dense(); }
 
-  /// Unpacked fallback for problems too small to amortize panel copies.
+  /// Unpacked fallback for problems too small to amortize panel copies. A
+  /// dense C has row stride `plane`.
   void small_dense() const {
     for (std::size_t i = 0; i < m; ++i) {
-      float* HSCONAS_RESTRICT crow = c + i * n;
+      float* HSCONAS_RESTRICT crow = c + i * plane;
       for (std::size_t p = 0; p < k; ++p) {
         const float av = alpha * (atrans ? a[p * lda + i] : a[i * lda + p]);
         // Worth a branch at these sizes: a zero element of A adds nothing
@@ -257,26 +261,36 @@ struct F32Gemm : gemm_driver::GemmDims {
 };
 
 void gemm_dispatch(const F32Gemm& g, float beta) {
-  scale_c(g.m, g.n, beta, g.c);
+  if (g.conv == nullptr) scale_c(g.m, g.n, g.plane, beta, g.c);
   if (g.k == 0 || g.alpha == 0.0f) {
     // The product is identically zero, but the epilogue still applies:
     // C = act(shift) row-wise over the beta-scaled (here: zeroed) C.
     for (std::size_t i = 0; g.ep != nullptr && i < g.m; ++i) {
-      epilogue_row(*g.ep, i, g.c + i * g.n, g.n);
+      epilogue_row(*g.ep, i, g.c + i * g.plane, g.n);
     }
     return;
   }
-  gemm_driver::run(g);
+  gemm_driver::run(g, g.path_m, g.path_n);
 }
 
-void gemm_conv(std::size_t m, const float* a, const ConvInput<float>& b,
-               const ConvOutput& c, const GemmEpilogue* ep) {
+/// A dense product whose C has row stride ldc and dispatches as m × n.
+F32Gemm dense(std::size_t m, std::size_t n, std::size_t k, float alpha,
+              const float* a, std::size_t lda, bool atrans, const float* b,
+              std::size_t ldb, bool btrans, float* c, std::size_t ldc,
+              const GemmEpilogue* ep) {
+  return {{m, n, k, ldc, 0}, alpha, a, lda, atrans, b, ldb, btrans, c, ep,
+          nullptr, m, n};
+}
+
+void gemm_conv(std::size_t m, const float* a, std::size_t lda,
+               const ConvInput<float>& b, const ConvOutput& c,
+               const GemmEpilogue* ep) {
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls_conv");
   const std::size_t n = b.n(), k = b.k();
   count_gemm_entry(calls, m, n, k);
-  // beta 1 leaves y to the first K block, which overwrites it (`first`).
-  gemm_dispatch({{m, n, k, b.ohw(), c.sample_stride}, 1.0f, a, /*lda=*/k,
-                 /*atrans=*/false, nullptr, 0, false, c.y, ep, &b},
+  // The first K block overwrites y (`first`), so it is never read.
+  gemm_dispatch({{m, n, k, b.ohw(), c.sample_stride}, 1.0f, a, lda,
+                 /*atrans=*/false, nullptr, 0, false, c.y, ep, &b, m, n},
                 /*beta=*/1.0f);
 }
 
@@ -286,27 +300,30 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
           const float* a, const float* b, float beta, float* c) {
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls");
   count_gemm_entry(calls, m, n, k);
-  gemm_dispatch({{m, n, k, n, 0}, alpha, a, /*lda=*/k, /*atrans=*/false, b,
-                 /*ldb=*/n, /*btrans=*/false, c, nullptr, nullptr},
+  gemm_dispatch(dense(m, n, k, alpha, a, k, false, b, n, false, c, n, nullptr),
                 beta);
 }
 
 void gemm_at_b(std::size_t m, std::size_t n, std::size_t k, float alpha,
-               const float* a, const float* b, float beta, float* c) {
+               const float* a, const float* b, float beta, float* c,
+               std::size_t lda) {
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls_at_b");
   count_gemm_entry(calls, m, n, k);
-  gemm_dispatch({{m, n, k, n, 0}, alpha, a, /*lda=*/m, /*atrans=*/true, b,
-                 /*ldb=*/n, /*btrans=*/false, c, nullptr, nullptr},
+  gemm_dispatch(dense(m, n, k, alpha, a, lda != 0 ? lda : m, true, b, n,
+                      false, c, n, nullptr),
                 beta);
 }
 
 void gemm_a_bt(std::size_t m, std::size_t n, std::size_t k, float alpha,
-               const float* a, const float* b, float beta, float* c) {
+               const float* a, const float* b, float beta, float* c,
+               std::size_t ldc, std::size_t rows) {
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls_a_bt");
   count_gemm_entry(calls, m, n, k);
-  gemm_dispatch({{m, n, k, n, 0}, alpha, a, /*lda=*/k, /*atrans=*/false, b,
-                 /*ldb=*/k, /*btrans=*/true, c, nullptr, nullptr},
-                beta);
+  F32Gemm g = dense(m, n, k, alpha, a, k, false, b, k, true, c,
+                    ldc != 0 ? ldc : n, nullptr);
+  g.path_m = rows != 0 ? rows : m;
+  g.path_n = g.plane;
+  gemm_dispatch(g, beta);
 }
 
 void gemm_fused(std::size_t m, std::size_t n, std::size_t k, float alpha,
@@ -314,19 +331,19 @@ void gemm_fused(std::size_t m, std::size_t n, std::size_t k, float alpha,
                 const GemmEpilogue& ep) {
   static obs::Counter& calls = obs::counter("hsconas.gemm.calls_fused");
   count_gemm_entry(calls, m, n, k);
-  gemm_dispatch({{m, n, k, n, 0}, alpha, a, /*lda=*/k, /*atrans=*/false, b,
-                 /*ldb=*/n, /*btrans=*/false, c, &ep, nullptr},
+  gemm_dispatch(dense(m, n, k, alpha, a, k, false, b, n, false, c, n, &ep),
                 /*beta=*/0.0f);
 }
 
-void gemm(std::size_t m, const float* a, const ConvInput<float>& b,
-          const ConvOutput& c) {
-  gemm_conv(m, a, b, c, nullptr);
+void gemm(std::size_t m, const float* a, std::size_t lda,
+          const ConvInput<float>& b, const ConvOutput& c) {
+  gemm_conv(m, a, lda, b, c, nullptr);
 }
 
-void gemm_fused(std::size_t m, const float* a, const ConvInput<float>& b,
-                const ConvOutput& c, const GemmEpilogue& ep) {
-  gemm_conv(m, a, b, c, &ep);
+void gemm_fused(std::size_t m, const float* a, std::size_t lda,
+                const ConvInput<float>& b, const ConvOutput& c,
+                const GemmEpilogue& ep) {
+  gemm_conv(m, a, lda, b, c, &ep);
 }
 
 }  // namespace hsconas::tensor

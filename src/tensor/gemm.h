@@ -34,11 +34,12 @@ inline float epilogue_apply(EpilogueAct act, float v) {
 /// compiled with -march=native, where the compiler would contract this to
 /// one FMA; module code (batchnorm, activation) built with baseline flags
 /// rounds the multiply and the add separately. The barrier pins the
-/// two-rounding form everywhere so fused-vs-composed parity is exact, and
-/// costs nothing measurable on a memory-bound writeback. The int8
-/// writeback (tensor/quantize_i8.cpp) rounds the same two steps without
-/// the barrier, which would keep its rows from vectorizing: its TU is
-/// built with -ffp-contract=off instead.
+/// two-rounding form in the scalar paths (the small GEMM fallbacks), so
+/// fused-vs-composed parity is exact. The vector writebacks — int8
+/// requant_rows (tensor/quantize_i8.cpp) and fp32 epilogue_rows below —
+/// round the same two steps without the barrier, which would keep their
+/// rows from vectorizing: their TUs are built with -ffp-contract=off
+/// instead.
 inline float epilogue_affine(float scale, float v, float shift) {
   float scaled = scale * v;
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
@@ -61,6 +62,16 @@ struct GemmEpilogue {
   EpilogueAct act = EpilogueAct::kNone;
 };
 
+/// The fp32 fused writeback: for r < rows and j < n,
+///   out[r·ld_out + j] = act(scale[row0 + r] · v[r·ld_v + j] + shift[row0 + r])
+/// with the product and the sum rounded separately, exactly as
+/// epilogue_affine does, each row as one vector pass (its TU,
+/// tensor/depthwise.cpp, is built with -ffp-contract=off). The GEMM tile
+/// writeback and the fp32 depthwise kernel both write through it.
+void epilogue_rows(const GemmEpilogue& ep, std::size_t row0, std::size_t rows,
+                   std::size_t n, const float* v, std::size_t ld_v, float* out,
+                   std::size_t ld_out);
+
 /// C (m×n) = alpha * A (m×k) · B (k×n) + beta * C.
 /// Row-major, contiguous. All variants share one packed, register-blocked
 /// implementation: A and B blocks are copied into cache-aligned MR×k /
@@ -75,15 +86,24 @@ struct GemmEpilogue {
 void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
           const float* a, const float* b, float beta, float* c);
 
-/// C (m×n) = alpha * Aᵀ (A is k×m) · B (k×n) + beta * C.
-/// Used in the convolution backward pass for input-column gradients.
+/// C (m×n) = alpha * Aᵀ (A is k×m, row stride lda; 0: m) · B (k×n) +
+/// beta * C. Used in the convolution backward pass for input-column
+/// gradients, where A is the leading window of a width-sliced layer's
+/// weights.
 void gemm_at_b(std::size_t m, std::size_t n, std::size_t k, float alpha,
-               const float* a, const float* b, float beta, float* c);
+               const float* a, const float* b, float beta, float* c,
+               std::size_t lda = 0);
 
 /// C (m×n) = alpha * A (m×k) · Bᵀ (B is n×k) + beta * C.
-/// Used in the convolution backward pass for weight gradients.
+/// Used in the convolution backward pass for weight gradients. C may be
+/// the leading m×n window, row stride ldc (0: n), of a rows × ldc matrix
+/// (rows 0: m) — a width-sliced layer's weight gradient. The
+/// small-vs-blocked choice, which fixes how each element's k sum is
+/// grouped, is made for the whole rows × ldc product, so every window
+/// element gets the bits that product would give it.
 void gemm_a_bt(std::size_t m, std::size_t n, std::size_t k, float alpha,
-               const float* a, const float* b, float beta, float* c);
+               const float* a, const float* b, float beta, float* c,
+               std::size_t ldc = 0, std::size_t rows = 0);
 
 /// C (m×n) = ep(alpha * A (m×k) · B (k×n)): the beta == 0 product with the
 /// per-row epilogue applied during the final K block's C-writeback, so
@@ -94,19 +114,21 @@ void gemm_fused(std::size_t m, std::size_t n, std::size_t k, float alpha,
                 const float* a, const float* b, float* c,
                 const GemmEpilogue& ep);
 
-/// Implicit-GEMM convolution: y = A (m×k) · B, where B is the conv view
-/// `b` (k = b.k(), n = b.n()) and C is the NCHW output `c`. The packers
-/// gather conv windows straight from the input into their panels and the
-/// writeback stores each tile straight into y, so no column matrix or
-/// transposed copy exists. Same K order, small-vs-blocked dispatch and
-/// microkernel as gemm(m, n, k, 1, a, im2col columns, 0, C): bit-identical
-/// to it at every thread count.
-void gemm(std::size_t m, const float* a, const ConvInput<float>& b,
-          const ConvOutput& c);
+/// Implicit-GEMM convolution: y = A (m×k, row stride lda >= k) · B, where
+/// B is the conv view `b` (k = b.k(), n = b.n()) and C is the NCHW output
+/// `c`; a width-sliced conv's A is the leading window of its weights. The
+/// packers gather conv windows straight from the input into their panels
+/// and the writeback stores each tile straight into y, overwriting it, so
+/// no column matrix or transposed copy exists. Same K order,
+/// small-vs-blocked dispatch and microkernel as gemm(m, n, k, 1, a, im2col
+/// columns, 0, C): bit-identical to it at every thread count.
+void gemm(std::size_t m, const float* a, std::size_t lda,
+          const ConvInput<float>& b, const ConvOutput& c);
 
 /// The fused twin: y = ep(A · B), bit-identical to gemm_fused above over
 /// the im2col columns.
-void gemm_fused(std::size_t m, const float* a, const ConvInput<float>& b,
-                const ConvOutput& c, const GemmEpilogue& ep);
+void gemm_fused(std::size_t m, const float* a, std::size_t lda,
+                const ConvInput<float>& b, const ConvOutput& c,
+                const GemmEpilogue& ep);
 
 }  // namespace hsconas::tensor

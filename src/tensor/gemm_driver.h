@@ -185,11 +185,13 @@ void gemm_blocked(const Kernel& g, bool parallel) {
 /// degenerate row counts, which waste most of the MR-tall register tile
 /// (a depthwise conv's per-group GEMM has m == 1) — take the kernel's
 /// unpacked path; the rest run blocked, across the pool when large enough.
+/// The path choice is made for a path_m × path_n product over the same k:
+/// the problem itself, or the whole matrix a window of C is cut from.
 template <class Kernel>
-void run(const Kernel& g) {
+void run(const Kernel& g, std::size_t path_m, std::size_t path_n) {
   if (g.m == 0 || g.n == 0) return;
   const std::size_t flops = 2 * g.m * g.n * g.k;
-  if (flops < kPackThresholdFlops || g.m < kMR / 2) {
+  if (2 * path_m * path_n * g.k < kPackThresholdFlops || path_m < kMR / 2) {
     g.small();
     return;
   }

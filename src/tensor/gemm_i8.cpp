@@ -105,7 +105,8 @@ struct I8Gemm : gemm_driver::GemmDims {
   static constexpr std::size_t kKC = kGemmI8MaxK;
   static constexpr std::size_t kKStep = kQuad;
 
-  const std::int8_t* a;   // m×k, lda == k
+  const std::int8_t* a;   // m×k, row stride lda
+  std::size_t lda;
   const std::uint8_t* b;  // k×n, ldb == n
   std::int32_t* ci;       // raw int32 output (null when requantizing)
   float* cf;              // requantized float output (null for raw)
@@ -123,7 +124,7 @@ struct I8Gemm : gemm_driver::GemmDims {
       const std::size_t mr = std::min(kMR, mc - ip);
       for (std::size_t q = 0; q < kq; ++q) {
         for (std::size_t i = 0; i < kMR; ++i) {
-          const std::int8_t* src = a + (i0 + ip + i) * k + q * kQuad;
+          const std::int8_t* src = a + (i0 + ip + i) * lda + q * kQuad;
           for (std::size_t t = 0; t < kQuad; ++t) {
             const std::size_t p = q * kQuad + t;
             ap[(q * kMR + i) * kQuad + t] =
@@ -207,7 +208,7 @@ struct I8Gemm : gemm_driver::GemmDims {
                    std::size_t nr) const {
     std::int32_t acc[kNR];
     for (std::size_t i = 0; i < m; ++i) {
-      const std::int8_t* HSCONAS_RESTRICT arow = a + i * k;
+      const std::int8_t* HSCONAS_RESTRICT arow = a + i * lda;
       for (std::size_t j = 0; j < nr; ++j) {
         std::int32_t sum = 0;
         for (std::size_t p = 0; p < k; ++p) {
@@ -225,7 +226,7 @@ void gemm_i8_dispatch(const I8Gemm& g) {
   if (g.k > kGemmI8MaxK) {
     throw InvalidArgument("gemm_i8: k exceeds the int32 accumulator bound");
   }
-  gemm_driver::run(g);
+  gemm_driver::run(g, g.m, g.n);
 }
 
 }  // namespace
@@ -234,7 +235,7 @@ void gemm_i8(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
              const std::uint8_t* b, std::int32_t* c) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls");
   count_entry(calls, m, n, k);
-  gemm_i8_dispatch({{m, n, k, n, 0}, a, b, c, nullptr, nullptr, nullptr});
+  gemm_i8_dispatch({{m, n, k, n, 0}, a, k, b, c, nullptr, nullptr, nullptr});
 }
 
 void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,
@@ -242,14 +243,14 @@ void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,
                      const QuantEpilogue& ep) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_requant");
   count_entry(calls, m, n, k);
-  gemm_i8_dispatch({{m, n, k, n, 0}, a, b, nullptr, c, &ep, nullptr});
+  gemm_i8_dispatch({{m, n, k, n, 0}, a, k, b, nullptr, c, &ep, nullptr});
 }
 
-void gemm_i8_requant(std::size_t m, const std::int8_t* a,
+void gemm_i8_requant(std::size_t m, const std::int8_t* a, std::size_t lda,
                      const ConvInput<std::uint8_t>& b, const ConvOutput& c,
                      const QuantEpilogue& ep) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_conv");
-  const I8Gemm g{{m, b.n(), b.k(), b.ohw(), c.sample_stride}, a, nullptr,
+  const I8Gemm g{{m, b.n(), b.k(), b.ohw(), c.sample_stride}, a, lda, nullptr,
                  nullptr, c.y, &ep, &b};
   count_entry(calls, g.m, g.n, g.k);
   gemm_i8_dispatch(g);

@@ -31,13 +31,14 @@ void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,
                      const std::int8_t* a, const std::uint8_t* b, float* c,
                      const QuantEpilogue& ep);
 
-/// Implicit-GEMM int8 convolution: y = ep(A (m×k, int8) · B), B the conv
-/// view `b` over the batch's u8 codes (padded taps read b.pad, the
-/// activation zero point) and C the NCHW output `c`. The packer gathers
-/// windows straight from the codes and each finished tile is requantized
-/// straight into y. Same dispatch as the dense entry, so bit-identical to
-/// gemm_i8_requant over the u8 im2col columns, scattered to NCHW.
-void gemm_i8_requant(std::size_t m, const std::int8_t* a,
+/// Implicit-GEMM int8 convolution: y = ep(A (m×k, int8, row stride
+/// lda >= k) · B), B the conv view `b` over the batch's u8 codes (padded
+/// taps read b.pad, the activation zero point) and C the NCHW output `c`,
+/// written in full. The packer gathers windows straight from the codes and
+/// each finished tile is requantized straight into y. Same dispatch as the
+/// dense entry, so bit-identical to gemm_i8_requant over the u8 im2col
+/// columns, scattered to NCHW.
+void gemm_i8_requant(std::size_t m, const std::int8_t* a, std::size_t lda,
                      const ConvInput<std::uint8_t>& b, const ConvOutput& c,
                      const QuantEpilogue& ep);
 

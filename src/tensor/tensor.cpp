@@ -35,6 +35,13 @@ Tensor::Tensor(ShapeVec shape)
     : shape_(std::move(shape)),
       data_(static_cast<std::size_t>(shape_numel(shape_)), 0.0f) {}
 
+Tensor Tensor::for_overwrite(ShapeVec shape) {
+  Tensor t;
+  t.data_.resize(static_cast<std::size_t>(shape_numel(shape)));
+  t.shape_ = std::move(shape);
+  return t;
+}
+
 Tensor Tensor::full(ShapeVec shape, float value) {
   Tensor t(std::move(shape));
   t.fill(value);

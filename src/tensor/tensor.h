@@ -68,6 +68,13 @@ class Tensor {
       : Tensor(ShapeVec(shape.begin(), shape.end())) {}
   Tensor(std::initializer_list<long> shape) : Tensor(ShapeVec(shape)) {}
 
+  /// Construct with the given shape and unwritten (indeterminate) storage,
+  /// for an output the caller writes in full before anything reads it.
+  static Tensor for_overwrite(ShapeVec shape);
+  static Tensor for_overwrite(std::initializer_list<long> shape) {
+    return for_overwrite(ShapeVec(shape));
+  }
+
   // Every factory accepts the pooled ShapeVec (the type shape() returns),
   // a plain std::vector<long>, or a braced list; the last two delegate.
   static Tensor zeros(ShapeVec shape) { return Tensor(std::move(shape)); }

@@ -70,6 +70,18 @@ class PooledAllocator {
     pool_deallocate(p, n * sizeof(T));
   }
 
+  /// Default-initialize: a vector sized without a value (Tensor's
+  /// for_overwrite) leaves its elements unwritten; a vector sized with one
+  /// still copies it in.
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
   template <class U>
   bool operator==(const PooledAllocator<U>&) const noexcept {
     return true;

@@ -221,8 +221,10 @@ TEST(FusedConv, SequentialPeepholeFusesInEvalOnly) {
 TEST(FusedConv, ChannelMismatchThrows) {
   util::Rng rng(600);
   Sequential seq;
-  seq.add(std::make_unique<Conv2d>(4, 6, 3, 1, 1, 1, false, rng));
-  seq.add(std::make_unique<BatchNorm2d>(8));  // wrong width
+  // A BN may normalize the leading channels of a width-sliced conv
+  // output, but not more channels than it has.
+  seq.add(std::make_unique<Conv2d>(4, 8, 3, 1, 1, 1, false, rng));
+  seq.add(std::make_unique<BatchNorm2d>(6));  // too narrow
   add_act(seq, EpilogueAct::kReLU);
   const Tensor x = Tensor::uniform({1, 4, 5, 5}, -1, 1, rng);
   EXPECT_THROW(fused_forward(seq, x), hsconas::InvalidArgument);

@@ -370,37 +370,6 @@ TEST(SplitConcat, Validation) {
                InvalidArgument);
 }
 
-// ------------------------------------------------------------ ChannelMask --
-
-TEST(ChannelMask, ZeroesTailChannelsBothDirections) {
-  util::Rng rng(11);
-  const Tensor x = Tensor::uniform({2, 4, 2, 2}, 0.5f, 1.0f, rng);
-  const Tensor y = mask_channels(x, 2);
-  EXPECT_NE(y.at(0, 1, 0, 0), 0.0f);
-  EXPECT_EQ(y.at(0, 2, 0, 0), 0.0f);
-  EXPECT_EQ(y.at(1, 3, 1, 1), 0.0f);
-  const Tensor dx = mask_channels(Tensor::ones(x.shape()), 2);
-  EXPECT_EQ(dx.at(0, 0, 0, 0), 1.0f);
-  EXPECT_EQ(dx.at(0, 3, 0, 0), 0.0f);
-}
-
-TEST(ChannelMask, FullWidthIsIdentity) {
-  util::Rng rng(12);
-  const Tensor x = Tensor::uniform({1, 3, 2, 2}, -1, 1, rng);
-  const Tensor y = mask_channels(x, 3);
-  for (long i = 0; i < x.numel(); ++i) {
-    EXPECT_EQ(y.flat()[static_cast<std::size_t>(i)],
-              x.flat()[static_cast<std::size_t>(i)]);
-  }
-}
-
-TEST(ChannelMask, Validation) {
-  const Tensor x({1, 4, 2, 2});
-  EXPECT_THROW(mask_channels(x, 0), InvalidArgument);
-  EXPECT_THROW(mask_channels(x, 5), InvalidArgument);
-  EXPECT_THROW(mask_channels(Tensor({4, 2}), 1), InvalidArgument);
-}
-
 TEST(ScaledChannels, PaperRounding) {
   // The paper's example: 5 × 0.5 ≈ 3 (round half up).
   EXPECT_EQ(scaled_channels(5, 0.5), 3);

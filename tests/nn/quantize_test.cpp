@@ -294,9 +294,9 @@ TEST(Calibration, ThrowingBatchLeavesNoObserverArmedAndNothingReady) {
   const Tensor good = Tensor::uniform({2, 4, 9, 9}, -1.0f, 1.0f, rng);
   // Ready from an earlier calibration, so the failed one must undo it.
   ASSERT_EQ(2u, calibrate(*net, {good}));
-  // The first batch arms and feeds every observer; the second has 3
-  // input channels where the stem wants 4, so its forward throws.
-  const Tensor bad = Tensor::uniform({2, 3, 9, 9}, -1.0f, 1.0f, rng);
+  // The first batch arms and feeds every observer; the second has 5
+  // input channels where the stem takes at most 4, so its forward throws.
+  const Tensor bad = Tensor::uniform({2, 5, 9, 9}, -1.0f, 1.0f, rng);
   EXPECT_THROW(calibrate(*net, {good, bad}), InvalidArgument);
   EXPECT_EQ(Mode::kEval, net->mode());
   int layers = 0;

@@ -63,7 +63,7 @@ std::vector<float> run_conv(const ConvCase& c,
           codes.data() + g * geom.in_channels * c.size * c.size,
           static_cast<std::size_t>(c.cin * c.size * c.size), geom,
           static_cast<std::size_t>(c.batch), z};
-      gemm_i8_requant(m, wg, in,
+      gemm_i8_requant(m, wg, static_cast<std::size_t>(k), in,
                       ConvOutput{y.data() + g * cout_g * ohw,
                                  static_cast<std::size_t>(c.cout * ohw)},
                       gep);
@@ -125,7 +125,7 @@ TEST(ConvViewI8, PaddedTapsReadTheZeroPoint) {
   for (auto& v : w) v = static_cast<std::int8_t>(rng.randint(-127, 127));
   std::vector<float> y(2 * 4 * 25, -1.0f);
   QuantEpilogue ep;  // raw accumulators, as floats
-  gemm_i8_requant(4, w.data(),
+  gemm_i8_requant(4, w.data(), 27,
                   ConvInput<std::uint8_t>{codes.data(), 75, c.geom(), 2, z},
                   ConvOutput{y.data(), 100}, ep);
   for (long o = 0; o < 4; ++o) {

@@ -65,9 +65,9 @@ std::vector<float> run_conv(const ConvCase& c, const std::vector<float>& x,
       const ConvOutput out{y.data() + g * cout_g * ohw,
                            static_cast<std::size_t>(c.cout * ohw)};
       if (kind == Ep::kNone) {
-        gemm(m, wg, in, out);
+        gemm(m, wg, static_cast<std::size_t>(k), in, out);
       } else {
-        gemm_fused(m, wg, in, out, gep);
+        gemm_fused(m, wg, static_cast<std::size_t>(k), in, out, gep);
       }
       continue;
     }
@@ -128,7 +128,8 @@ TEST(ConvView, OverwritesStaleOutput) {
     const ConvInput<float> in{x.data(),
                               static_cast<std::size_t>(c.cin * c.size * c.size),
                               c.geom(), static_cast<std::size_t>(c.batch)};
-    gemm(static_cast<std::size_t>(c.cout), w.data(), in,
+    gemm(static_cast<std::size_t>(c.cout), w.data(),
+         static_cast<std::size_t>(c.cin * 9), in,
          ConvOutput{y.data(), static_cast<std::size_t>(c.cout * c.ohw())});
     ASSERT_EQ(0, std::memcmp(want.data(), y.data(), y.size() * sizeof(float)))
         << c;

@@ -21,14 +21,20 @@
 #      and `ctest -L kernels`: every other tree compiles the tensor
 #      kernels for the build machine's ISA, so only this one runs the
 #      baseline-ISA code of the int8 GEMM, the quantize / requantize
-#      kernels and the fp32 and int8 depthwise kernels.
+#      kernels, the fp32 and int8 depthwise kernels and the fused
+#      writeback, including the width-slicing suites (WidthSlicing*:
+#      width-sliced choice blocks, fp32 in `kernels` at pool sizes 1/2/4
+#      and int8-calibrated in `quant`, equal to blocks built at the active
+#      width bit for bit).
 #   8. ASan+UBSan build + full ctest, then an explicit `ctest -L quant`
-#      re-run: the int8 GEMM, PTQ calibration, and quantized-search
-#      suites exercise every integer accumulation/requantize path under
-#      the overflow checkers (skipped with --fast).
+#      re-run: the int8 GEMM, PTQ calibration, quantized-search and
+#      sliced int8 conv suites exercise every integer
+#      accumulation/requantize path, and every leading-window weight read,
+#      under the address/overflow checkers (skipped with --fast).
 #   9. TSan build + full ctest, then explicit `ctest -L kernels`,
 #      `ctest -L quant`, `ctest -L obs`, `ctest -L serving` and
 #      `ctest -L search` re-runs (GEMM/fused-conv/depthwise determinism,
+#      width-sliced blocks at pool sizes 1/2/4,
 #      the int8 GEMM on the shared blocked driver, tracer/profiler and pool
 #      work-floor, batch-serving plus thread-local block pool suites,
 #      whose blocks are freed on other threads than the ones that took
