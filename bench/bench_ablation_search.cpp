@@ -41,7 +41,8 @@ struct Env {
         T(hwsim::default_constraint_ms(device_name)) {}
 
   core::AccuracyFn accuracy_fn() {
-    return [this](const core::Arch& a) { return surrogate.accuracy(a); };
+    return core::score_each(
+        [this](const core::Arch& a) { return surrogate.accuracy(a); });
   }
 };
 
@@ -152,9 +153,8 @@ int main(int argc, char** argv) {
         core::LatencyModel::Config{env.device.profile().default_batch, 50,
                                    seed, true});
     core::AccuracySurrogate surrogate2(shrunk);
-    const auto acc2 = [&](const core::Arch& a) {
-      return surrogate2.accuracy(a);
-    };
+    const core::AccuracyFn acc2 = core::score_each(
+        [&](const core::Arch& a) { return surrogate2.accuracy(a); });
     core::SpaceShrinker shrinker(shrunk, acc2, model2,
                                  core::Objective{-0.3, env.T},
                                  core::SpaceShrinker::Config{100, seed ^ 0x11});

@@ -44,9 +44,8 @@ int main(int argc, char** argv) {
       space, energy_sim, core::EnergyModel::Config{batch, 50, seed, true},
       &latency);
   const core::AccuracySurrogate surrogate(space);
-  const auto accuracy = [&](const core::Arch& a) {
-    return surrogate.accuracy(a);
-  };
+  const core::AccuracyFn accuracy = core::score_each(
+      [&](const core::Arch& a) { return surrogate.accuracy(a); });
 
   const double T = hwsim::default_constraint_ms(cli.get("device"));
 

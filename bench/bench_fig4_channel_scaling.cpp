@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
     core::LatencyModel dyn_model(search_space, device, lat_cfg);
     core::EvolutionSearch search(
         search_space,
-        [&](const core::Arch& a) { return dyn_surrogate.accuracy(a); },
+        core::score_each(
+            [&](const core::Arch& a) { return dyn_surrogate.accuracy(a); }),
         dyn_model, objective, evo);
     const auto result = search.run();
     // Best candidate that actually fits the budget.

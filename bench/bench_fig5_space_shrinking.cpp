@@ -34,10 +34,10 @@ double mean_candidate_accuracy(core::SupernetTrainer& trainer,
                                const core::SearchSpace& space, int n,
                                std::uint64_t seed, std::size_t batches) {
   util::Rng rng(seed);
+  std::vector<core::Arch> archs;
+  for (int i = 0; i < n; ++i) archs.push_back(core::Arch::random(space, rng));
   double total = 0.0;
-  for (int i = 0; i < n; ++i) {
-    total += trainer.evaluate(core::Arch::random(space, rng), batches);
-  }
+  for (double acc : trainer.evaluate(archs, batches)) total += acc;
   return total / n;
 }
 
@@ -146,7 +146,10 @@ int main(int argc, char** argv) {
 
   core::SpaceShrinker shrinker(
       shrunk_space,
-      [&](const core::Arch& a) { return shrunk.evaluate(a, 2); }, latency,
+      [&](const std::vector<core::Arch>& archs) {
+        return shrunk.evaluate(archs, 2);
+      },
+      latency,
       objective,
       core::SpaceShrinker::Config{
           static_cast<int>(cli.get_int("shrink-samples")), seed ^ 0x51});

@@ -51,7 +51,9 @@ int main(int argc, char** argv) {
   evo.parents = static_cast<int>(cli.get_int("parents"));
   evo.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   core::EvolutionSearch search(
-      space, [&](const core::Arch& a) { return surrogate.accuracy(a); },
+      space,
+      core::score_each(
+          [&](const core::Arch& a) { return surrogate.accuracy(a); }),
       model, objective, evo);
   const auto result = search.run();
 

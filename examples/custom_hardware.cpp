@@ -74,7 +74,9 @@ int main(int argc, char** argv) {
   core::EvolutionSearch::Config evo;
   evo.seed = lat_cfg.seed;
   core::EvolutionSearch search(
-      space, [&](const core::Arch& a) { return surrogate.accuracy(a); },
+      space,
+      core::score_each(
+          [&](const core::Arch& a) { return surrogate.accuracy(a); }),
       model, objective, evo);
   const auto result = search.run();
 

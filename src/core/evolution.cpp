@@ -8,7 +8,6 @@
 #include "util/logging.h"
 #include "util/serial.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace hsconas::core {
 
@@ -44,32 +43,28 @@ EvolutionSearch::EvolutionSearch(const SearchSpace& space,
   energy_ = &energy;
 }
 
-EvolutionSearch::Candidate EvolutionSearch::evaluate(Arch arch) {
-  static obs::Counter& evaluated =
-      obs::counter("hsconas.evolution.candidates_evaluated");
-  evaluated.add();
-  Candidate c;
-  c.arch = std::move(arch);
-  c.accuracy = accuracy_(c.arch);
-  c.latency_ms = latency_.predict_ms(c.arch);
-  if (energy_ != nullptr) {
-    c.energy_mj = energy_->predict_mj(c.arch);
-    c.score = objective_.score(c.accuracy, c.latency_ms, c.energy_mj);
-  } else {
-    c.score = objective_.score(c.accuracy, c.latency_ms);
-  }
-  return c;
-}
-
 std::vector<EvolutionSearch::Candidate> EvolutionSearch::evaluate_batch(
     std::vector<Arch> archs) {
-  HSCONAS_TRACE_SCOPE("evolution.score");
-  // Each index writes only its own slot and evaluation order does not
-  // affect any candidate's value, so every pool size gives the same bits.
+  HSCONAS_TRACE_SCOPE("evolution.score", archs.size());
+  static obs::Counter& evaluated =
+      obs::counter("hsconas.evolution.candidates_evaluated");
+  evaluated.add(archs.size());
+  const std::vector<double> accuracy = accuracy_(archs);
+  HSCONAS_CHECK_MSG(accuracy.size() == archs.size(),
+                    "EvolutionSearch: accuracy fn returned a wrong count");
   std::vector<Candidate> out(archs.size());
-  util::ThreadPool::global().parallel_for(archs.size(), [&](std::size_t i) {
-    out[i] = evaluate(std::move(archs[i]));
-  });
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    Candidate& c = out[i];
+    c.arch = std::move(archs[i]);
+    c.accuracy = accuracy[i];
+    c.latency_ms = latency_.predict_ms(c.arch);
+    if (energy_ != nullptr) {
+      c.energy_mj = energy_->predict_mj(c.arch);
+      c.score = objective_.score(c.accuracy, c.latency_ms, c.energy_mj);
+    } else {
+      c.score = objective_.score(c.accuracy, c.latency_ms);
+    }
+  }
   return out;
 }
 

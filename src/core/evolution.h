@@ -9,7 +9,7 @@
 #include "core/energy_model.h"
 #include "core/latency_model.h"
 #include "core/objective.h"
-#include "core/space_shrinking.h"  // AccuracyFn
+#include "core/accuracy.h"
 
 namespace hsconas::core {
 
@@ -20,13 +20,12 @@ namespace hsconas::core {
 ///
 /// Candidate evaluation is batched per generation: offspring genomes are
 /// bred serially (all RNG decisions happen on one thread, in a fixed
-/// order) and then scored concurrently across util::ThreadPool::global()
-/// into index-ordered slots. The accuracy functor (and energy model, when
-/// present) must be safe to call from several threads at once: the
-/// surrogate is a pure function, and a supernet in score mode writes no
-/// module state (Supernet::evaluate). Because scoring touches no shared
-/// mutable state, every pool size gives the same Result bit for bit for a
-/// fixed seed — same best, same per_generation stats.
+/// order) and then scored in one AccuracyFn call, which fans them out
+/// across util::ThreadPool::global() into index-ordered slots: the
+/// surrogate through score_each, a score-mode supernet through
+/// Supernet::evaluate, which writes no module state. Because scoring
+/// touches no shared mutable state, every pool size gives the same Result
+/// bit for bit for a fixed seed — same best, same per_generation stats.
 class EvolutionSearch {
  public:
   struct Config {
@@ -97,8 +96,7 @@ class EvolutionSearch {
  private:
   void init_population();
   void step_generation();
-  Candidate evaluate(Arch arch);
-  /// Score a bred batch across the global pool, preserving index order.
+  /// Score a bred batch in one accuracy call, preserving index order.
   std::vector<Candidate> evaluate_batch(std::vector<Arch> archs);
   Arch crossover(const Arch& a, const Arch& b);
   Arch mutate(Arch arch);

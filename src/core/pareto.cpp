@@ -114,7 +114,7 @@ std::vector<double> ParetoSearch::crowding(
 ParetoSearch::Candidate ParetoSearch::evaluate(Arch arch) {
   Candidate c;
   c.arch = std::move(arch);
-  c.accuracy = accuracy_(c.arch);
+  c.accuracy = accuracy_({c.arch}).front();
   c.latency_ms = latency_.predict_ms(c.arch);
   c.score = c.accuracy;  // informational only
   return c;

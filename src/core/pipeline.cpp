@@ -166,7 +166,8 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
   if (config_.use_surrogate) {
     surrogate = std::make_unique<AccuracySurrogate>(space_,
                                                     config_.surrogate);
-    accuracy = [&s = *surrogate](const Arch& arch) { return s.accuracy(arch); };
+    accuracy = score_each(
+        [&s = *surrogate](const Arch& arch) { return s.accuracy(arch); });
   } else {
     if (dataset == nullptr) {
       throw InvalidArgument(
@@ -177,8 +178,9 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
     tc.seed ^= config_.seed;
     tc.verbose = config_.verbose;
     trainer = std::make_unique<SupernetTrainer>(*supernet, *dataset, tc);
-    accuracy = [&t = *trainer, n = config_.eval_batches](const Arch& arch) {
-      return t.evaluate(arch, n);
+    accuracy = [&t = *trainer, n = config_.eval_batches](
+                   const std::vector<Arch>& archs) {
+      return t.evaluate(archs, n);
     };
   }
 
@@ -271,10 +273,11 @@ PipelineResult Pipeline::run(const data::SyntheticDataset* dataset) {
   }
 
   // ---- search components (restored state flows in below) -------------------
-  // Both score candidates concurrently across the thread pool. The
-  // surrogate is a pure function of the arch; the supernet is put in
-  // score mode at the start of each scoring phase (enter_scoring), where
-  // its forwards write no module state.
+  // Both hand each batch of candidates to `accuracy` in one call, which
+  // scores it across the thread pool. The surrogate is a pure function of
+  // the arch; the supernet is put in score mode at the start of each
+  // scoring phase (enter_scoring), where its forwards write no module
+  // state.
   SpaceShrinker::Config shrink_cfg = config_.shrink;
   shrink_cfg.seed ^= config_.seed;
   SpaceShrinker shrinker(space_, accuracy, *latency_model_, objective,

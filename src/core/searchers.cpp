@@ -33,7 +33,7 @@ RandomSearch::Result RandomSearch::run() {
     evaluated.add();
     EvolutionSearch::Candidate c;
     c.arch = Arch::random(space_, rng_);
-    c.accuracy = accuracy_(c.arch);
+    c.accuracy = accuracy_({c.arch}).front();
     c.latency_ms = latency_.predict_ms(c.arch);
     c.score = objective_.score(c.accuracy, c.latency_ms);
     if (c.score > result.best.score) result.best = c;
@@ -66,7 +66,7 @@ EvolutionSearch::Candidate AgingEvolution::evaluate(Arch arch) {
   evaluated.add();
   EvolutionSearch::Candidate c;
   c.arch = std::move(arch);
-  c.accuracy = accuracy_(c.arch);
+  c.accuracy = accuracy_({c.arch}).front();
   c.latency_ms = latency_.predict_ms(c.arch);
   c.score = objective_.score(c.accuracy, c.latency_ms);
   return c;

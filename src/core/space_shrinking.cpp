@@ -6,7 +6,6 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace hsconas::core {
 
@@ -25,54 +24,52 @@ SpaceShrinker::SpaceShrinker(SearchSpace& space, AccuracyFn accuracy,
   }
 }
 
-double SpaceShrinker::subspace_quality(int layer, int op) {
-  // Q(A_sub) = (1/N) Σ F(arch_i, T),  arch_i ~ U(A_sub)   (Definition 1)
-  // Samples are drawn serially (one RNG stream, fixed order), then scored
-  // across the pool and reduced in index order, so the mean is identical
-  // at any worker count.
-  static obs::Counter& q_samples = obs::counter("hsconas.shrink.q_samples");
-  static obs::Counter& subspaces =
-      obs::counter("hsconas.shrink.subspaces_scored");
-  const std::size_t n = static_cast<std::size_t>(config_.samples_per_subspace);
-  q_samples.add(n);
-  subspaces.add();
-  std::vector<Arch> samples;
-  samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    samples.push_back(Arch::random_with_fixed_op(space_, rng_, layer, op));
-  }
-
-  std::vector<double> scores(n);
-  {
-    HSCONAS_TRACE_SCOPE("shrink.score");
-    util::ThreadPool::global().parallel_for(n, [&](std::size_t i) {
-      scores[i] = objective_.score(accuracy_(samples[i]),
-                                   latency_.predict_ms(samples[i]));
-    });
-  }
-
-  double total = 0.0;
-  for (double s : scores) total += s;
-  ++total_evaluated_;
-  return total / static_cast<double>(config_.samples_per_subspace);
-}
-
 SpaceShrinker::LayerDecision SpaceShrinker::shrink_layer(int layer) {
   HSCONAS_TRACE_SCOPE("shrink.layer");
   const std::vector<int> candidates = space_.allowed_ops(layer);
   HSCONAS_CHECK_MSG(!candidates.empty(), "shrink_layer: no candidates");
+  static obs::Counter& q_samples = obs::counter("hsconas.shrink.q_samples");
+  static obs::Counter& subspaces =
+      obs::counter("hsconas.shrink.subspaces_scored");
+
+  // Q(A_sub) = (1/N) Σ F(arch_i, T),  arch_i ~ U(A_sub)   (Definition 1)
+  // All subspaces' samples are drawn first, op by op (one RNG stream,
+  // fixed order), then scored in one call and each op's N scores summed
+  // in index order, so Q is identical at any worker count.
+  const std::size_t n = static_cast<std::size_t>(config_.samples_per_subspace);
+  std::vector<Arch> samples;
+  samples.reserve(candidates.size() * n);
+  for (int op : candidates) {
+    for (std::size_t i = 0; i < n; ++i) {
+      samples.push_back(Arch::random_with_fixed_op(space_, rng_, layer, op));
+    }
+  }
+  std::vector<double> accuracy;
+  {
+    HSCONAS_TRACE_SCOPE("shrink.score", samples.size());
+    accuracy = accuracy_(samples);
+  }
+  HSCONAS_CHECK_MSG(accuracy.size() == samples.size(),
+                    "shrink_layer: accuracy fn returned a wrong count");
+  q_samples.add(samples.size());
+  subspaces.add(candidates.size());
 
   LayerDecision decision;
   decision.layer = layer;
   decision.quality.reserve(candidates.size());
   double best_q = -1e300;
-  for (int op : candidates) {
-    const double q = subspace_quality(layer, op);
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    double total = 0.0;
+    for (std::size_t i = k * n; i < (k + 1) * n; ++i) {
+      total += objective_.score(accuracy[i], latency_.predict_ms(samples[i]));
+    }
+    const double q = total / static_cast<double>(n);
     decision.quality.push_back(q);
     ++decision.subspaces_evaluated;
+    ++total_evaluated_;
     if (q > best_q) {
       best_q = q;
-      decision.chosen_op = op;
+      decision.chosen_op = candidates[k];
     }
   }
   space_.fix_op(layer, decision.chosen_op);

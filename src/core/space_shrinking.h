@@ -1,19 +1,14 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
+#include "core/accuracy.h"
 #include "core/arch.h"
 #include "core/latency_model.h"
 #include "core/objective.h"
 #include "core/search_space.h"
 
 namespace hsconas::core {
-
-/// Accuracy oracle used by the search components: the proxy pipeline plugs
-/// in supernet evaluation, the paper-scale benches plug in the calibrated
-/// surrogate.
-using AccuracyFn = std::function<double(const Arch&)>;
 
 /// Progressive space shrinking (§III-C).
 ///
@@ -25,10 +20,9 @@ using AccuracyFn = std::function<double(const Arch&)>;
 /// exactly as the paper prescribes ("when evaluating the 19-th layer, we
 /// fix the operator of the 20-th layer").
 ///
-/// The N samples are drawn serially (one RNG stream, fixed order), scored
-/// concurrently across util::ThreadPool::global() and reduced in index
-/// order, so Q is the same at every pool size. The accuracy functor must
-/// be safe to call from several threads at once (see EvolutionSearch).
+/// A layer's samples — op by op, N per op — are drawn serially (one RNG
+/// stream, fixed order), scored in one AccuracyFn call and reduced per op
+/// in index order, so Q is the same at every pool size.
 class SpaceShrinker {
  public:
   struct Config {
@@ -48,10 +42,8 @@ class SpaceShrinker {
     int subspaces_evaluated = 0;
   };
 
-  /// Quality Q(A_sub) of the subspace fixing `op` at `layer` (Def. 1).
-  double subspace_quality(int layer, int op);
-
-  /// Shrink one layer: evaluate all allowed ops, fix the best.
+  /// Shrink one layer: score the quality Q(A_sub) of every allowed op's
+  /// subspace (Def. 1), fix the best.
   LayerDecision shrink_layer(int layer);
 
   /// Shrink a back-to-front run of `count` layers starting at `from_layer`

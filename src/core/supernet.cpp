@@ -5,6 +5,7 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace hsconas::core {
 
@@ -81,29 +82,46 @@ nn::ChoiceBlock& Supernet::block(int layer, int op) {
   return *choices.at(static_cast<std::size_t>(op));
 }
 
+Tensor Supernet::run_layer(int layer, const Arch& arch, const Tensor& x) {
+  const auto i = static_cast<std::size_t>(layer);
+  return block(layer, arch.ops[i])
+      .forward(x, space_.config().channel_factors.at(
+                      static_cast<std::size_t>(arch.factors[i])));
+}
+
+Tensor Supernet::forward_from(int first_layer, const Arch& arch,
+                              const Tensor& x) {
+  // Only a train forward records the path backward() walks.
+  const bool record = mode() == nn::Mode::kTrain;
+  auto run = [&](nn::Module& m, const Tensor& in) {
+    if (record) active_path_.push_back(&m);
+    return m.forward(in);
+  };
+  Tensor h;
+  const Tensor* in = &x;
+  for (int l = first_layer; l < space_.num_layers(); ++l) {
+    if (record) {
+      active_path_.push_back(
+          &block(l, arch.ops[static_cast<std::size_t>(l)]));
+    }
+    h = run_layer(l, arch, *in);
+    in = &h;
+  }
+  h = run(*head_conv_, *in);
+  h = run(gap_, h);
+  return run(*classifier_, h);
+}
+
 Tensor Supernet::forward(const Tensor& images, const Arch& arch) {
   HSCONAS_TRACE_SCOPE("supernet.forward");
   static obs::Counter& forwards = obs::counter("hsconas.supernet.forwards");
   forwards.add();
   check_arch(arch);
-  // Only a train forward records the path backward() walks.
-  const bool record = mode() == nn::Mode::kTrain;
-  if (record) active_path_.clear();
-  auto run = [&](nn::Module& m, const Tensor& x) {
-    if (record) active_path_.push_back(&m);
-    return m.forward(x);
-  };
-  Tensor h = run(*stem_, images);
-  for (int l = 0; l < space_.num_layers(); ++l) {
-    const auto i = static_cast<std::size_t>(l);
-    nn::ChoiceBlock& blk = block(l, arch.ops[i]);
-    if (record) active_path_.push_back(&blk);
-    h = blk.forward(h, space_.config().channel_factors.at(
-                           static_cast<std::size_t>(arch.factors[i])));
+  if (mode() == nn::Mode::kTrain) {
+    active_path_.clear();
+    active_path_.push_back(stem_.get());
   }
-  h = run(*head_conv_, h);
-  h = run(gap_, h);
-  return run(*classifier_, h);
+  return forward_from(0, arch, stem_->forward(images));
 }
 
 Tensor Supernet::forward(const Tensor& images) {
@@ -154,29 +172,74 @@ void Supernet::set_mode(nn::Mode mode) {
   if (mode != nn::Mode::kTrain) active_path_.clear();
 }
 
-double Supernet::evaluate(const data::SyntheticDataset& dataset,
-                          const Arch& arch, std::size_t batch_size,
-                          std::size_t max_batches) {
-  check_arch(arch);
+std::vector<double> Supernet::evaluate(const data::SyntheticDataset& dataset,
+                                       const std::vector<Arch>& archs,
+                                       std::size_t batch_size,
+                                       std::size_t max_batches) {
+  for (const Arch& arch : archs) check_arch(arch);
   if (mode() != nn::Mode::kScore) {
     throw Error("Supernet::evaluate: needs score mode (kScore), set once "
                 "per scoring phase; other modes write state or change BN");
   }
+  if (archs.empty()) return {};
+  static obs::Counter& forwards = obs::counter("hsconas.supernet.forwards");
+  static obs::Counter& reuses =
+      obs::counter("hsconas.supernet.prefix_reuses");
+
+  // Group the archs by layer-0 gene (op, factor), in order of first
+  // appearance; `leaders` holds each group's first arch. The dtype gene
+  // takes no part: an fp32 supernet scores both dtypes alike.
+  std::vector<std::size_t> leaders;
+  std::vector<std::size_t> group_of(archs.size());
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    std::size_t g = 0;
+    while (g < leaders.size() &&
+           (archs[leaders[g]].ops[0] != archs[i].ops[0] ||
+            archs[leaders[g]].factors[0] != archs[i].factors[0])) {
+      ++g;
+    }
+    if (g == leaders.size()) leaders.push_back(i);
+    group_of[i] = g;
+  }
+
   data::DataLoader loader(dataset, batch_size, /*train=*/false, /*seed=*/0);
   const std::size_t batches =
       max_batches == 0 ? loader.num_batches()
                        : std::min(max_batches, loader.num_batches());
-  std::size_t correct = 0, total = 0;
+  util::ThreadPool& pool = util::ThreadPool::global();
+  std::vector<std::size_t> correct(archs.size(), 0);
+  std::size_t total = 0;
   for (std::size_t b = 0; b < batches; ++b) {
-    data::Batch batch = loader.batch(b);
-    const Tensor logits = forward(batch.images, arch);
-    const nn::LossResult res = nn::cross_entropy(logits, batch.labels);
-    correct += res.correct_top1;
+    const data::Batch batch = loader.batch(b);
+    const Tensor stem = stem_->forward(batch.images);
+    std::vector<Tensor> layer0(leaders.size());
+    pool.parallel_for(leaders.size(), [&](std::size_t g) {
+      layer0[g] = run_layer(0, archs[leaders[g]], stem);
+    });
+    // Each arch writes only its own slot.
+    pool.parallel_for(archs.size(), [&](std::size_t i) {
+      const Tensor logits = forward_from(1, archs[i], layer0[group_of[i]]);
+      correct[i] += nn::cross_entropy(logits, batch.labels).correct_top1;
+    });
     total += batch.labels.size();
+    forwards.add(archs.size());
+    // Every arch but one read the shared stem output, and every arch but
+    // its group's first read a shared layer-0 output.
+    reuses.add(2 * archs.size() - 1 - leaders.size());
   }
-  return total == 0 ? 0.0
-                    : static_cast<double>(correct) /
-                          static_cast<double>(total);
+  std::vector<double> top1(archs.size(), 0.0);
+  if (total == 0) return top1;
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    top1[i] = static_cast<double>(correct[i]) / static_cast<double>(total);
+  }
+  return top1;
+}
+
+double Supernet::evaluate(const data::SyntheticDataset& dataset,
+                          const Arch& arch, std::size_t batch_size,
+                          std::size_t max_batches) {
+  return evaluate(dataset, std::vector<Arch>{arch}, batch_size, max_batches)
+      .front();
 }
 
 void Supernet::visit(const std::function<void(nn::Module&)>& fn) {

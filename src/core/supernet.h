@@ -21,8 +21,9 @@ namespace hsconas::core {
 /// The weight-sharing supernet N (§II-A): a fixed stem and head, plus K
 /// candidate ShuffleChoiceBlocks per searchable layer, all resident in
 /// memory at their maximum width Sˡ. Evaluating a candidate arch routes the
-/// activations through one block per layer with the arch's channel factor
-/// applied by masking — weights are shared by construction, never copied.
+/// activations through one block per layer, each run at the arch's channel
+/// factor on the leading window of the block's full-width weights — weights
+/// are shared by construction, never copied or masked.
 ///
 /// Passing a fixed Arch instantiates only that arch's operator per layer —
 /// a standalone network for training a discovered architecture from
@@ -72,14 +73,29 @@ class Supernet {
   /// another path's traffic).
   std::size_t calibrate_quant(const std::vector<tensor::Tensor>& batches);
 
-  /// Top-1 accuracy of `arch` on (a prefix of) the validation split.
-  /// Requires score mode, set once per scoring phase by the caller, and
-  /// throws Error in any other mode: batch-statistics BN (standard
-  /// one-shot practice: candidate paths never saw calibrated running
-  /// stats) with the same logits as a train-mode forward, but no module
-  /// written — running stats, backward state and mode all stay as they
-  /// are. So any number of threads may evaluate candidates on one
-  /// supernet at once. max_batches == 0 means the full split.
+  /// Top-1 accuracy of each arch in `archs` (index-aligned) on (a prefix
+  /// of) the validation split. Requires score mode, set once per scoring
+  /// phase by the caller, and throws Error in any other mode:
+  /// batch-statistics BN (standard one-shot practice: candidate paths never
+  /// saw calibrated running stats) with the same logits as a train-mode
+  /// forward, but no module written — running stats, backward state and
+  /// mode all stay as they are. So any number of threads may evaluate
+  /// candidates on one supernet at once. max_batches == 0 means the full
+  /// split.
+  ///
+  /// A score forward is deterministic, so archs that share a gene prefix
+  /// compute identical activations up to their first differing gene. Per
+  /// evaluation batch the stem runs once, layer 0 runs once per distinct
+  /// (op, factor) gene across the pool, and every arch's remaining layers,
+  /// head and classifier then run across the pool reading the shared
+  /// layer-0 output. Each arch gets the bits a forward() of its own gives;
+  /// nothing is kept past the call.
+  std::vector<double> evaluate(const data::SyntheticDataset& dataset,
+                               const std::vector<Arch>& archs,
+                               std::size_t batch_size,
+                               std::size_t max_batches = 0);
+
+  /// One arch: evaluate(dataset, {arch}, ...)'s only entry.
   double evaluate(const data::SyntheticDataset& dataset, const Arch& arch,
                   std::size_t batch_size, std::size_t max_batches = 0);
 
@@ -99,6 +115,13 @@ class Supernet {
  private:
   void check_arch(const Arch& arch) const;
   nn::ChoiceBlock& block(int layer, int op);
+  /// Layer `layer` of `arch`'s path at the arch's channel factor.
+  tensor::Tensor run_layer(int layer, const Arch& arch,
+                           const tensor::Tensor& x);
+  /// Layers `first_layer`..L-1, head, GAP and classifier of `arch`'s
+  /// path on `x`; a train forward records each module for backward().
+  tensor::Tensor forward_from(int first_layer, const Arch& arch,
+                              const tensor::Tensor& x);
 
   const SearchSpace& space_;
   std::optional<Arch> fixed_arch_;

@@ -211,9 +211,9 @@ void SupernetTrainer::import_state(util::ByteReader& in) {
   }
 }
 
-double SupernetTrainer::evaluate(const Arch& arch,
-                                 std::size_t eval_batches) {
-  return supernet_.evaluate(dataset_, arch, config_.batch_size,
+std::vector<double> SupernetTrainer::evaluate(const std::vector<Arch>& archs,
+                                              std::size_t eval_batches) {
+  return supernet_.evaluate(dataset_, archs, config_.batch_size,
                             eval_batches);
 }
 

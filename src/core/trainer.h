@@ -79,9 +79,11 @@ class SupernetTrainer {
 
   const std::vector<EpochStats>& history() const { return history_; }
 
-  /// Mean validation top-1 over `eval_batches` batches for one arch
-  /// (Supernet::evaluate: the supernet must be in score mode).
-  double evaluate(const Arch& arch, std::size_t eval_batches = 0);
+  /// Validation top-1 over `eval_batches` batches for each arch,
+  /// index-aligned (Supernet::evaluate: the supernet must be in score
+  /// mode).
+  std::vector<double> evaluate(const std::vector<Arch>& archs,
+                               std::size_t eval_batches = 0);
 
   /// Checkpoint/resume: both RNG streams (path sampling + loader
   /// shuffle/augment), the optimizer's momentum buffers, and the epoch

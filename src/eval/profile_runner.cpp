@@ -136,7 +136,14 @@ LatencyReport run_profile(const ProfileConfig& config) {
   LatencyReport report;
   report.bias_ms = model.bias_ms();
 
-  util::Rng rng(config.seed);
+  // The archs come from the quant-free space, so they consume the same
+  // draws in both dtypes, and the inputs from a stream of their own: at
+  // one seed an f32 and an int8 profile time the same ops and factors.
+  core::SearchSpaceConfig arch_cfg = space.config();
+  arch_cfg.search_quantization = false;
+  const core::SearchSpace arch_space(arch_cfg);
+  util::Rng arch_rng(config.seed);
+  util::Rng input_rng(config.seed ^ 0x1a9075ull);
   const nn::Mode mode = config.backward ? nn::Mode::kTrain
                        : config.fused   ? nn::Mode::kEvalFused
                                         : nn::Mode::kEval;
@@ -146,7 +153,7 @@ LatencyReport run_profile(const ProfileConfig& config) {
   try {
     for (int a = 0; a < config.num_archs; ++a) {
       LatencyPoint p;
-      p.arch = core::Arch::random(space, rng);
+      p.arch = core::Arch::random(arch_space, arch_rng);
       p.arch.quant = int8 ? 1 : 0;
       core::Supernet net(space, config.seed + static_cast<std::uint64_t>(a),
                          p.arch);
@@ -155,9 +162,9 @@ LatencyReport run_profile(const ProfileConfig& config) {
       Tensor images = Tensor::uniform(
           {config.batch, config.space.input_channels, config.space.input_size,
            config.space.input_size},
-          -1.0f, 1.0f, rng);
+          -1.0f, 1.0f, input_rng);
       Tensor logits_grad = Tensor::uniform(
-          {config.batch, config.space.num_classes}, -0.1f, 0.1f, rng);
+          {config.batch, config.space.num_classes}, -0.1f, 0.1f, input_rng);
 
       if (int8) {
         // PTQ against the very batch being profiled: the observers see

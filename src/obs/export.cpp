@@ -62,6 +62,11 @@ util::Json trace_to_json(const std::vector<TraceEvent>& events,
     e["dur"] = static_cast<double>(ev.dur_ns) / 1e3;
     e["pid"] = 1;
     e["tid"] = static_cast<unsigned long long>(ev.tid);
+    if (ev.items != 0) {
+      util::Json args = util::Json::object();
+      args["items"] = static_cast<unsigned long long>(ev.items);
+      e["args"] = std::move(args);
+    }
     trace_events.push_back(std::move(e));
   }
   util::Json doc = util::Json::object();

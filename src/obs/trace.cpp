@@ -118,7 +118,8 @@ std::uint32_t& thread_depth() {
 }
 
 void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t dur_ns, std::uint32_t depth) {
+                 std::uint64_t dur_ns, std::uint32_t depth,
+                 std::uint64_t items) {
   ThreadRing& ring = tls_ring();
   TraceEvent ev;
   std::strncpy(ev.name, name, TraceEvent::kNameCapacity - 1);
@@ -127,6 +128,7 @@ void record_span(const char* name, std::uint64_t start_ns,
   ev.dur_ns = dur_ns;
   ev.tid = ring.tid;
   ev.depth = depth;
+  ev.items = items;
 
   std::lock_guard<std::mutex> lock(ring.mutex);
   if (ring.events.size() < Tracer::kRingCapacity) {

@@ -33,6 +33,7 @@ struct TraceEvent {
   std::uint64_t dur_ns = 0;
   std::uint32_t tid = 0;       ///< small per-process thread index (from 1)
   std::uint32_t depth = 0;     ///< nesting depth within the thread
+  std::uint64_t items = 0;     ///< work items the span covered; 0 = unset
 };
 
 class Tracer {
@@ -57,17 +58,21 @@ class Tracer {
 
 namespace detail {
 void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t dur_ns, std::uint32_t depth);
+                 std::uint64_t dur_ns, std::uint32_t depth,
+                 std::uint64_t items = 0);
 std::uint32_t& thread_depth();
 }  // namespace detail
 
 /// RAII span. Construct with a literal or a std::string; the name is read
 /// at scope exit, so pass temporaries via the std::string overload (which
-/// stores a copy) rather than keeping char pointers alive yourself.
+/// stores a copy) rather than keeping char pointers alive yourself. A
+/// literal name may carry the number of work items the span covers (e.g.
+/// candidates scored); it is exported as the event's `args.items`.
 class TraceScope {
  public:
-  explicit TraceScope(const char* name) noexcept {
+  explicit TraceScope(const char* name, std::uint64_t items = 0) noexcept {
     if (!Tracer::enabled()) return;
+    items_ = items;
     begin(name);
   }
   explicit TraceScope(const std::string& name) noexcept {
@@ -80,7 +85,7 @@ class TraceScope {
     const std::uint64_t end = monotonic_ns();
     --detail::thread_depth();
     detail::record_span(name_, start_ns_, end - start_ns_,
-                        detail::thread_depth());
+                        detail::thread_depth(), items_);
   }
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
@@ -97,6 +102,7 @@ class TraceScope {
   const char* name_ = "";
   std::string owned_;
   std::uint64_t start_ns_ = 0;
+  std::uint64_t items_ = 0;
 };
 
 }  // namespace hsconas::obs

@@ -160,8 +160,8 @@ TEST(ConcurrentScore, EvolutionOnSupernetSameAtPoolSizesOneAndThree) {
     cfg.seed = 12;
     EvolutionSearch evo(
         s.space,
-        [&s](const Arch& a) {
-          return s.net.evaluate(s.dataset, a, kBatch, /*max_batches=*/1);
+        [&s](const std::vector<Arch>& archs) {
+          return s.net.evaluate(s.dataset, archs, kBatch, /*max_batches=*/1);
         },
         latency, Objective{-0.3, 1.0}, cfg);
     return evo.run();

@@ -35,7 +35,8 @@ struct Fixture {
   }
 
   AccuracyFn accuracy_fn() {
-    return [this](const Arch& a) { return surrogate.accuracy(a); };
+    return score_each(
+        [this](const Arch& a) { return surrogate.accuracy(a); });
   }
 
   /// A search scored on a global pool of `threads` workers.

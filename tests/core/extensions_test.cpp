@@ -35,7 +35,8 @@ struct Fixture {
   AccuracySurrogate surrogate{space};
 
   AccuracyFn accuracy_fn() {
-    return [this](const Arch& a) { return surrogate.accuracy(a); };
+    return score_each(
+        [this](const Arch& a) { return surrogate.accuracy(a); });
   }
 };
 

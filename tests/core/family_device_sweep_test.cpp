@@ -101,8 +101,8 @@ TEST_P(FamilyDeviceSweep, EvolutionHitsMidRangeConstraint) {
   cfg.parents = 8;
   cfg.seed = 67;
   EvolutionSearch search(
-      space, [&](const Arch& a) { return surrogate.accuracy(a); }, model,
-      Objective{-0.3, T}, cfg);
+      space, score_each([&](const Arch& a) { return surrogate.accuracy(a); }),
+      model, Objective{-0.3, T}, cfg);
   const auto result = search.run();
   EXPECT_NEAR(result.best.latency_ms, T, T * 0.08);
 }

@@ -287,7 +287,7 @@ TEST(SurrogateQuant, Int8CostsAccuracy) {
 }
 
 AccuracyFn surrogate_fn(const AccuracySurrogate& s) {
-  return [&s](const Arch& arch) { return s.accuracy(arch); };
+  return score_each([&s](const Arch& arch) { return s.accuracy(arch); });
 }
 
 TEST(EvolutionQuant, SearchesBothDtypesAndResumesExactly) {

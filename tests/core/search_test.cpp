@@ -36,7 +36,8 @@ struct Fixture {
   }
 
   AccuracyFn accuracy_fn() {
-    return [this](const Arch& a) { return surrogate.accuracy(a); };
+    return score_each(
+        [this](const Arch& a) { return surrogate.accuracy(a); });
   }
 };
 

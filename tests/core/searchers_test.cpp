@@ -24,7 +24,8 @@ struct Fixture {
   Objective objective{-0.3, 34.0};
 
   AccuracyFn accuracy_fn() {
-    return [this](const Arch& a) { return surrogate.accuracy(a); };
+    return score_each(
+        [this](const Arch& a) { return surrogate.accuracy(a); });
   }
 };
 

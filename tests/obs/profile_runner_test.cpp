@@ -153,4 +153,25 @@ TEST(ProfileRunner, SameSeedIsDeterministicInStructure) {
   }
 }
 
+// The quant gene must not shift the arch stream: at one seed an f32 and an
+// int8 profile time the same ops at the same factors, so their per-arch
+// timings can be read against each other.
+TEST(ProfileRunner, F32AndInt8ProfilesSampleTheSameArchs) {
+  eval::ProfileConfig cfg = tiny_config();
+  cfg.num_archs = 8;
+  cfg.iters = 1;
+  cfg.warmup = 0;
+  const eval::LatencyReport f32 = eval::run_profile(cfg);
+  cfg.dtype = hsconas::nn::InferenceDType::kI8;
+  const eval::LatencyReport i8 = eval::run_profile(cfg);
+  ASSERT_EQ(f32.points.size(), i8.points.size());
+  for (std::size_t i = 0; i < f32.points.size(); ++i) {
+    EXPECT_EQ(f32.points[i].arch.ops, i8.points[i].arch.ops) << "arch " << i;
+    EXPECT_EQ(f32.points[i].arch.factors, i8.points[i].arch.factors)
+        << "arch " << i;
+    EXPECT_EQ(0, f32.points[i].arch.quant);
+    EXPECT_EQ(1, i8.points[i].arch.quant);
+  }
+}
+
 }  // namespace

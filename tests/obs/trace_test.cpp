@@ -196,6 +196,25 @@ TEST_F(TraceTest, ChromeTraceExportShape) {
   EXPECT_NE(dumped.find("\"tid\""), std::string::npos);
 }
 
+TEST_F(TraceTest, ItemCountTravelsToTheExportOnlyWhenGiven) {
+  { TraceScope counted("unit.counted", 50); }
+  { TraceScope plain("unit.plain"); }
+  ASSERT_EQ(events_named("unit.counted").size(), 1u);
+  EXPECT_EQ(events_named("unit.counted")[0].items, 50u);
+  EXPECT_EQ(events_named("unit.plain")[0].items, 0u);
+
+  const util::Json doc = trace_to_json(Tracer::snapshot());
+  for (const util::Json& e : doc.find("traceEvents")->items()) {
+    const util::Json* args = e.find("args");
+    if (e.find("name")->as_string() == "unit.counted") {
+      ASSERT_NE(args, nullptr);
+      EXPECT_EQ(args->find("items")->as_double(), 50.0);
+    } else {
+      EXPECT_EQ(args, nullptr);
+    }
+  }
+}
+
 #if defined(HSCONAS_TRACING_DISABLED)
 TEST_F(TraceTest, CompiledOutMacroEmitsNothing) {
   HSCONAS_TRACE_SCOPE("unit.compiled_out");

@@ -38,7 +38,8 @@
 #      the int8 GEMM on the shared blocked driver, tracer/profiler and pool
 #      work-floor, batch-serving plus thread-local block pool suites,
 #      whose blocks are freed on other threads than the ones that took
-#      them, and candidates scored concurrently on one shared supernet)
+#      them, candidates scored concurrently on one shared supernet, and
+#      the batched scorer's two fan-outs over one shared layer-0 tensor)
 #      under TSan (skipped with --fast).
 #  10. bench_serving closed-loop smoke: a reduced load-generation run
 #      through the batch server must finish error-free (skipped with
@@ -178,8 +179,11 @@ stage "batch-serving suites under TSan (ctest -L serving)"
 stage "concurrent search-scoring suites under TSan (ctest -L search)"
 # The EA and the space shrinker score candidates across the global pool
 # on one shared supernet in score mode, whose forwards must write no
-# module state; the serial -L search re-run gives TSan clean
-# interleavings to watch.
+# module state. The batched scorer (Supernet::evaluate over many archs,
+# tests/core/batch_score_test.cpp) runs two parallel_for fan-outs per
+# evaluation batch — layer 0 per distinct gene, then every arch's
+# suffix — both reading one shared stem or layer-0 tensor. The serial
+# -L search re-run gives TSan clean interleavings to watch.
 (cd "$root/ci-build-tsan" && ctest --output-on-failure -L search)
 
 stage "serving load-generator smoke (bench_serving, reduced load)"

@@ -258,7 +258,9 @@ int cmd_pareto(int argc, char** argv) {
   cfg.population = static_cast<int>(cli.get_int("population"));
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   core::ParetoSearch search(
-      space, [&](const core::Arch& a) { return surrogate.accuracy(a); },
+      space,
+      core::score_each(
+          [&](const core::Arch& a) { return surrogate.accuracy(a); }),
       latency, cfg);
   const auto result = search.run();
 

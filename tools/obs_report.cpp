@@ -130,21 +130,30 @@ int render_trace(const Json& doc) {
       events != nullptr && events->is_array() ? events->items().size() : 0;
   std::printf("trace file: %zu events, %g dropped (ring overflow)\n", n,
               num(doc, "droppedEvents"));
-  // Per span name: count and total time. A nested span's time also counts
-  // in its parent's, so evolution.run minus evolution.score is the time
-  // the EA spent breeding and selecting.
-  std::map<std::string, std::pair<std::size_t, double>> totals;
+  // Per span name: count, total time and the work items the spans
+  // declared (`args.items`, e.g. candidates scored; "-" when none did). A
+  // nested span's time also counts in its parent's, so evolution.run minus
+  // evolution.score is the time the EA spent breeding and selecting.
+  struct SpanTotal {
+    std::size_t count = 0;
+    double us = 0.0;
+    double items = 0.0;
+  };
+  std::map<std::string, SpanTotal> totals;
   for (std::size_t i = 0; i < n; ++i) {
     const Json& e = events->items()[i];
-    auto& [count, us] = totals[str(e, "name", "?")];
-    ++count;
-    us += num(e, "dur");
+    SpanTotal& t = totals[str(e, "name", "?")];
+    ++t.count;
+    t.us += num(e, "dur");
+    if (const Json* args = e.find("args")) t.items += num(*args, "items");
   }
   if (!totals.empty()) {
-    hsconas::util::Table table({"span", "count", "total (ms)"});
+    hsconas::util::Table table({"span", "count", "total (ms)", "items"});
     for (const auto& [name, t] : totals) {
-      table.add_row({name, std::to_string(t.first),
-                     hsconas::util::format("%.1f", t.second / 1e3)});
+      table.add_row({name, std::to_string(t.count),
+                     hsconas::util::format("%.1f", t.us / 1e3),
+                     t.items > 0.0 ? hsconas::util::format("%.0f", t.items)
+                                   : std::string("-")});
     }
     std::printf("%s", table.render().c_str());
   }
