@@ -62,7 +62,8 @@ BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
 // The quantized twin of BM_Gemm at the same square sizes: int8×uint8 →
 // int32 with the requantize epilogue folded into the C writeback — the
-// exact kernel the int8 inference path runs. The (op, shape) keys mirror
+// exact kernel the int8 inference path runs, fed the dense n×n B as the
+// 1×1 view of one n-channel 1×n image. The (op, shape) keys mirror
 // BM_Gemm so the ledger's dtype column prices the fp32 → int8 step
 // directly (target >= 1.5x; see docs/QUANTIZATION.md).
 void BM_GemmInt8(benchmark::State& state) {
@@ -78,8 +79,12 @@ void BM_GemmInt8(benchmark::State& state) {
   ep.scale = scales.data();
   ep.acc_bias = bias.data();
   Tensor c({static_cast<long>(n), static_cast<long>(n)});
+  const tensor::ConvInput<std::uint8_t> view{
+      b.data(), n * n, {static_cast<long>(n), 1, static_cast<long>(n), 1, 1, 0},
+      1, 0};
   for (auto _ : state) {
-    tensor::gemm_i8_requant(n, n, n, a.data(), b.data(), c.data(), ep);
+    tensor::gemm_i8_requant(n, a.data(), n, view,
+                            tensor::ConvOutput{c.data(), n * n}, ep);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 *

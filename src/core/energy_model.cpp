@@ -10,8 +10,7 @@ EnergyModel::EnergyModel(const SearchSpace& space,
     : space_(space),
       energy_(energy),
       latency_(latency),
-      config_(config),
-      noise_rng_(config.seed ^ 0x454e4547ull) {
+      config_(config) {
   if (config_.batch < 1 || config_.bias_samples < 1) {
     throw InvalidArgument("EnergyModel: batch and bias_samples must be >= 1");
   }
@@ -89,12 +88,6 @@ double EnergyModel::predict_uncorrected_mj(const Arch& arch) const {
 
 double EnergyModel::predict_mj(const Arch& arch) const {
   return predict_uncorrected_mj(arch) + bias_;
-}
-
-double EnergyModel::measure_mj(const Arch& arch) {
-  return energy_.network_energy_mj(
-      lower_network(arch, space_), config_.batch,
-      config_.measurement_noise ? &noise_rng_ : nullptr);
 }
 
 double EnergyModel::true_mj(const Arch& arch) const {

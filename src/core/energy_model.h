@@ -39,8 +39,7 @@ class EnergyModel {
   double predict_mj(const Arch& arch) const;
   double predict_uncorrected_mj(const Arch& arch) const;
 
-  /// Simulated "on-device" measurement (advances the noise stream).
-  double measure_mj(const Arch& arch);
+  /// Simulated "on-device" measurement without measurement noise.
   double true_mj(const Arch& arch) const;
 
   double bias_mj() const { return bias_; }
@@ -55,7 +54,6 @@ class EnergyModel {
   const hwsim::EnergySimulator& energy_;
   const LatencyModel* latency_;
   Config config_;
-  util::Rng noise_rng_;
   std::vector<double> lut_;
   double stem_mj_ = 0.0;
   double head_mj_ = 0.0;

@@ -85,9 +85,6 @@ class EvolutionSearch {
   /// how many export/import cycles happened at generation boundaries.
   Result run(const GenerationCallback& on_generation = nullptr);
 
-  /// Generations fully completed so far (resume progress indicator).
-  int generations_completed() const { return next_generation_; }
-
   /// Serialize/restore the full search state: RNG stream, dedup set,
   /// current population, and the result-so-far.
   void export_state(util::ByteWriter& out) const;

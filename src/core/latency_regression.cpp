@@ -97,16 +97,6 @@ LatencyRegressor::LatencyRegressor(const SearchSpace& space,
   }
   weights_ = solve_ridge(std::move(xtx), std::move(xty),
                          config_.ridge_lambda);
-
-  double sq = 0.0;
-  for (std::size_t s = 0; s < features.size(); ++s) {
-    double pred = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      pred += weights_[i] * features[s][i];
-    }
-    sq += (pred - targets[s]) * (pred - targets[s]);
-  }
-  training_rmse_ = std::sqrt(sq / static_cast<double>(features.size()));
 }
 
 double LatencyRegressor::predict_ms(const Arch& arch) const {

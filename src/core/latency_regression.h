@@ -38,8 +38,6 @@ class LatencyRegressor {
   double predict_ms(const Arch& arch) const;
 
   int num_features() const { return static_cast<int>(weights_.size()); }
-  double training_rmse_ms() const { return training_rmse_; }
-  int training_samples() const { return config_.train_samples; }
 
  private:
   std::vector<double> featurize(const Arch& arch) const;
@@ -47,7 +45,6 @@ class LatencyRegressor {
   const SearchSpace& space_;
   Config config_;
   std::vector<double> weights_;
-  double training_rmse_ = 0.0;
 };
 
 /// Solve (A + λI) x = b in place for symmetric positive-definite A via

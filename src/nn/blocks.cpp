@@ -175,12 +175,4 @@ void ShuffleChoiceBlock::visit(const std::function<void(Module&)>& fn) {
   if (shuffle_) shuffle_->visit(fn);
 }
 
-std::unique_ptr<ShuffleChoiceBlock> make_choice_block(
-    BlockKind kind, long in_channels, long out_channels, long stride,
-    util::Rng& rng, std::string display_name) {
-  return std::make_unique<ShuffleChoiceBlock>(kind, in_channels, out_channels,
-                                              stride, rng,
-                                              std::move(display_name));
-}
-
 }  // namespace hsconas::nn

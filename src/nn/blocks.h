@@ -83,9 +83,4 @@ class ShuffleChoiceBlock : public ChoiceBlock {
   long split_left_ = 0;         // stride-1 split point
 };
 
-/// Factory matching the search-space operator table.
-std::unique_ptr<ShuffleChoiceBlock> make_choice_block(
-    BlockKind kind, long in_channels, long out_channels, long stride,
-    util::Rng& rng, std::string display_name = "choice_block");
-
 }  // namespace hsconas::nn

@@ -240,7 +240,7 @@ Tensor Conv2d::forward_quant_impl(const Tensor& x, const Widths& cw,
   auto& pool = util::ThreadPool::global();
 
   const tensor::QuantParams aq = quant_.input;
-  const std::int8_t* qw = quant_.qweight.i8_data();
+  const std::int8_t* qw = quant_.qweight.data();
 
   // Compose the caller's per-channel affine with the dequantization:
   //   real_acc = s_a * s_w[c] * (int_acc - z_a * wsum[c])

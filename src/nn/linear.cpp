@@ -86,50 +86,36 @@ Tensor Linear::forward(const Tensor& x) {
 }
 
 Tensor Linear::forward_quant(const Tensor& x) {
+  // The int8 layer runs as the 1×1 int8 conv it is: the batch's codes,
+  // quantized in one pass, are N images of in_features channels of 1×1
+  // read through the conv view, and each finished tile is requantized
+  // straight into y's (N, out) rows. Each element is quantized on its own
+  // and integer accumulation is exact, so batched == sequential
+  // bit-exactly.
   const long n = x.dim(0);
-  // The int8 GEMM wants the signed operand as A rows, so compute
-  // C = W_q (out×in) · X_qᵀ (in×N) and transpose the (out, N) result
-  // back to (N, out). The batch is quantized in one pass and its codes
-  // transposed; each element is quantized independently and integer
-  // accumulation is exact, so batched == sequential bit-exactly.
   tensor::Workspace& ws = tensor::Workspace::tls();
   const tensor::QuantParams aq = quant_.input;
-  const auto numel = static_cast<std::size_t>(n * in_features_);
-  auto qrows = ws.take<std::uint8_t>(numel);
-  tensor::quantize_u8(x.data(), numel, aq, qrows.data());
-  auto qx = ws.take<std::uint8_t>(numel);
-  for (long s = 0; s < n; ++s) {
-    for (long t = 0; t < in_features_; ++t) {
-      qx[static_cast<std::size_t>(t * n + s)] =
-          qrows[static_cast<std::size_t>(s * in_features_ + t)];
-    }
-  }
-  tensor::Scratch qscale = ws.take(static_cast<std::size_t>(out_features_));
-  auto acc_bias =
-      ws.take<std::int32_t>(static_cast<std::size_t>(out_features_));
-  for (long o = 0; o < out_features_; ++o) {
-    qscale[static_cast<std::size_t>(o)] =
-        aq.scale * quant_.weight_scales[static_cast<std::size_t>(o)];
-    acc_bias[static_cast<std::size_t>(o)] =
-        -aq.zero_point * quant_.weight_row_sums[static_cast<std::size_t>(o)];
+  const auto in = static_cast<std::size_t>(in_features_);
+  const auto out = static_cast<std::size_t>(out_features_);
+  auto codes = ws.take<std::uint8_t>(static_cast<std::size_t>(n) * in);
+  tensor::quantize_u8(x.data(), static_cast<std::size_t>(n) * in, aq,
+                      codes.data());
+  tensor::Scratch qscale = ws.take(out);
+  auto acc_bias = ws.take<std::int32_t>(out);
+  for (std::size_t o = 0; o < out; ++o) {
+    qscale[o] = aq.scale * quant_.weight_scales[o];
+    acc_bias[o] = -aq.zero_point * quant_.weight_row_sums[o];
   }
   tensor::QuantEpilogue qep;
   qep.scale = qscale.data();
   qep.shift = bias_.value.data();
   qep.acc_bias = acc_bias.data();
-  tensor::Scratch out_panel =
-      ws.take(static_cast<std::size_t>(out_features_ * n));
-  tensor::gemm_i8_requant(static_cast<std::size_t>(out_features_),
-                          static_cast<std::size_t>(n),
-                          static_cast<std::size_t>(in_features_),
-                          quant_.qweight.i8_data(), qx.data(),
-                          out_panel.data(), qep);
-  Tensor y({n, out_features_});
-  for (long s = 0; s < n; ++s) {
-    for (long o = 0; o < out_features_; ++o) {
-      y.at(s, o) = out_panel[static_cast<std::size_t>(o * n + s)];
-    }
-  }
+  Tensor y = Tensor::for_overwrite({n, out_features_});
+  const tensor::ConvInput<std::uint8_t> view{
+      codes.data(), in, {in_features_, 1, 1, 1, 1, 0},
+      static_cast<std::size_t>(n), static_cast<std::uint8_t>(aq.zero_point)};
+  tensor::gemm_i8_requant(out, quant_.qweight.data(), in, view,
+                          tensor::ConvOutput{y.data(), out}, qep);
   return y;
 }
 

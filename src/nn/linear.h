@@ -29,9 +29,9 @@ class Linear : public Module {
   void release_backward_state() override { cached_input_ = tensor::Tensor(); }
 
  private:
-  /// Int8 eval body: W (int8, out×in) · Xᵀ (u8, in×N) with the bias and
-  /// dequantization folded into the requant epilogue, transposed back to
-  /// (N, out). Requires quant_.ready.
+  /// Int8 eval body: W (int8, out×in) times the batch's u8 codes read as
+  /// a 1×1 conv view, the bias and dequantization folded into the requant
+  /// epilogue, written straight into (N, out). Requires quant_.ready.
   tensor::Tensor forward_quant(const tensor::Tensor& x);
 
   long in_features_, out_features_;

@@ -44,7 +44,7 @@ struct Parameter {
 ///           scoring search candidates on shared weights needs
 ///           (Supernet::evaluate): like eval forwards, any number of
 ///           threads may run score forwards through one module at once.
-///   kEval:  running-statistics BatchNorm, dropout off, forward-only like
+///   kEval:  running-statistics BatchNorm, forward-only like
 ///           kScore. Conv2d/Linear layers whose QuantState is ready
 ///           compute in int8, every other layer in fp32. Serving and int8
 ///           calibration run here.

@@ -111,11 +111,10 @@ void QuantState::freeze_from(const tensor::Tensor& weight, long rows,
   const long cols = weight.numel() / rows;
   input = act;
   weight_scales = scales;
-  qweight = tensor::Tensor::quantized(weight.shape(), tensor::DType::kI8,
-                                      tensor::QuantParams{1.0f, 0});
+  qweight.assign(static_cast<std::size_t>(weight.numel()), 0);
   weight_row_sums.assign(static_cast<std::size_t>(rows), 0);
   const float* w = weight.data();
-  std::int8_t* q = qweight.i8_data();
+  std::int8_t* q = qweight.data();
   for (long c = 0; c < rows; ++c) {
     const float inv = 1.0f / weight_scales[static_cast<std::size_t>(c)];
     std::int32_t sum = 0;
@@ -135,7 +134,7 @@ void QuantState::reset() {
   observer.reset();
   observing = false;
   input = tensor::QuantParams{};
-  qweight = tensor::Tensor();
+  qweight.clear();
   weight_scales.clear();
   weight_row_sums.clear();
   ready = false;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "nn/module.h"
+#include "tensor/quantize_i8.h"
 #include "tensor/tensor.h"
 
 namespace hsconas::util {
@@ -53,9 +54,9 @@ class MinMaxObserver {
 /// Post-training-quantization state attached to a Conv2d / Linear:
 /// the input-activation observer plus, once frozen, everything the int8
 /// forward needs — the per-tensor activation quantizer, per-out-channel
-/// symmetric int8 weights (stored in a DType::kI8 Tensor, pool-allocated
-/// like any other), their scales, and the per-channel weight row sums
-/// that carry the activation zero-point correction into the GEMM
+/// symmetric int8 weights (in the weight's layout, in a pool-allocated
+/// buffer like a Tensor's), their scales, and the per-channel weight row
+/// sums that carry the activation zero-point correction into the GEMM
 /// epilogue's acc_bias slot.
 ///
 /// This state is the layer's dtype: an eval-mode forward computes in
@@ -67,7 +68,8 @@ struct QuantState {
   MinMaxObserver observer;
   bool observing = false;  ///< armed by calibrate_with, disarmed on exit
   tensor::QuantParams input;              ///< activation quantizer (u8)
-  tensor::Tensor qweight;                 ///< DType::kI8, weight's shape
+  /// Codes in [-127, 127], one per weight element, in its layout.
+  std::vector<std::int8_t, tensor::PooledAllocator<std::int8_t>> qweight;
   std::vector<float> weight_scales;       ///< per out-channel, length rows
   std::vector<std::int32_t> weight_row_sums;  ///< Σ_k qweight[c][k]
   bool ready = false;

@@ -13,7 +13,7 @@ std::chrono::steady_clock::time_point process_epoch() {
   return epoch;
 }
 
-#if defined(CLOCK_PROCESS_CPUTIME_ID) || defined(CLOCK_THREAD_CPUTIME_ID)
+#if defined(CLOCK_PROCESS_CPUTIME_ID)
 double clock_ms(clockid_t id) {
   timespec ts{};
   if (clock_gettime(id, &ts) != 0) return 0.0;
@@ -37,14 +37,6 @@ double process_cpu_ms() {
 #else
   return static_cast<double>(std::clock()) * 1e3 /
          static_cast<double>(CLOCKS_PER_SEC);
-#endif
-}
-
-double thread_cpu_ms() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  return clock_ms(CLOCK_THREAD_CPUTIME_ID);
-#else
-  return 0.0;
 #endif
 }
 

@@ -23,10 +23,6 @@ std::uint64_t monotonic_ns();
 /// clock is unavailable.
 double process_cpu_ms();
 
-/// CPU time consumed by the calling thread, in milliseconds. Returns 0
-/// on platforms without a per-thread CPU clock.
-double thread_cpu_ms();
-
 /// Timed condition wait in the monotonic_ns() time base, so timing-
 /// disciplined code (src/serve batching windows) never touches
 /// std::chrono directly. Returns true if the wait was notified, false on

@@ -14,12 +14,6 @@
 
 namespace hsconas::tensor {
 
-#ifdef HSCONAS_GEMM_I8_VNNI
-bool gemm_i8_vnni_enabled() { return true; }
-#else
-bool gemm_i8_vnni_enabled() { return false; }
-#endif
-
 namespace {
 
 using gemm_driver::kMR;
@@ -30,13 +24,6 @@ using gemm_driver::Tile;
 // so packed panels interleave quads: a packed "k step" holds 4 consecutive
 // k values for each of the NR columns (B) / MR rows (A).
 constexpr std::size_t kQuad = 4;
-
-void count_entry(obs::Counter& calls, std::size_t m, std::size_t n,
-                 std::size_t k) {
-  static obs::Counter& macs = obs::counter("hsconas.gemm_i8.macs");
-  calls.add();
-  macs.add(static_cast<std::uint64_t>(m) * n * k);
-}
 
 /// acc (kMR×kNR int32) = Ap_panel · Bp_panel over the full quad-padded k.
 /// One B vector load + kMR broadcast-dot-products per step on the VNNI
@@ -105,13 +92,11 @@ struct I8Gemm : gemm_driver::GemmDims {
   static constexpr std::size_t kKC = kGemmI8MaxK;
   static constexpr std::size_t kKStep = kQuad;
 
-  const std::int8_t* a;   // m×k, row stride lda
+  const std::int8_t* a;                 // m×k, row stride lda
   std::size_t lda;
-  const std::uint8_t* b;  // k×n, ldb == n
-  std::int32_t* ci;       // raw int32 output (null when requantizing)
-  float* cf;              // requantized float output (null for raw)
+  const ConvInput<std::uint8_t>* conv;  // B: the conv view of the codes
+  float* c;                             // the NCHW output
   const QuantEpilogue* ep;
-  const ConvInput<std::uint8_t>* conv;  // set: B is this view (b unused)
 
   /// Pack the M chunk [i0, i0+mc) of A into MR-row, quad-interleaved
   /// panels: panel ip holds kq steps of MR×4 bytes — rows column-adjacent,
@@ -137,24 +122,15 @@ struct I8Gemm : gemm_driver::GemmDims {
 
   /// Pack one k×NR panel of B (columns [j0, j0+nr)) quad-interleaved:
   /// step q holds, for each of the NR columns, that column's 4 consecutive
-  /// k bytes — one 64-byte VNNI vector per step. Zero-padded past nr and
-  /// past k. A conv view gathers its windows (padded taps read the zero
-  /// point) straight from the codes.
+  /// k bytes — one 64-byte VNNI vector per step — gathered straight from
+  /// the codes (padded taps read the zero point). Zero-padded past nr and
+  /// past k.
   void pack_b(std::size_t, std::size_t, std::size_t j0, std::size_t nr,
               std::uint8_t* HSCONAS_RESTRICT bp) const {
     std::memset(bp, 0, gemm_driver::round_up(k, kQuad) * kNR);
-    const auto row = [&](std::size_t p) {
+    gather_conv_rows<kQuad>(*conv, 0, k, j0, nr, [&](std::size_t p) {
       return bp + (p / kQuad * kNR) * kQuad + p % kQuad;
-    };
-    if (conv != nullptr) {
-      gather_conv_rows<kQuad>(*conv, 0, k, j0, nr, row);
-      return;
-    }
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::uint8_t* src = b + p * n + j0;
-      std::uint8_t* dst = row(p);
-      for (std::size_t j = 0; j < nr; ++j) dst[j * kQuad] = src[j];
-    }
+    });
   }
 
   void tile(std::size_t, const std::int8_t* ap, const std::uint8_t* bp,
@@ -164,9 +140,8 @@ struct I8Gemm : gemm_driver::GemmDims {
     write_tile(t.row0, t.j0, t.mr, t.nr, acc);
   }
 
-  /// Write a finished mr×nr accumulator tile (row stride kNR) at C rows
-  /// [row0, ...) and columns [col0, ...): raw int32 store, or the
-  /// requantizing writeback. Each element is written exactly once.
+  /// Requantize a finished mr×nr accumulator tile (row stride kNR) into C
+  /// rows [row0, ...) and columns [col0, ...), each element exactly once.
   void write_tile(std::size_t row0, std::size_t col0, std::size_t mr,
                   std::size_t nr,
                   const std::int32_t* HSCONAS_RESTRICT acc) const {
@@ -174,86 +149,50 @@ struct I8Gemm : gemm_driver::GemmDims {
                                                std::size_t pix,
                                                std::size_t at,
                                                std::size_t len) {
-      const std::size_t to = s * c_stride + row0 * plane + pix;
-      if (ep != nullptr) {
-        requant_rows(*ep, row0, mr, len, acc + at, kNR, cf + to, plane);
-        return;
-      }
-      for (std::size_t i = 0; i < mr; ++i) {
-        std::int32_t* HSCONAS_RESTRICT crow = ci + to + i * plane;
-        for (std::size_t j = 0; j < len; ++j) crow[j] = acc[i * kNR + at + j];
-      }
+      requant_rows(*ep, row0, mr, len, acc + at, kNR,
+                   c + s * c_stride + row0 * plane + pix, plane);
     });
   }
 
   /// Unpacked fallback for problems too small to amortize panel copies (and
   /// for k == 0, where every accumulator is 0 and the epilogue still
-  /// applies): sums up to kNR columns of a row at a time and writes them
-  /// through the tile writeback.
+  /// applies): sums the kNR columns of each gathered B panel row by row
+  /// and writes them through the tile writeback.
   void small() const {
-    if (conv != nullptr) {
-      gemm_driver::for_each_conv_panel(
-          *conv, [&](std::size_t j0, std::size_t nr, const std::uint8_t* bp) {
-            small_panel(bp, kNR, j0, nr);
-          });
-      return;
-    }
-    for (std::size_t j0 = 0; j0 < n; j0 += kNR) {
-      small_panel(b + j0, n, j0, std::min(kNR, n - j0));
-    }
-  }
-
-  /// Columns [j0, j0 + nr) of every row, their B rows at bj + p · ldb.
-  void small_panel(const std::uint8_t* bj, std::size_t ldb, std::size_t j0,
-                   std::size_t nr) const {
-    std::int32_t acc[kNR];
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::int8_t* HSCONAS_RESTRICT arow = a + i * lda;
-      for (std::size_t j = 0; j < nr; ++j) {
-        std::int32_t sum = 0;
-        for (std::size_t p = 0; p < k; ++p) {
-          sum += static_cast<std::int32_t>(arow[p]) *
-                 static_cast<std::int32_t>(bj[p * ldb + j]);
-        }
-        acc[j] = sum;
-      }
-      write_tile(i, j0, 1, nr, acc);
-    }
+    gemm_driver::for_each_conv_panel(
+        *conv, [&](std::size_t j0, std::size_t nr, const std::uint8_t* bp) {
+          std::int32_t acc[kNR];
+          for (std::size_t i = 0; i < m; ++i) {
+            const std::int8_t* HSCONAS_RESTRICT arow = a + i * lda;
+            for (std::size_t j = 0; j < nr; ++j) {
+              std::int32_t sum = 0;
+              for (std::size_t p = 0; p < k; ++p) {
+                sum += static_cast<std::int32_t>(arow[p]) *
+                       static_cast<std::int32_t>(bp[p * kNR + j]);
+              }
+              acc[j] = sum;
+            }
+            write_tile(i, j0, 1, nr, acc);
+          }
+        });
   }
 };
 
-void gemm_i8_dispatch(const I8Gemm& g) {
-  if (g.k > kGemmI8MaxK) {
-    throw InvalidArgument("gemm_i8: k exceeds the int32 accumulator bound");
-  }
-  gemm_driver::run(g, g.m, g.n);
-}
-
 }  // namespace
-
-void gemm_i8(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* a,
-             const std::uint8_t* b, std::int32_t* c) {
-  static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls");
-  count_entry(calls, m, n, k);
-  gemm_i8_dispatch({{m, n, k, n, 0}, a, k, b, c, nullptr, nullptr, nullptr});
-}
-
-void gemm_i8_requant(std::size_t m, std::size_t n, std::size_t k,
-                     const std::int8_t* a, const std::uint8_t* b, float* c,
-                     const QuantEpilogue& ep) {
-  static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_requant");
-  count_entry(calls, m, n, k);
-  gemm_i8_dispatch({{m, n, k, n, 0}, a, k, b, nullptr, c, &ep, nullptr});
-}
 
 void gemm_i8_requant(std::size_t m, const std::int8_t* a, std::size_t lda,
                      const ConvInput<std::uint8_t>& b, const ConvOutput& c,
                      const QuantEpilogue& ep) {
   static obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_conv");
-  const I8Gemm g{{m, b.n(), b.k(), b.ohw(), c.sample_stride}, a, lda, nullptr,
-                 nullptr, c.y, &ep, &b};
-  count_entry(calls, g.m, g.n, g.k);
-  gemm_i8_dispatch(g);
+  static obs::Counter& macs = obs::counter("hsconas.gemm_i8.macs");
+  const I8Gemm g{{m, b.n(), b.k(), b.ohw(), c.sample_stride}, a, lda, &b,
+                 c.y, &ep};
+  calls.add();
+  macs.add(static_cast<std::uint64_t>(g.m) * g.n * g.k);
+  if (g.k > kGemmI8MaxK) {
+    throw InvalidArgument("gemm_i8: k exceeds the int32 accumulator bound");
+  }
+  gemm_driver::run(g, g.m, g.n);
 }
 
 }  // namespace hsconas::tensor

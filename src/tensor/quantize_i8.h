@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "tensor/gemm.h"
-#include "tensor/tensor.h"
 
 namespace hsconas::tensor {
 
@@ -15,6 +14,13 @@ namespace hsconas::tensor {
 /// whose conv packer gathers u8 windows — never touches a float. Built with HSCONAS_NATIVE_KERNELS like the
 /// int8 GEMM, so both crossings run as vector code. See
 /// docs/QUANTIZATION.md.
+
+/// Affine quantization parameters of the u8 activation codes:
+/// real_value = scale * (code - zero_point).
+struct QuantParams {
+  float scale = 1.0f;
+  std::int32_t zero_point = 0;
+};
 
 /// Requantization epilogue for an int32 accumulator row i (the
 /// out-channel axis for a lowered conv):

@@ -6,22 +6,6 @@
 
 namespace hsconas::tensor {
 
-const char* dtype_name(DType dtype) {
-  switch (dtype) {
-    case DType::kF32:
-      return "f32";
-    case DType::kI8:
-      return "i8";
-    case DType::kU8:
-      return "u8";
-  }
-  return "?";
-}
-
-std::size_t dtype_bytes(DType dtype) {
-  return dtype == DType::kF32 ? sizeof(float) : 1;
-}
-
 long shape_numel(std::span<const long> shape) {
   long n = 1;
   for (long d : shape) {
@@ -64,30 +48,6 @@ Tensor Tensor::normal(ShapeVec shape, float mean, float stddev,
     v = static_cast<float>(rng.normal(mean, stddev));
   }
   return t;
-}
-
-Tensor Tensor::quantized(ShapeVec shape, DType dtype, QuantParams params) {
-  if (dtype == DType::kF32) {
-    throw InvalidArgument("Tensor::quantized: dtype must be 8-bit");
-  }
-  Tensor t;
-  t.shape_ = std::move(shape);
-  t.qdata_.assign(static_cast<std::size_t>(shape_numel(t.shape_)), 0);
-  t.dtype_ = dtype;
-  t.quant_ = params;
-  return t;
-}
-
-std::int8_t* Tensor::i8_data() {
-  HSCONAS_CHECK_MSG(dtype_ == DType::kI8, "Tensor::i8_data: dtype is not i8");
-  return qdata_.data();
-}
-
-std::uint8_t* Tensor::u8_data() {
-  HSCONAS_CHECK_MSG(dtype_ == DType::kU8, "Tensor::u8_data: dtype is not u8");
-  // Unsigned view of the int8 storage (char-family pun, not decoding).
-  // hsconas-lint-allow(serial-pointer-cast)
-  return reinterpret_cast<std::uint8_t*>(qdata_.data());
 }
 
 long Tensor::dim(std::size_t i) const {

@@ -463,7 +463,7 @@ Tensor depthwise_i8_reference(const Tensor& x, Conv2d& conv, long stride,
     for (long c = 0; c < ch; ++c) {
       tensor::quantize_u8(x.data() + (s * ch + c) * h * w, plane.size(),
                           q.input, plane.data());
-      const std::int8_t* wk = q.qweight.i8_data() + c * k * k;
+      const std::int8_t* wk = q.qweight.data() + c * k * k;
       const float qs = 1.0f * q.input.scale *
                        q.weight_scales[static_cast<std::size_t>(c)];
       const float et =

@@ -20,7 +20,7 @@ namespace {
 using tensor::Tensor;
 using testutil::grad_check;
 
-// Random input kept away from ReLU/maxpool kinks so finite differences
+// Random input kept away from ReLU kinks so finite differences
 // stay on one side of the non-smooth points.
 Tensor safe_input(std::vector<long> shape, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -249,26 +249,6 @@ TEST(GlobalAvgPool, GradCheck) {
   EXPECT_LT(result.max_input_rel_err, kTol);
 }
 
-TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {
-  MaxPool2d pool(2, 2, 0);
-  Tensor x({1, 1, 2, 2});
-  x.at(0, 0, 0, 0) = 1.0f;
-  x.at(0, 0, 0, 1) = 5.0f;
-  x.at(0, 0, 1, 0) = 2.0f;
-  x.at(0, 0, 1, 1) = 3.0f;
-  const Tensor y = pool.forward(x);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 5.0f);
-  const Tensor dx = pool.backward(Tensor::ones({1, 1, 1, 1}));
-  EXPECT_FLOAT_EQ(dx.at(0, 0, 0, 1), 1.0f);
-  EXPECT_FLOAT_EQ(dx.at(0, 0, 0, 0), 0.0f);
-}
-
-TEST(MaxPool2d, GradCheck) {
-  MaxPool2d pool(3, 2, 1);
-  const auto result = grad_check(pool, safe_input({2, 2, 6, 6}, 7), 29);
-  EXPECT_LT(result.max_input_rel_err, kTol);
-}
-
 // --------------------------------------------------------- Backward state --
 
 // Runs a train forward + backward (which must work), leaves a second train
@@ -301,9 +281,8 @@ TEST_P(BackwardState, ForwardOutsideTrainModeDropsIt) {
   ReLU relu;
   HSwish hswish;
   GlobalAvgPool gap;
-  MaxPool2d pool(2, 2, 0);
   for (Module* m : std::initializer_list<Module*>{
-           &conv, &depthwise, &bn, &relu, &hswish, &gap, &pool}) {
+           &conv, &depthwise, &bn, &relu, &hswish, &gap}) {
     expect_stale_state_dropped(*m, image, mode);
   }
   Linear lin(5, 3, rng);

@@ -122,11 +122,11 @@ TEST(Quantize, WeightCodesSaturateAt127) {
   QuantState qs;
   qs.freeze_from(w, 2, QuantParams{1.0f, 0},
                  std::vector<float>{0.01f, 0.01f});
-  EXPECT_EQ(127, qs.qweight.i8_data()[0]);
-  EXPECT_EQ(-127, qs.qweight.i8_data()[8]);
-  for (long i = 0; i < qs.qweight.numel(); ++i) {
-    EXPECT_GE(qs.qweight.i8_data()[i], -127);
-    EXPECT_LE(qs.qweight.i8_data()[i], 127);
+  EXPECT_EQ(127, qs.qweight[0]);
+  EXPECT_EQ(-127, qs.qweight[8]);
+  for (const std::int8_t code : qs.qweight) {
+    EXPECT_GE(code, -127);
+    EXPECT_LE(code, 127);
   }
 }
 
@@ -139,7 +139,7 @@ TEST(Quantize, FreezeRecordsRowSums) {
   ASSERT_EQ(3u, qs.weight_scales.size());
   for (long c = 0; c < 3; ++c) {
     std::int32_t sum = 0;
-    for (long t = 0; t < 16; ++t) sum += qs.qweight.i8_data()[c * 16 + t];
+    for (long t = 0; t < 16; ++t) sum += qs.qweight[c * 16 + t];
     EXPECT_EQ(sum, qs.weight_row_sums[static_cast<std::size_t>(c)]);
     // Symmetric per-channel scale: the largest-magnitude weight maps to
     // ±127 exactly.
@@ -421,7 +421,7 @@ Tensor int8_conv_reference(Conv2d& conv, const Tensor& x, const float* scale,
   const std::int32_t za = q.input.zero_point;
   Tensor y({n, conv.out_channels(), oh, ow});
   for (long c = 0; c < conv.out_channels(); ++c) {
-    const std::int8_t* wc = q.qweight.i8_data() + c * cin_g * k * k;
+    const std::int8_t* wc = q.qweight.data() + c * cin_g * k * k;
     std::int32_t wsum = 0;
     for (long t = 0; t < cin_g * k * k; ++t) wsum += wc[t];
     const float es = scale != nullptr ? scale[c] : 1.0f;
@@ -524,33 +524,38 @@ TEST(QuantizedConv, BitExactAgainstIntegerReference) {
 
 TEST(QuantizedLinear, BitExactAgainstIntegerReference) {
   util::Rng rng(80);
-  const long in = 37, out = 11;  // 37: a reduction with a partial quad
-  Linear lin(in, out, rng);
-  for (long o = 0; o < out; ++o) {
-    lin.bias().value.at(o) = static_cast<float>(rng.uniform(-0.5, 0.5));
-  }
-  lin.set_mode(Mode::kEval);
-  ASSERT_EQ(1u, calibrate(lin, {Tensor::uniform({4, in}, -1.0f, 1.5f, rng)}));
-  const QuantState& q = *lin.quant_state();
-  const std::int32_t za = q.input.zero_point;
-  for (const long batch : {1L, 3L, 8L}) {
-    const Tensor x = Tensor::uniform({batch, in}, -1.5f, 2.0f, rng);
-    Tensor want({batch, out});
+  const long out = 11;
+  // in = 37: a reduction with a partial quad; in = 300 takes the blocked
+  // GEMM path from batch 3 on. Batch 17 ends in a partial 16-column panel.
+  for (const long in : {37L, 300L}) {
+    Linear lin(in, out, rng);
     for (long o = 0; o < out; ++o) {
-      const std::int8_t* wo = q.qweight.i8_data() + o * in;
-      const float qs =
-          q.input.scale * q.weight_scales[static_cast<std::size_t>(o)];
-      for (long s = 0; s < batch; ++s) {
-        std::int32_t acc = 0;
-        for (long t = 0; t < in; ++t) {
-          acc += wo[t] * (code_reference(x.at(s, t), q.input) - za);
-        }
-        want.at(s, o) = tensor::epilogue_affine(qs, static_cast<float>(acc),
-                                                lin.bias().value.at(o));
-      }
+      lin.bias().value.at(o) = static_cast<float>(rng.uniform(-0.5, 0.5));
     }
-    EXPECT_EQ(-1, first_bit_difference(want, lin.forward(x)))
-        << "batch=" << batch;
+    lin.set_mode(Mode::kEval);
+    ASSERT_EQ(1u,
+              calibrate(lin, {Tensor::uniform({4, in}, -1.0f, 1.5f, rng)}));
+    const QuantState& q = *lin.quant_state();
+    const std::int32_t za = q.input.zero_point;
+    for (const long batch : {1L, 3L, 8L, 17L}) {
+      const Tensor x = Tensor::uniform({batch, in}, -1.5f, 2.0f, rng);
+      Tensor want({batch, out});
+      for (long o = 0; o < out; ++o) {
+        const std::int8_t* wo = q.qweight.data() + o * in;
+        const float qs =
+            q.input.scale * q.weight_scales[static_cast<std::size_t>(o)];
+        for (long s = 0; s < batch; ++s) {
+          std::int32_t acc = 0;
+          for (long t = 0; t < in; ++t) {
+            acc += wo[t] * (code_reference(x.at(s, t), q.input) - za);
+          }
+          want.at(s, o) = tensor::epilogue_affine(
+              qs, static_cast<float>(acc), lin.bias().value.at(o));
+        }
+      }
+      EXPECT_EQ(-1, first_bit_difference(want, lin.forward(x)))
+          << "in=" << in << " batch=" << batch;
+    }
   }
 }
 

