@@ -4,7 +4,9 @@
 // within scale-derived tolerance, exact fallback for uncalibrated
 // layers, calibration-table serialization round-trips (bit-identical
 // int8 outputs after import), batched == sequential bit-identity, and
-// thread-count determinism of the quantized forward.
+// thread-count determinism of the quantized forward; weight codes stored
+// in the weight's layout, and the int8 Linear as one call of the int8
+// GEMM's conv-view entry.
 
 #include "nn/quantize.h"
 
@@ -21,6 +23,7 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "obs/metrics.h"
 #include "tensor/quantize_i8.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -147,6 +150,33 @@ TEST(Quantize, FreezeRecordsRowSums) {
   }
 }
 
+TEST(Quantize, FreezeWritesCodesInTheWeightLayoutAndResetFreesThem) {
+  // qweight holds one code per weight element, at the element's own
+  // index: row c's codes are round(w / scale[c]) clamped to ±127.
+  util::Rng rng(34);
+  const Tensor w = Tensor::uniform({3, 10}, -1.0f, 1.0f, rng);
+  const std::vector<float> scales = {0.01f, 0.02f, 0.004f};
+  QuantState qs;
+  qs.freeze_from(w, 3, QuantParams{0.5f, 7}, scales);
+  ASSERT_EQ(30u, qs.qweight.size());
+  for (long c = 0; c < 3; ++c) {
+    for (long t = 0; t < 10; ++t) {
+      const float v = std::nearbyintf(
+          w.at(c, t) * (1.0f / scales[static_cast<std::size_t>(c)]));
+      EXPECT_EQ(static_cast<std::int32_t>(std::clamp(v, -127.0f, 127.0f)),
+                qs.qweight[static_cast<std::size_t>(c * 10 + t)])
+          << "row " << c << " column " << t;
+    }
+  }
+  EXPECT_EQ(0.5f, qs.input.scale);
+  EXPECT_EQ(7, qs.input.zero_point);
+  qs.reset();
+  EXPECT_FALSE(qs.ready);
+  EXPECT_TRUE(qs.qweight.empty());
+  EXPECT_TRUE(qs.weight_scales.empty());
+  EXPECT_TRUE(qs.weight_row_sums.empty());
+}
+
 struct ConvCase {
   long in_ch, out_ch, kernel, stride, pad, groups;
   bool bias;
@@ -265,6 +295,80 @@ TEST(QuantizedLinear, BatchedEqualsSequentialBitExactly) {
                              6 * sizeof(float)))
         << "sample " << s << " differs between batched and sequential";
   }
+}
+
+TEST(QuantizedLinear, UncalibratedLayerFallsBackToFp32Exactly) {
+  util::Rng rng(49);
+  Linear lin(24, 9, rng);
+  lin.set_mode(Mode::kEval);
+  const Tensor x = Tensor::uniform({3, 24}, -1.0f, 1.0f, rng);
+  const Tensor y32 = lin.forward(x);
+  auto same = [&](const Tensor& y) {
+    return std::memcmp(y32.data(), y.data(),
+                       static_cast<std::size_t>(y32.numel()) *
+                           sizeof(float)) == 0;
+  };
+  lin.quant_state()->observing = true;
+  EXPECT_TRUE(same(lin.forward(x)));
+  lin.quant_state()->observing = false;
+  ASSERT_EQ(1u, calibrate(lin, {x}));
+  EXPECT_FALSE(same(lin.forward(x)));
+  lin.quant_state()->reset();
+  EXPECT_TRUE(same(lin.forward(x)));
+}
+
+TEST(QuantizedLinear, BitIdenticalAcrossThreadCounts) {
+  // in = 300 at batch 17 takes the blocked GEMM path with a partial panel.
+  util::Rng rng(53);
+  Linear lin(300, 40, rng);
+  lin.set_mode(Mode::kEval);
+  calibrate(lin, {Tensor::uniform({4, 300}, -1.0f, 1.0f, rng)});
+  const Tensor x = Tensor::uniform({17, 300}, -1.0f, 1.0f, rng);
+  Tensor y1;
+  {
+    PoolGuard pool(1);
+    y1 = lin.forward(x);
+  }
+  for (const std::size_t threads : {2u, 8u}) {
+    PoolGuard pool(threads);
+    const Tensor yt = lin.forward(x);
+    ASSERT_EQ(0, std::memcmp(y1.data(), yt.data(),
+                             static_cast<std::size_t>(y1.numel()) *
+                                 sizeof(float)))
+        << "thread count " << threads << " changed the quantized result";
+  }
+}
+
+TEST(QuantizedLinear, RunsAsOneConvEntryCallWithTheLayersMacs) {
+  // The int8 Linear is one call of the conv-view GEMM entry per forward,
+  // counting batch · in · out multiply-accumulates; fp32 forwards count
+  // none.
+  util::Rng rng(54);
+  Linear lin(20, 6, rng);
+  lin.set_mode(Mode::kEval);
+  const Tensor x = Tensor::uniform({5, 20}, -1.0f, 1.0f, rng);
+  obs::Counter& calls = obs::counter("hsconas.gemm_i8.calls_conv");
+  obs::Counter& macs = obs::counter("hsconas.gemm_i8.macs");
+  const std::uint64_t calls0 = calls.value(), macs0 = macs.value();
+  lin.forward(x);
+  EXPECT_EQ(calls0, calls.value());
+  EXPECT_EQ(macs0, macs.value());
+  calibrate(lin, {x});
+  lin.forward(x);
+  lin.forward(x);
+  EXPECT_EQ(calls0 + 2, calls.value());
+  EXPECT_EQ(macs0 + 2u * 5u * 20u * 6u, macs.value());
+}
+
+TEST(QuantizedLinear, EmptyBatchGivesEmptyOutput) {
+  util::Rng rng(55);
+  Linear lin(12, 4, rng);
+  lin.set_mode(Mode::kEval);
+  calibrate(lin, {Tensor::uniform({2, 12}, -1.0f, 1.0f, rng)});
+  const Tensor y = lin.forward(Tensor({0, 12}));
+  ASSERT_EQ(2, y.ndim());
+  EXPECT_EQ(0, y.dim(0));
+  EXPECT_EQ(4, y.dim(1));
 }
 
 TEST(Calibration, RestoresModeAndDtypeSwitches) {

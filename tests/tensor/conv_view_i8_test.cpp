@@ -2,7 +2,8 @@
 // u8 codes, requantized straight into NCHW, equal bit for bit to a naive
 // int32 product over the explicit u8 column matrix (taps outside the
 // image hold the zero point) followed by requant_rows — on the same case
-// grid as the fp32 test, for every epilogue, on a 1- and a 3-worker pool.
+// grid as the fp32 test, for every epilogue, on a 1- and a 3-worker pool;
+// and a view over a channel window of a wider image.
 
 #include <gtest/gtest.h>
 
@@ -145,6 +146,63 @@ TEST(ConvViewI8, PaddedTapsReadTheZeroPoint) {
                   y[static_cast<std::size_t>((s * 4 + o) * 25 + pix)])
             << "channel " << o << " pixel " << pix;
       }
+    }
+  }
+}
+
+TEST(ConvViewI8, ReadsAChannelWindowOfAWiderImage) {
+  // A width-sliced layer reads channels [c0, c0 + cin) of a wider input:
+  // the view starts at channel c0 and keeps the full image's sample
+  // stride, and no tap reads a channel outside the window. 3×3 taps,
+  // stride 2, pad 1.
+  const std::size_t total = 7, c0 = 2, cin = 3, size = 6, m = 5, batch = 2;
+  const std::size_t hw = size * size, k = cin * 9;
+  const ConvGeom geom{static_cast<long>(cin), static_cast<long>(size),
+                      static_cast<long>(size), 3, 2, 1};
+  const auto ow = static_cast<std::size_t>(geom.out_w());
+  const auto ohw = static_cast<std::size_t>(geom.out_h()) * ow;
+  const std::uint8_t z = 90;
+  util::Rng rng(75);
+  std::vector<std::uint8_t> codes(batch * total * hw);
+  for (auto& v : codes) v = static_cast<std::uint8_t>(rng.randint(0, 255));
+  std::vector<std::int8_t> w(m * k);
+  for (auto& v : w) v = static_cast<std::int8_t>(rng.randint(-127, 127));
+  const Epilogue e = make_epilogue(3, static_cast<long>(m), rng);
+  std::vector<float> got(batch * m * ohw, -1.0f);
+  gemm_i8_requant(m, w.data(), k,
+                  ConvInput<std::uint8_t>{codes.data() + c0 * hw, total * hw,
+                                          geom, batch, z},
+                  ConvOutput{got.data(), m * ohw}, e.ep);
+  // The oracle: a naive int32 window sum per (sample, pixel) column.
+  const std::size_t n = batch * ohw;
+  std::vector<std::int32_t> acc(m * n, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t s = 0; s < batch; ++s) {
+      for (std::size_t pix = 0; pix < ohw; ++pix) {
+        std::int32_t sum = 0;
+        for (std::size_t t = 0; t < k; ++t) {
+          const std::size_t c = t / 9, ky = t / 3 % 3, kx = t % 3;
+          // Unsigned wrap puts the top/left padding past `size` too.
+          const std::size_t iy = pix / ow * 2 + ky - 1;
+          const std::size_t ix = pix % ow * 2 + kx - 1;
+          const std::int32_t code =
+              iy < size && ix < size
+                  ? codes[(s * total + c0 + c) * hw + iy * size + ix]
+                  : z;
+          sum += w[i * k + t] * code;
+        }
+        acc[i * n + s * ohw + pix] = sum;
+      }
+    }
+  }
+  std::vector<float> cmat(m * n);
+  requant_rows(e.ep, 0, m, n, acc.data(), n, cmat.data(), n);
+  for (std::size_t s = 0; s < batch; ++s) {
+    for (std::size_t i = 0; i < m; ++i) {
+      ASSERT_EQ(0, std::memcmp(cmat.data() + i * n + s * ohw,
+                               got.data() + (s * m + i) * ohw,
+                               ohw * sizeof(float)))
+          << "sample " << s << " channel " << i;
     }
   }
 }

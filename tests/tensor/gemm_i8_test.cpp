@@ -4,7 +4,9 @@
 // ragged tile edges) once both go through the same requant_rows epilogue,
 // requantize-epilogue parity with the scalar dequantization formula,
 // int32-accumulator safety at the +-127 x 255 saturation extremes, the
-// k-depth overflow guard, and bit-identical results at any thread count.
+// k-depth overflow guard, weight row strides past k, images read and
+// written through their own strided slices, an empty batch, and
+// bit-identical results at any thread count.
 // Integer accumulation is exact, so every comparison here is memcmp/EQ —
 // no tolerances.
 
@@ -220,6 +222,75 @@ TEST(GemmI8Requant, NullEpilogueFieldsDefaultToIdentity) {
   for (std::size_t i = 0; i < m * n; ++i) {
     ASSERT_EQ(static_cast<float>(acc[i]), got[i]);
   }
+}
+
+TEST(GemmI8, WeightRowStrideLargerThanDepthIgnoresTheGap) {
+  // A width-sliced layer reads the first k columns of wider weight rows:
+  // the lda - k codes past each row are never part of the product.
+  util::Rng rng(26);
+  const struct {
+    std::size_t m, n, k;
+  } shapes[] = {{5, 7, 9}, {13, 33, 9}, {40, 530, 70}};
+  for (const auto& s : shapes) {
+    const std::size_t lda = s.k + 5;
+    const auto a = random_weights(s.m * s.k, rng);
+    std::vector<std::int8_t> wide(s.m * lda, 127);  // the gap is poisoned
+    for (std::size_t i = 0; i < s.m; ++i) {
+      std::memcpy(wide.data() + i * lda, a.data() + i * s.k, s.k);
+    }
+    const auto b = random_activations(s.k * s.n, rng);
+    const Epilogue e(s.m, EpilogueAct::kHSwish, rng);
+    const ConvGeom geom{static_cast<long>(s.k), 1, static_cast<long>(s.n),
+                        1, 1, 0};
+    std::vector<float> got(s.m * s.n, -1.0f);
+    gemm_i8_requant(s.m, wide.data(), lda,
+                    ConvInput<std::uint8_t>{b.data(), s.k * s.n, geom, 1, 0},
+                    ConvOutput{got.data(), s.m * s.n}, e.ep);
+    expect_bitwise_equal(
+        reference_gemm(s.m, s.n, s.k, a.data(), b.data(), e.ep), got,
+        "lda > k");
+  }
+}
+
+TEST(GemmI8, ImagesReadAndWriteOnlyTheirOwnStridedSlices) {
+  // N images of k channels of 1×n, as nn::Linear batches them, with gaps
+  // between the images on both sides: each output image is its own
+  // product, and the output gaps keep their bytes.
+  util::Rng rng(27);
+  const std::size_t m = 7, n = 3, k = 20, images = 5;
+  const std::size_t in_stride = k * n + 3, out_stride = m * n + 4;
+  const auto a = random_weights(m * k, rng);
+  const auto codes = random_activations(images * in_stride, rng);
+  const Epilogue e(m, EpilogueAct::kReLU, rng);
+  const ConvGeom geom{static_cast<long>(k), 1, static_cast<long>(n), 1, 1, 0};
+  std::vector<float> got(images * out_stride, 1e30f);
+  gemm_i8_requant(m, a.data(), k,
+                  ConvInput<std::uint8_t>{codes.data(), in_stride, geom,
+                                          images, 0},
+                  ConvOutput{got.data(), out_stride}, e.ep);
+  for (std::size_t s = 0; s < images; ++s) {
+    const std::vector<float> want =
+        reference_gemm(m, n, k, a.data(), codes.data() + s * in_stride, e.ep);
+    const std::vector<float> image(got.begin() + s * out_stride,
+                                   got.begin() + s * out_stride + m * n);
+    expect_bitwise_equal(want, image, "strided image");
+    for (std::size_t i = m * n; i < out_stride; ++i) {
+      ASSERT_EQ(1e30f, got[s * out_stride + i])
+          << "image " << s << " wrote into the gap at " << i;
+    }
+  }
+}
+
+TEST(GemmI8, EmptyBatchWritesNothing) {
+  util::Rng rng(28);
+  const std::size_t m = 4, k = 6;
+  const auto a = random_weights(m * k, rng);
+  const ConvGeom geom{static_cast<long>(k), 1, 1, 1, 1, 0};
+  float sentinel = 7.0f;
+  gemm_i8_requant(m, a.data(), k,
+                  ConvInput<std::uint8_t>{nullptr, k, geom, 0, 0},
+                  ConvOutput{&sentinel, m}, QuantEpilogue{});
+  EXPECT_EQ(7.0f, sentinel);
 }
 
 // Big enough to take the parallel blocked path and cross the NC=512
