@@ -14,7 +14,8 @@ using tensor::Tensor;
 Tensor ReLU::forward(const Tensor& x) {
   obs::OpScope prof(
       [&] { return detail::elementwise_op_info("relu", "eltwise", x, 1.0); });
-  Tensor y(x.shape());
+  // Every element of y (and of the mask) is written below.
+  Tensor y = Tensor::for_overwrite(x.shape());
   const long count = x.numel();
   const float* in = x.data();
   float* out = y.data();
@@ -27,7 +28,7 @@ Tensor ReLU::forward(const Tensor& x) {
     }
     return y;
   }
-  mask_ = Tensor(x.shape());
+  mask_ = Tensor::for_overwrite(x.shape());
   note_backward_state(mask_);
   float* m = mask_.data();
   // relu(v) > 0 exactly when v > 0 (NaN and -0 map to +0), so the mask is
@@ -56,7 +57,7 @@ Tensor HSwish::forward(const Tensor& x) {
     return detail::elementwise_op_info("hswish", "eltwise", x, 4.0);
   });
   keep_for_backward(cached_input_, x);
-  Tensor y(x.shape());
+  Tensor y = Tensor::for_overwrite(x.shape());
   const float* in = x.data();
   float* out = y.data();
   const long count = x.numel();
@@ -73,7 +74,7 @@ Tensor HSwish::backward(const Tensor& dy) {
   HSCONAS_CHECK_MSG(!cached_input_.empty(),
                     "HSwish::backward before forward");
   dy.check_same_shape(cached_input_, "HSwish::backward");
-  Tensor dx(dy.shape());
+  Tensor dx = Tensor::for_overwrite(dy.shape());
   const float* in = cached_input_.data();
   const float* g = dy.data();
   float* out = dx.data();

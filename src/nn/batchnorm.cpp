@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "nn/op_profile.h"
+#include "tensor/batch_norm.h"
 
 namespace hsconas::nn {
 
@@ -26,39 +27,6 @@ void BatchNorm2d::reset_running_stats() {
   running_mean_.zero();
   running_var_.fill(1.0f);
 }
-
-namespace {
-
-// Batch mean and biased variance of channels [c0, c0 + L) of an NCHW
-// tensor. Each channel's double sums run in the serial per-channel (s, i)
-// order — so the bits equal a one-channel-at-a-time loop — while the L
-// channels' add chains are independent and overlap in the pipeline.
-template <long L>
-void batch_stats(const float* x, long n, long channels, long spatial, long c0,
-                 double* mean, double* var) {
-  const double count = static_cast<double>(n * spatial);
-  double sum[L] = {};
-  for (long s = 0; s < n; ++s) {
-    const float* base = x + (s * channels + c0) * spatial;
-    for (long i = 0; i < spatial; ++i) {
-      for (long l = 0; l < L; ++l) sum[l] += base[l * spatial + i];
-    }
-  }
-  for (long l = 0; l < L; ++l) mean[l] = sum[l] / count;
-  double sq[L] = {};
-  for (long s = 0; s < n; ++s) {
-    const float* base = x + (s * channels + c0) * spatial;
-    for (long i = 0; i < spatial; ++i) {
-      for (long l = 0; l < L; ++l) {
-        const double d = base[l * spatial + i] - mean[l];
-        sq[l] += d * d;
-      }
-    }
-  }
-  for (long l = 0; l < L; ++l) var[l] = sq[l] / count;
-}
-
-}  // namespace
 
 Tensor BatchNorm2d::forward(const Tensor& x) {
   // ~4 ops/element (subtract, scale, gamma, beta); stats passes push the
@@ -91,7 +59,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   auto block = [&]<long L>(long c0) {
     double mean[L], var[L];
     if (batch_statistics) {
-      batch_stats<L>(x.data(), n, channels, spatial, c0, mean, var);
+      tensor::batch_stats(x.data(), n, channels, spatial, c0, L, mean, var);
       // Only a train forward moves the running estimates: a score
       // forward writes no member.
       for (long l = 0; keep && l < L; ++l) {

@@ -9,7 +9,10 @@ namespace hsconas::nn {
 /// Train and score modes normalize with batch statistics; eval mode uses
 /// the running estimates. Only train mode updates those estimates (with
 /// exponential momentum) and keeps x̂ and 1/σ for backward(), which
-/// therefore always differentiates through the batch statistics.
+/// therefore always differentiates through the batch statistics. The
+/// statistics come from tensor::batch_stats, which a score-mode
+/// Sequential's conv→BN chains also use when they normalize in place
+/// (tensor::batch_norm_act_inplace) instead of calling forward().
 /// gamma/beta are trainable and excluded from weight decay.
 ///
 /// Interaction with dynamic channel scaling: BN is strictly per-channel. A

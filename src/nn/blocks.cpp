@@ -2,6 +2,7 @@
 
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
+#include "nn/shuffle.h"
 
 namespace hsconas::nn {
 
@@ -95,7 +96,6 @@ ShuffleChoiceBlock::ShuffleChoiceBlock(BlockKind kind, long in_channels,
   const long branch_out = out_channels / 2;
   mid_channels_ = branch_out;  // Sˡ of the paper's dynamic channel scaling
   const long branch_in = (stride == 1) ? in_channels / 2 : in_channels;
-  split_left_ = (stride == 1) ? in_channels / 2 : branch_out;
 
   BranchBuilder b{&main_.add_stage(display_name_ + ".main"), rng,
                   display_name_};
@@ -131,30 +131,26 @@ ShuffleChoiceBlock::ShuffleChoiceBlock(BlockKind kind, long in_channels,
     p.dw(in_channels, 3, 2);
     p.pw(in_channels, branch_out, /*relu=*/true);
   }
-
-  shuffle_ = std::make_unique<ChannelShuffle>(2);
 }
 
 Tensor ShuffleChoiceBlock::forward_at(const Tensor& x, long active) {
   if (pure_identity_) return x;
   if (kind_ == BlockKind::kSkip) return main_.forward(x, active);
+  // concat + channel shuffle as one interleave. At stride 1 the left half
+  // is x's leading half, read in place.
   if (stride_ == 1) {
-    Tensor left, right;
-    split_channels(x, split_left_, left, right);
-    return shuffle_->forward(
-        concat_channels(left, main_.forward(right, active)));
+    const long half = in_channels_ / 2;
+    return interleave_channels(
+        x, main_.forward(slice_channels(x, half, half), active));
   }
-  Tensor proj_out = proj_->forward(x);
-  return shuffle_->forward(
-      concat_channels(proj_out, main_.forward(x, active)));
+  return interleave_channels(proj_->forward(x), main_.forward(x, active));
 }
 
 Tensor ShuffleChoiceBlock::backward(const Tensor& dy) {
   if (pure_identity_) return dy;
   if (kind_ == BlockKind::kSkip) return main_.backward(dy);
-  Tensor d = shuffle_->backward(dy);
   Tensor d_left, d_main;
-  split_channels(d, split_left_, d_left, d_main);
+  deinterleave_channels(dy, d_left, d_main);
   if (stride_ == 1) {
     return concat_channels(d_left, main_.backward(d_main));
   }
@@ -172,7 +168,6 @@ void ShuffleChoiceBlock::visit(const std::function<void(Module&)>& fn) {
   fn(*this);
   main_.visit(fn);
   if (proj_) proj_->visit(fn);
-  if (shuffle_) shuffle_->visit(fn);
 }
 
 }  // namespace hsconas::nn

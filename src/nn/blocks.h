@@ -7,7 +7,6 @@
 #include "nn/conv2d.h"
 #include "nn/mask.h"
 #include "nn/module.h"
-#include "nn/shuffle.h"
 
 namespace hsconas::nn {
 
@@ -36,8 +35,9 @@ long block_kernel(BlockKind kind);
 ///
 /// stride 1 (in == out, even): channel-split into halves; identity on the
 /// left half, the chosen operator's branch on the right; concat + channel
-/// shuffle. stride 2: two parallel branches (projection + main) on the full
-/// input, concat halves the spatial size and sets the new width.
+/// shuffle, run as one interleave (interleave_channels). stride 2: two
+/// parallel branches (projection + main) on the full input, concat halves
+/// the spatial size and sets the new width.
 ///
 /// kSkip is Identity at stride 1; at stride 2 (where a pure identity cannot
 /// change geometry) it lowers to the minimal projection branch, keeping
@@ -77,10 +77,8 @@ class ShuffleChoiceBlock : public ChoiceBlock {
 
   SlicedBranch main_;                   // operator branch
   std::unique_ptr<Sequential> proj_;    // stride-2 projection branch
-  std::unique_ptr<ChannelShuffle> shuffle_;
 
   bool pure_identity_ = false;  // skip @ stride 1
-  long split_left_ = 0;         // stride-1 split point
 };
 
 }  // namespace hsconas::nn

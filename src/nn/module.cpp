@@ -6,13 +6,29 @@
 #include "nn/activation.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
+#include "nn/op_profile.h"
 #include "obs/metrics.h"
+#include "tensor/batch_norm.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
 
 namespace hsconas::nn {
 
 namespace {
+
+/// The channels a Conv2d → BatchNorm2d chain runs at: the conv's output
+/// width on `x`, of which the BN normalizes as many of its leading
+/// channels. Throws when the conv produces more channels than the BN has.
+long chain_width(Conv2d& conv, BatchNorm2d& bn, const tensor::Tensor& x,
+                 long out_channels) {
+  const long c = conv.widths(x, out_channels).cout;
+  if (c > bn.channels()) {
+    throw InvalidArgument("conv->bn chain: conv output channels " +
+                          std::to_string(c) + " > bn channels " +
+                          std::to_string(bn.channels()));
+  }
+  return c;
+}
 
 /// y = act(bn(conv(x))) in one pass, with eval-mode (running-statistic)
 /// BN, the conv producing `out_channels` channels (0: all) and the BN
@@ -28,12 +44,7 @@ tensor::Tensor fused_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,
                                  tensor::EpilogueAct act,
                                  const tensor::Tensor& x, long out_channels) {
   static obs::Counter& calls = obs::counter("hsconas.nn.fused_conv_calls");
-  const long c = conv.widths(x, out_channels).cout;
-  if (c > bn.channels()) {
-    throw InvalidArgument("fused_conv_bn_act: conv output channels " +
-                          std::to_string(c) + " > bn channels " +
-                          std::to_string(bn.channels()));
-  }
+  const long c = chain_width(conv, bn, x, out_channels);
   calls.add();
 
   tensor::Scratch fold =
@@ -57,6 +68,29 @@ tensor::Tensor fused_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,
     shift[i] = beta[i] + s * (b0 - mean[i]);
   }
   return conv.forward_fused(x, scale, shift, act, out_channels);
+}
+
+/// y = act(bn(conv(x))) with batch-statistics BN, as in score mode: the
+/// conv runs its own forward (bias included), then the BN and the
+/// activation run as one in-place pass over its output, bit-identical to
+/// the composed modules — no BN or activation tensor and no activation
+/// pass. Like any score forward it writes no member (the running
+/// statistics stay as they are). The pass is profiled under BN's `bn`
+/// key, so the activation's time lands in that row.
+tensor::Tensor score_conv_bn_act(Conv2d& conv, BatchNorm2d& bn,
+                                 tensor::EpilogueAct act,
+                                 const tensor::Tensor& x, long out_channels) {
+  static obs::Counter& calls = obs::counter("hsconas.nn.score_conv_bn_calls");
+  (void)chain_width(conv, bn, x, out_channels);
+  calls.add();
+  tensor::Tensor y = conv.forward(x, out_channels);
+  obs::OpScope prof([&] {
+    return detail::elementwise_op_info("bn", "eltwise", y, 4.0, 12.0);
+  });
+  tensor::batch_norm_act_inplace(y.data(), y.dim(0), y.dim(1),
+                                 y.dim(2) * y.dim(3), bn.gamma().value.data(),
+                                 bn.beta().value.data(), bn.eps(), act);
+  return y;
 }
 
 }  // namespace
@@ -101,13 +135,14 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& x,
   if (children_.empty()) return x;
   // The first child reads x itself; h holds each later stage's input.
   tensor::Tensor h;
-  const bool fuse = mode() == Mode::kEvalFused;
+  // Conv2d → BatchNorm2d [→ ReLU | HSwish] peephole: in kEvalFused the
+  // running statistics fold into the conv's epilogue; in kScore the batch
+  // statistics normalize the conv's output in place. kTrain and kEval run
+  // the composed modules.
+  const bool peephole = mode() == Mode::kEvalFused || mode() == Mode::kScore;
   for (std::size_t i = 0; i < children_.size(); ++i) {
     const tensor::Tensor& in = i == 0 ? x : h;
-    // Fused-eval peephole: a Conv2d → BatchNorm2d [→ ReLU | HSwish] run
-    // collapses into one fused epilogue pass. Only in an eval flavour:
-    // the fused path folds the running statistics, not batch statistics.
-    if (fuse && i + 1 < children_.size()) {
+    if (peephole && i + 1 < children_.size()) {
       auto* conv = dynamic_cast<Conv2d*>(children_[i].get());
       auto* bn = conv != nullptr
                      ? dynamic_cast<BatchNorm2d*>(children_[i + 1].get())
@@ -125,7 +160,9 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& x,
             consumed = 3;
           }
         }
-        h = fused_conv_bn_act(*conv, *bn, act, in, out_channels);
+        h = mode() == Mode::kScore
+                ? score_conv_bn_act(*conv, *bn, act, in, out_channels)
+                : fused_conv_bn_act(*conv, *bn, act, in, out_channels);
         i += consumed - 1;
         continue;
       }

@@ -44,13 +44,18 @@ struct Parameter {
 ///           scoring search candidates on shared weights needs
 ///           (Supernet::evaluate): like eval forwards, any number of
 ///           threads may run score forwards through one module at once.
+///           Sequential's conv→BN→act peephole runs here too: each such
+///           chain's BN and activation normalize the conv's output in
+///           place with its batch statistics (nn/module.cpp), bit for bit
+///           what the composed modules compute.
 ///   kEval:  running-statistics BatchNorm, forward-only like
 ///           kScore. Conv2d/Linear layers whose QuantState is ready
 ///           compute in int8, every other layer in fp32. Serving and int8
 ///           calibration run here.
-///   kEvalFused: kEval, plus Sequential's conv→BN→act peephole runs each
-///           such chain as one fused epilogue pass (the BN fold is in
-///           nn/module.cpp; Conv2d::forward_fused applies it).
+///   kEvalFused: kEval, plus the same peephole with the running
+///           statistics: each chain runs as one fused epilogue pass (the
+///           BN fold is in nn/module.cpp; Conv2d::forward_fused applies
+///           it).
 enum class Mode { kTrain, kScore, kEval, kEvalFused };
 
 /// True for both eval flavours: what every layer but Sequential keys on.

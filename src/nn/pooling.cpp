@@ -35,10 +35,11 @@ obs::OpInfo gap_op_info(const char* op, std::span<const long> shape) {
 
 }  // namespace
 
-// Pooling parallelizes over (sample, channel) planes: every plane reads
-// and writes disjoint memory and the within-plane loops are serial, so
-// outputs are identical at any thread count. Each loop passes its per-plane
-// work, so a small tensor runs inline (util::kParallelWorkFloor).
+// Pooling parallelizes over samples (forward) or (sample, channel) planes
+// (backward): every task reads and writes disjoint memory and the
+// within-plane loops are serial, so outputs are identical at any thread
+// count. Each loop passes its per-task work, so a small tensor runs inline
+// (util::kParallelWorkFloor).
 
 Tensor GlobalAvgPool::forward(const Tensor& x) {
   obs::OpScope prof([&] { return gap_op_info("gap", x.shape()); });
@@ -48,16 +49,21 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
   }
   if (keeps_backward_state()) cached_shape_ = x.shape();
   const long n = x.dim(0), c = x.dim(1), spatial = x.dim(2) * x.dim(3);
-  Tensor y({n, c});
+  const double count = static_cast<double>(spatial);
+  // Every element is written below: one row (sample, channel) at a time,
+  // each summed in order in a double.
+  Tensor y = Tensor::for_overwrite({n, c});
   util::ThreadPool::global().parallel_for(
-      static_cast<std::size_t>(n * c), static_cast<std::size_t>(spatial),
-      [&](std::size_t t) {
-        const long s = static_cast<long>(t) / c;
-        const long ch = static_cast<long>(t) % c;
-        const float* chan = x.data() + ((s * c + ch) * spatial);
-        double acc = 0.0;
-        for (long i = 0; i < spatial; ++i) acc += chan[i];
-        y.at(s, ch) = static_cast<float>(acc / static_cast<double>(spatial));
+      static_cast<std::size_t>(n), static_cast<std::size_t>(c * spatial),
+      [&](std::size_t s) {
+        const long rows = static_cast<long>(s) * c;
+        const float* in = x.data() + rows * spatial;
+        float* out = y.data() + rows;
+        for (long ch = 0; ch < c; ++ch, in += spatial) {
+          double acc = 0.0;
+          for (long i = 0; i < spatial; ++i) acc += in[i];
+          out[ch] = static_cast<float>(acc / count);
+        }
       });
   return y;
 }
@@ -70,7 +76,7 @@ Tensor GlobalAvgPool::backward(const Tensor& dy) {
   const long spatial = cached_shape_[2] * cached_shape_[3];
   HSCONAS_CHECK_MSG(dy.ndim() == 2 && dy.dim(0) == n && dy.dim(1) == c,
                     "GlobalAvgPool::backward: dy shape mismatch");
-  Tensor dx(cached_shape_);
+  Tensor dx = Tensor::for_overwrite(cached_shape_);
   const float scale = 1.0f / static_cast<float>(spatial);
   util::ThreadPool::global().parallel_for(
       static_cast<std::size_t>(n * c), static_cast<std::size_t>(spatial),

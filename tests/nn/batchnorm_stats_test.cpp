@@ -1,9 +1,12 @@
-// Bit-exactness of BatchNorm2d's batch statistics. The forward sums four
-// channels side by side, then a one-channel tail; the contract is that
+// Bit-exactness of the batch statistics (tensor::batch_stats), which sum
+// blocks of 8, 4, 2 and 1 channels side by side; the contract is that
 // every channel's double sums still run in the serial (sample, pixel)
-// order, so outputs (train and score mode) and running statistics (train
-// mode; score mode leaves them at their initial values) equal, bit for
-// bit, the one-channel-at-a-time reference below. The first batch is plain normal
+// order, so BatchNorm2d's outputs (train and score mode), its running
+// statistics (train mode; score mode leaves them at their initial values),
+// the x̂ and 1/σ its train forward keeps (read back through backward()),
+// and the in-place score-mode kernel (tensor::batch_norm_act_inplace, with
+// each activation) equal, bit for bit, the one-channel-at-a-time
+// reference below. The first batch is plain normal
 // data, which pins the normalization arithmetic; the second carries a
 // ±2^40 pair per channel, which makes the mean's double sum
 // order-sensitive, so a reordered sum changes the bits. A tail that
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "nn/batchnorm.h"
+#include "tensor/batch_norm.h"
 #include "util/rng.h"
 
 namespace hsconas::nn {
@@ -27,8 +31,8 @@ namespace {
 using tensor::Tensor;
 
 struct Reference {
-  Tensor y;
-  std::vector<float> running_mean, running_var;
+  Tensor y, xhat;
+  std::vector<float> running_mean, running_var, inv_std;
 };
 
 /// The serial per-channel BN forward with batch statistics: mean and
@@ -40,7 +44,8 @@ Reference serial_reference(const Tensor& x, const std::vector<float>& gamma,
                            double eps) {
   const long n = x.dim(0), ch = x.dim(1), spatial = x.dim(2) * x.dim(3);
   const double count = static_cast<double>(n * spatial);
-  Tensor y(x.shape());
+  Tensor y(x.shape()), xhat(x.shape());
+  std::vector<float> inv_stds;
   for (long c = 0; c < ch; ++c) {
     double mean = 0.0, var = 0.0;
     for (long s = 0; s < n; ++s) {
@@ -62,17 +67,58 @@ Reference serial_reference(const Tensor& x, const std::vector<float>& gamma,
     running_var[cu] = static_cast<float>((1.0 - momentum) * running_var[cu] +
                                          momentum * var);
     const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps));
+    inv_stds.push_back(inv_std);
     const float fm = static_cast<float>(mean);
     for (long s = 0; s < n; ++s) {
-      const float* chan = x.data() + (s * ch + c) * spatial;
-      float* out = y.data() + (s * ch + c) * spatial;
+      const long off = (s * ch + c) * spatial;
       for (long i = 0; i < spatial; ++i) {
-        const float xh = (chan[i] - fm) * inv_std;
-        out[i] = gamma[cu] * xh + beta[cu];
+        const float xh = (x.data()[off + i] - fm) * inv_std;
+        xhat.data()[off + i] = xh;
+        y.data()[off + i] = gamma[cu] * xh + beta[cu];
       }
     }
   }
-  return {std::move(y), std::move(running_mean), std::move(running_var)};
+  return {std::move(y), std::move(xhat), std::move(running_mean),
+          std::move(running_var), std::move(inv_stds)};
+}
+
+struct Grads {
+  Tensor dx;
+  std::vector<float> dgamma, dbeta;
+};
+
+/// BatchNorm2d's backward, written out over the reference's x̂ and 1/σ.
+Grads reference_backward(const Reference& ref, const Tensor& dy,
+                         const std::vector<float>& gamma) {
+  const long n = dy.dim(0), ch = dy.dim(1), spatial = dy.dim(2) * dy.dim(3);
+  const double count = static_cast<double>(n * spatial);
+  Grads g{Tensor(dy.shape()), {}, {}};
+  for (long c = 0; c < ch; ++c) {
+    double sum_dy = 0.0, sum_dy_xhat = 0.0;
+    for (long s = 0; s < n; ++s) {
+      const long off = (s * ch + c) * spatial;
+      for (long i = 0; i < spatial; ++i) {
+        sum_dy += dy.data()[off + i];
+        sum_dy_xhat +=
+            static_cast<double>(dy.data()[off + i]) * ref.xhat.data()[off + i];
+      }
+    }
+    g.dgamma.push_back(static_cast<float>(sum_dy_xhat));
+    g.dbeta.push_back(static_cast<float>(sum_dy));
+    const auto cu = static_cast<std::size_t>(c);
+    const float mean_dy = static_cast<float>(sum_dy / count);
+    const float mean_dy_xhat = static_cast<float>(sum_dy_xhat / count);
+    for (long s = 0; s < n; ++s) {
+      const long off = (s * ch + c) * spatial;
+      for (long i = 0; i < spatial; ++i) {
+        g.dx.data()[off + i] =
+            gamma[cu] * ref.inv_std[cu] *
+            (dy.data()[off + i] - mean_dy - ref.xhat.data()[off + i] *
+                                                 mean_dy_xhat);
+      }
+    }
+  }
+  return g;
 }
 
 /// N(0, 1) values plus, per channel, +2^40 in the first sample and -2^40
@@ -140,11 +186,38 @@ TEST_P(InterleavedStats, MatchSerialPerChannelReference) {
       EXPECT_TRUE(same_bits(bn->running_var().data(), want_var, chans))
           << mode << " running var, channels " << ch << ", batch " << batch;
     }
+    // The train forward's x̂ and 1/σ, read back through its backward.
+    const Tensor dy = Tensor::normal(x.shape(), 0.0f, 1.0f, data_rng);
+    const Grads want = reference_backward(ref, dy, gamma);
+    train.gamma().zero_grad();
+    train.beta().zero_grad();
+    const Tensor dx = train.backward(dy);
+    EXPECT_TRUE(same_bits(dx.data(), want.dx.data(), count))
+        << "dx, channels " << ch << ", batch " << batch;
+    EXPECT_TRUE(same_bits(train.gamma().grad.data(), want.dgamma.data(), chans))
+        << "dgamma, channels " << ch << ", batch " << batch;
+    EXPECT_TRUE(same_bits(train.beta().grad.data(), want.dbeta.data(), chans))
+        << "dbeta, channels " << ch << ", batch " << batch;
+
+    // The in-place kernel, with each activation.
+    for (const tensor::EpilogueAct act :
+         {tensor::EpilogueAct::kNone, tensor::EpilogueAct::kReLU,
+          tensor::EpilogueAct::kHSwish}) {
+      Tensor inplace = x;
+      tensor::batch_norm_act_inplace(inplace.data(), n, ch, h * w,
+                                     gamma.data(), beta.data(), eps, act);
+      Tensor want_act = ref.y;
+      for (float& v : want_act.flat()) v = tensor::epilogue_apply(act, v);
+      EXPECT_TRUE(same_bits(inplace.data(), want_act.data(), count))
+          << "in place, act " << static_cast<int>(act) << ", channels "
+          << ch << ", batch " << batch;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(ChannelCounts, InterleavedStats,
-                         ::testing::Values(1L, 3L, 4L, 5L, 16L, 17L));
+                         ::testing::Values(1L, 3L, 4L, 5L, 15L, 16L, 17L,
+                                           23L));
 
 TEST(InterleavedStats, InputsAreOrderSensitive) {
   // Guard for the fixture itself: summing the first channel in a

@@ -1,11 +1,14 @@
-// Fused conv→BN→activation epilogue parity suite. A kEvalFused
-// Sequential — the one fusion entry point — folds eval-mode BN (and the
-// conv bias) into a per-channel affine applied inside the GEMM writeback;
-// these tests pin it against the composed module pipeline across strides,
-// padding, groups, depthwise and both activations — including the case
-// where the fold is arithmetically exact (gamma == 1, running_mean == 0,
-// no conv bias: tolerance 0) — plus which modes fuse and thread-count
-// determinism.
+// Sequential's conv→BN→activation peephole. A kEvalFused Sequential
+// folds eval-mode BN (and the conv bias) into a per-channel affine applied
+// inside the GEMM writeback; these tests pin it against the composed
+// module pipeline across strides, padding, groups, depthwise and both
+// activations — including the case where the fold is arithmetically exact
+// (gamma == 1, running_mean == 0, no conv bias: tolerance 0) — plus which
+// modes fuse and thread-count determinism. A kScore Sequential normalizes
+// each chain's conv output in place with batch statistics; those tests
+// pin it bit for bit against the chain's modules' own kScore forwards,
+// called one at a time. The last suite pins the shuffle block's
+// interleave against concat + channel shuffle written out.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/module.h"
+#include "nn/shuffle.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -222,12 +226,202 @@ TEST(FusedConv, ChannelMismatchThrows) {
   util::Rng rng(600);
   Sequential seq;
   // A BN may normalize the leading channels of a width-sliced conv
-  // output, but not more channels than it has.
+  // output, but not more channels than it has — with either source of
+  // statistics.
   seq.add(std::make_unique<Conv2d>(4, 8, 3, 1, 1, 1, false, rng));
   seq.add(std::make_unique<BatchNorm2d>(6));  // too narrow
   add_act(seq, EpilogueAct::kReLU);
   const Tensor x = Tensor::uniform({1, 4, 5, 5}, -1, 1, rng);
   EXPECT_THROW(fused_forward(seq, x), hsconas::InvalidArgument);
+  seq.set_mode(Mode::kScore);
+  EXPECT_THROW(seq.forward(x), hsconas::InvalidArgument);
+}
+
+// ------------------------------------------------- score-mode peephole --
+
+/// Sizes the global pool for a scope.
+class PoolSize {
+ public:
+  explicit PoolSize(std::size_t threads)
+      : prev_(util::ThreadPool::global().size()) {
+    util::ThreadPool::configure_global(threads);
+  }
+  ~PoolSize() { util::ThreadPool::configure_global(prev_); }
+  PoolSize(const PoolSize&) = delete;
+  PoolSize& operator=(const PoolSize&) = delete;
+
+ private:
+  std::size_t prev_;
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+/// A conv → BN [→ act] chain. `x_ch` is the input's width (below in_ch:
+/// a width-sliced input), `active` the Sequential's out_channels (0: all).
+struct ScoreCase {
+  const char* what;
+  long in_ch, out_ch, kernel, stride, groups, bn_ch, x_ch, active;
+  bool bias;
+  EpilogueAct act;
+};
+
+// 1×1 and 3×3 dense, grouped and depthwise convs; every activation;
+// conv outputs narrower than the BN; channel counts that are not
+// multiples of 8 (so every statistics block width runs).
+const ScoreCase kScoreCases[] = {
+    {"1x1 dense", 13, 21, 1, 1, 1, 21, 13, 0, false, EpilogueAct::kReLU},
+    {"3x3 dense strided", 5, 15, 3, 2, 1, 15, 5, 0, true,
+     EpilogueAct::kHSwish},
+    {"3x3 grouped", 12, 20, 3, 1, 4, 20, 12, 0, false, EpilogueAct::kNone},
+    {"3x3 depthwise", 13, 13, 3, 1, 13, 13, 13, 0, false,
+     EpilogueAct::kReLU},
+    {"5x5 depthwise strided", 11, 11, 5, 2, 11, 11, 11, 0, false,
+     EpilogueAct::kNone},
+    {"1x1 width-sliced output", 9, 24, 1, 1, 1, 24, 9, 13, false,
+     EpilogueAct::kReLU},
+    {"conv narrower than bn", 9, 12, 3, 1, 1, 16, 9, 0, false,
+     EpilogueAct::kHSwish},
+    {"depthwise on a sliced input", 16, 16, 3, 1, 16, 16, 10, 0, false,
+     EpilogueAct::kReLU},
+};
+
+/// The chain of `c` in a Sequential, with random conv bias, BN affine
+/// terms and running statistics.
+std::unique_ptr<Sequential> make_chain(const ScoreCase& c, util::Rng& rng) {
+  auto seq = std::make_unique<Sequential>();
+  Conv2d& conv = *seq->add(std::make_unique<Conv2d>(
+      c.in_ch, c.out_ch, c.kernel, c.stride, c.kernel / 2, c.groups, c.bias,
+      rng));
+  if (c.bias) {
+    for (long i = 0; i < c.out_ch; ++i) {
+      conv.bias()->value.at(i) = static_cast<float>(rng.uniform(-0.3, 0.3));
+    }
+  }
+  BatchNorm2d& bn = *seq->add(std::make_unique<BatchNorm2d>(c.bn_ch));
+  for (long i = 0; i < c.bn_ch; ++i) {
+    bn.gamma().value.at(i) = static_cast<float>(rng.uniform(0.5, 1.5));
+    bn.beta().value.at(i) = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+  add_act(*seq, c.act);
+  // Non-trivial running statistics, which a score forward must not read
+  // or write.
+  (void)seq->forward(Tensor::uniform({2, c.x_ch, 5, 5}, -1, 1, rng),
+                     c.active);
+  seq->set_mode(Mode::kScore);
+  return seq;
+}
+
+TEST(ScoreConvBn, MatchesEachModulesScoreForwardBitForBit) {
+  std::uint64_t seed = 700;
+  for (const ScoreCase& c : kScoreCases) {
+    util::Rng rng(++seed);
+    const std::unique_ptr<Sequential> chain = make_chain(c, rng);
+    Sequential& seq = *chain;
+    auto& conv = static_cast<Conv2d&>(seq.child(0));
+    auto& bn = static_cast<BatchNorm2d&>(seq.child(1));
+    const Tensor mean = bn.running_mean(), var = bn.running_var();
+    for (const long batch : {1L, 36L}) {
+      const Tensor x = Tensor::uniform({batch, c.x_ch, 7, 7}, -2, 2, rng);
+      // The oracle: the chain's modules, each running its own kScore
+      // forward.
+      Tensor want = bn.forward(conv.forward(x, c.active));
+      if (seq.size() == 3) want = seq.child(2).forward(want);
+      for (const std::size_t pool : {1u, 2u, 4u}) {
+        PoolSize guard(pool);
+        const Tensor got = seq.forward(x, c.active);
+        EXPECT_TRUE(same_bits(got, want))
+            << c.what << ", batch " << batch << ", pool " << pool;
+      }
+    }
+    // A score forward writes no running statistic.
+    EXPECT_TRUE(same_bits(bn.running_mean(), mean)) << c.what;
+    EXPECT_TRUE(same_bits(bn.running_var(), var)) << c.what;
+  }
+}
+
+TEST(ScoreConvBn, PeepholeRunsInScoreModeOnly) {
+  util::Rng rng(800);
+  Sequential seq;
+  // Two chains: conv → BN → ReLU, then conv → BN.
+  seq.add(std::make_unique<Conv2d>(6, 10, 3, 1, 1, 1, false, rng));
+  seq.add(std::make_unique<BatchNorm2d>(10));
+  seq.add(std::make_unique<ReLU>());
+  seq.add(std::make_unique<Conv2d>(10, 10, 3, 1, 1, 10, false, rng));
+  seq.add(std::make_unique<BatchNorm2d>(10));
+  const Tensor x = Tensor::uniform({3, 6, 6, 6}, -1, 1, rng);
+
+  obs::Counter& score_calls = obs::counter("hsconas.nn.score_conv_bn_calls");
+  obs::Counter& fused_calls = obs::counter("hsconas.nn.fused_conv_calls");
+  for (const Mode mode :
+       {Mode::kTrain, Mode::kScore, Mode::kEval, Mode::kEvalFused}) {
+    seq.set_mode(mode);
+    const std::uint64_t score0 = score_calls.value();
+    const std::uint64_t fused0 = fused_calls.value();
+    (void)seq.forward(x);
+    EXPECT_EQ(score_calls.value() - score0, mode == Mode::kScore ? 2u : 0u)
+        << static_cast<int>(mode);
+    EXPECT_EQ(fused_calls.value() - fused0, mode == Mode::kEvalFused ? 2u : 0u)
+        << static_cast<int>(mode);
+  }
+}
+
+// --------------------------------------------------------- interleave --
+
+/// 2-group channel shuffle, written out: channel (g, i) moves to i·2 + g;
+/// the inverse moves it back.
+Tensor reference_shuffle(const Tensor& x, bool inverse) {
+  const long n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const long per = c / 2;
+  Tensor y(x.shape());
+  for (long s = 0; s < n; ++s) {
+    for (long src = 0; src < c; ++src) {
+      const long dst = inverse ? (src % 2) * per + src / 2
+                               : (src % per) * 2 + src / per;
+      for (long i = 0; i < h; ++i) {
+        for (long j = 0; j < w; ++j) y.at(s, dst, i, j) = x.at(s, src, i, j);
+      }
+    }
+  }
+  return y;
+}
+
+TEST(ChannelInterleave, EqualsShuffleOfConcatAtBothStrides) {
+  util::Rng rng(900);
+  const long n = 3, half = 5, h = 3, w = 4;
+  const Tensor b = Tensor::uniform({n, half, h, w}, -1, 1, rng);
+  // Stride 1 passes the block's whole input, whose leading half is the
+  // left branch; stride 2 passes the projection branch's output.
+  const Tensor x = Tensor::uniform({n, 2 * half, h, w}, -1, 1, rng);
+  const Tensor proj = Tensor::uniform({n, half, h, w}, -1, 1, rng);
+  EXPECT_TRUE(same_bits(
+      interleave_channels(x, b),
+      reference_shuffle(concat_channels(slice_channels(x, 0, half), b),
+                        /*inverse=*/false)))
+      << "stride 1";
+  EXPECT_TRUE(same_bits(
+      interleave_channels(proj, b),
+      reference_shuffle(concat_channels(proj, b), /*inverse=*/false)))
+      << "stride 2";
+}
+
+TEST(ChannelInterleave, DeinterleaveEqualsSplitOfInverseShuffle) {
+  util::Rng rng(901);
+  // The backward of both strides splits dy into two equal halves.
+  for (const long half : {1L, 5L, 8L}) {
+    const Tensor dy = Tensor::uniform({2, 2 * half, 3, 3}, -1, 1, rng);
+    Tensor left, right;
+    deinterleave_channels(dy, left, right);
+    const Tensor unshuffled = reference_shuffle(dy, /*inverse=*/true);
+    EXPECT_TRUE(same_bits(left, slice_channels(unshuffled, 0, half)))
+        << "half " << half;
+    EXPECT_TRUE(same_bits(right, slice_channels(unshuffled, half, half)))
+        << "half " << half;
+  }
 }
 
 }  // namespace

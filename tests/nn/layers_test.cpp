@@ -305,32 +305,45 @@ INSTANTIATE_TEST_SUITE_P(ScoreAndEval, BackwardState,
 
 // ---------------------------------------------------------------- Shuffle --
 
-TEST(ChannelShuffle, PermutationAndInverse) {
-  ChannelShuffle shuffle(2);
-  Tensor x({1, 4, 1, 1});
-  for (long c = 0; c < 4; ++c) x.at(0, c, 0, 0) = static_cast<float>(c);
-  const Tensor y = shuffle.forward(x);
-  // (g=2, per=2): channel (g, i) -> i*2 + g: [0,1,2,3] -> [0,2,1,3]
+TEST(ChannelInterleave, PermutationAndInverse) {
+  Tensor a({1, 2, 1, 1}), b({1, 2, 1, 1});
+  a.at(0, 0, 0, 0) = 0.0f;
+  a.at(0, 1, 0, 0) = 1.0f;
+  b.at(0, 0, 0, 0) = 2.0f;
+  b.at(0, 1, 0, 0) = 3.0f;
+  // shuffle(concat(a, b)) with 2 groups: [0,1,2,3] -> [0,2,1,3].
+  const Tensor y = interleave_channels(a, b);
+  ASSERT_EQ(y.shape(), (std::vector<long>{1, 4, 1, 1}));
   EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 0.0f);
   EXPECT_FLOAT_EQ(y.at(0, 1, 0, 0), 2.0f);
   EXPECT_FLOAT_EQ(y.at(0, 2, 0, 0), 1.0f);
-  // backward is the inverse permutation: round trip restores order.
-  const Tensor back = shuffle.backward(y);
-  for (long c = 0; c < 4; ++c) {
-    EXPECT_FLOAT_EQ(back.at(0, c, 0, 0), static_cast<float>(c));
+  EXPECT_FLOAT_EQ(y.at(0, 3, 0, 0), 3.0f);
+  // deinterleave is the inverse permutation: the round trip restores both
+  // halves.
+  Tensor back_a, back_b;
+  deinterleave_channels(y, back_a, back_b);
+  for (long c = 0; c < 2; ++c) {
+    EXPECT_FLOAT_EQ(back_a.at(0, c, 0, 0), a.at(0, c, 0, 0));
+    EXPECT_FLOAT_EQ(back_b.at(0, c, 0, 0), b.at(0, c, 0, 0));
   }
 }
 
-TEST(ChannelShuffle, RejectsIndivisibleChannels) {
-  ChannelShuffle shuffle(2);
-  EXPECT_THROW(shuffle.forward(Tensor({1, 3, 2, 2})), InvalidArgument);
+TEST(ChannelInterleave, RejectsMismatchedHalves) {
+  // a narrower than b, a spatial mismatch, and an odd channel count.
+  EXPECT_THROW(interleave_channels(Tensor({1, 1, 2, 2}), Tensor({1, 2, 2, 2})),
+               InvalidArgument);
+  EXPECT_THROW(interleave_channels(Tensor({1, 2, 2, 2}), Tensor({1, 2, 3, 3})),
+               InvalidArgument);
+  Tensor l, r;
+  EXPECT_THROW(deinterleave_channels(Tensor({1, 3, 2, 2}), l, r),
+               InvalidArgument);
 }
 
 TEST(SplitConcat, RoundTrip) {
   util::Rng rng(10);
   const Tensor x = Tensor::uniform({2, 6, 3, 3}, -1, 1, rng);
-  Tensor left, right;
-  split_channels(x, 2, left, right);
+  const Tensor left = slice_channels(x, 0, 2);
+  const Tensor right = slice_channels(x, 2, 4);
   EXPECT_EQ(left.shape(), (std::vector<long>{2, 2, 3, 3}));
   EXPECT_EQ(right.shape(), (std::vector<long>{2, 4, 3, 3}));
   const Tensor back = concat_channels(left, right);
@@ -342,9 +355,9 @@ TEST(SplitConcat, RoundTrip) {
 
 TEST(SplitConcat, Validation) {
   Tensor x({1, 4, 2, 2});
-  Tensor l, r;
-  EXPECT_THROW(split_channels(x, 0, l, r), InvalidArgument);
-  EXPECT_THROW(split_channels(x, 4, l, r), InvalidArgument);
+  EXPECT_THROW(slice_channels(x, 0, 0), InvalidArgument);
+  EXPECT_THROW(slice_channels(x, -1, 2), InvalidArgument);
+  EXPECT_THROW(slice_channels(x, 2, 3), InvalidArgument);
   EXPECT_THROW(concat_channels(Tensor({1, 2, 2, 2}), Tensor({1, 2, 3, 3})),
                InvalidArgument);
 }

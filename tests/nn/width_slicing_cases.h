@@ -5,7 +5,7 @@
 // with weights copied from the leading slices of the shared full-width
 // ones (nn/mask.h). The reference is assembled here from fresh Conv2d /
 // BatchNorm2d / ReLU modules at the narrow widths plus the family's own
-// glue (split / concat / shuffle / projection / residual), so it shares
+// glue (channel slice / interleave / projection / residual), so it shares
 // no slicing code with the block under test.
 
 #include <gtest/gtest.h>
@@ -152,12 +152,12 @@ class Reference {
       return y;
     }
     if (shape_.stride == 1) {
-      tensor::Tensor left, right;
-      split_channels(x, shape_.in / 2, left, right);
-      return shuffle_.forward(concat_channels(left, run_branch(right)));
+      const long half = shape_.in / 2;
+      return interleave_channels(
+          x, run_branch(slice_channels(x, half, half)));
     }
     tensor::Tensor p = proj_->forward(x);
-    return shuffle_.forward(concat_channels(p, run_branch(x)));
+    return interleave_channels(p, run_branch(x));
   }
 
   tensor::Tensor backward(const tensor::Tensor& dy) {
@@ -167,9 +167,8 @@ class Reference {
       if (residual_) dx.add_(dy);
       return dx;
     }
-    tensor::Tensor d = shuffle_.backward(dy);
     tensor::Tensor d_left, d_main;
-    split_channels(d, shape_.out / 2, d_left, d_main);
+    deinterleave_channels(dy, d_left, d_main);
     if (shape_.stride == 1) {
       return concat_channels(d_left, back_branch(d_main));
     }
@@ -181,7 +180,6 @@ class Reference {
   void set_mode(Mode mode) {
     for (auto& s : branch_) s->set_mode(mode);
     if (proj_) proj_->set_mode(mode);
-    shuffle_.set_mode(mode);
   }
 
   /// (block module, reference module) pairs: every Conv2d and BatchNorm2d.
@@ -206,7 +204,6 @@ class Reference {
   bool skip_, identity_, residual_ = false;
   std::vector<std::unique_ptr<Sequential>> branch_;
   std::unique_ptr<Sequential> proj_;
-  ChannelShuffle shuffle_{2};
 };
 
 /// A fresh block with non-trivial BN affine terms (gamma in [0.5, 1.5],
